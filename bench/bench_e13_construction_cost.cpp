@@ -8,7 +8,8 @@
 //   * E13a — the size ladder: every registered builder measured at the
 //     dual-failure budget when supported, else its own budget (the greedy
 //     set cover gets a reduced ladder — it enumerates m^f fault sets by
-//     design). Fitted exponents printed under the table.
+//     design). Fitted exponents printed under the table, and recorded per
+//     algorithm as `fits[].time_exponent` in the JSON.
 //   * E13b — full-build jobs sweep: each parallel_build family built to
 //     completion at a fixed n across the jobs list, checking the structure
 //     and stats against the jobs=1 build (the byte-identity contract of
@@ -278,6 +279,19 @@ int main(int argc, char** argv) {
       const LadderRow& r = ladder[i];
       std::printf("%s{\"algo\":\"%s\",\"f\":%u,\"n\":%u,\"seconds\":%.4f}",
                   i == 0 ? "" : ",", r.algo.c_str(), r.f, r.n, r.seconds);
+    }
+    // The ladder slope per algorithm: the fitted time exponent E13a prints
+    // under its table.
+    std::printf("],\"fits\":[");
+    bool first_fit = true;
+    for (const auto& s : series) {
+      if (s.x.size() < 2) continue;
+      const PowerFit fit = fit_power_law(s.x, s.y);
+      std::printf("%s{\"algo\":\"%s\",\"points\":%zu,\"time_exponent\":%.3f,"
+                  "\"r_squared\":%.4f}",
+                  first_fit ? "" : ",", s.name.c_str(), s.x.size(),
+                  fit.exponent, fit.r_squared);
+      first_fit = false;
     }
     std::printf("],\"jobs_sweep\":[");
     for (std::size_t i = 0; i < jobs_rows.size(); ++i) {

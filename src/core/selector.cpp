@@ -21,8 +21,7 @@ std::optional<SingleFaultSelection> select_single_fault(
   const EdgeId e_i = g.find_edge(pi[i], pi[i + 1]);
   FTBFS_EXPECTS(e_i != kInvalidEdge);
 
-  // Target distance: dist(s, v, G ∖ {e_i}) — memoized per edge, since every
-  // target below e_i in the BFS tree asks for the same table.
+  // Target distance: dist(s, v, G ∖ {e_i}).
   const std::uint32_t target = sel.single_fault_distance(s, v, e_i);
   if (target == kInfHops) return std::nullopt;
   GraphMask& mask = sel.mask();

@@ -9,14 +9,16 @@
 // binary search, which is sound because the restricted graphs are nested
 // (G(u_k,·) ⊆ G(u_{k+1},·)), making hop-distance monotone in the index.
 //
-// Distance *tests* use plain BFS (hop counts are what the FT-BFS property is
-// about); only the finally selected path is computed with the tie-broken
-// Dijkstra so that it is the W-unique representative the analysis reasons
-// about.
+// Distance *tests* use plain BFS probes that stop at their target (hop counts
+// are what the FT-BFS property is about); only the finally selected path is
+// computed with the tie-broken W-sweep so that it is the W-unique
+// representative the analysis reasons about. All scratch is O(n + m) per
+// selector, so every parallel-build worker stays linear in the graph.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "graph/graph.h"
 #include "graph/mask.h"
@@ -54,7 +56,7 @@ class VertexIndexMap {
   std::vector<std::size_t> pos_;
 };
 
-// Owns the scratch state (mask + BFS + Dijkstra) for path selection.
+// Owns the scratch state (mask + BFS + W-sweep) for path selection.
 class PathSelector {
  public:
   PathSelector(const Graph& g, const WeightAssignment& w)
@@ -64,10 +66,12 @@ class PathSelector {
   [[nodiscard]] const Graph& graph() const { return *graph_; }
   [[nodiscard]] const WeightAssignment& weights() const { return *weights_; }
 
-  // Hop distance s→t under the current mask (full BFS; kInfHops if cut off).
+  // Hop distance s→t under the current mask; kInfHops if cut off. The BFS
+  // stops as soon as t is discovered, so a probe costs only the ball around s
+  // of radius dist(s, t).
   [[nodiscard]] std::uint32_t hop_distance(Vertex s, Vertex t) {
     ++bfs_runs_;
-    return bfs_.run(s, &mask_).hops[t];
+    return bfs_.run_until(s, std::span<const Vertex>(&t, 1), &mask_).hops[t];
   }
 
   // W-unique shortest path s→t under the current mask.
@@ -84,31 +88,12 @@ class PathSelector {
     return dijkstra_.run(s, &mask_, kInvalidVertex);
   }
 
-  // dist(s, t, G ∖ {e}), memoized per edge for a fixed source: the same
-  // single-fault distance table is consulted for every target v on whose
-  // π(s,v) the edge e lies, so one BFS per tree edge serves all targets.
-  // The memo is a flat array indexed by EdgeId (edge ids are dense) with an
-  // epoch stamp per slot — no hashing on the lookup path, and changing the
-  // source flushes in O(1) by bumping the epoch while the hop vectors keep
-  // their capacity for reuse. Overwrites the scratch mask.
+  // dist(s, t, G ∖ {e}): one early-exit probe. Overwrites the scratch mask.
   [[nodiscard]] std::uint32_t single_fault_distance(Vertex s, Vertex t,
                                                     EdgeId e) {
-    if (memo_source_ != s) {
-      ++memo_epoch_cur_;
-      memo_source_ = s;
-    }
-    if (memo_hops_.empty()) {
-      memo_hops_.resize(graph_->num_edges());
-      memo_epoch_.resize(graph_->num_edges(), 0);
-    }
-    if (memo_epoch_[e] != memo_epoch_cur_) {
-      mask_.clear();
-      mask_.block_edge(e);
-      ++bfs_runs_;
-      memo_hops_[e] = bfs_.run(s, &mask_).hops;  // copy-assign reuses capacity
-      memo_epoch_[e] = memo_epoch_cur_;
-    }
-    return memo_hops_[e][t];
+    mask_.clear();
+    mask_.block_edge(e);
+    return hop_distance(s, t);
   }
 
   [[nodiscard]] std::uint64_t bfs_runs() const { return bfs_runs_; }
@@ -122,10 +107,6 @@ class PathSelector {
   Dijkstra dijkstra_;
   std::uint64_t bfs_runs_ = 0;
   std::uint64_t dijkstra_runs_ = 0;
-  Vertex memo_source_ = kInvalidVertex;
-  std::uint32_t memo_epoch_cur_ = 1;
-  std::vector<std::uint32_t> memo_epoch_;             // per edge; lazily sized
-  std::vector<std::vector<std::uint32_t>> memo_hops_; // per edge; lazily sized
 };
 
 // Blocks π positions [k+1 .. l] on the mask (the vertex-removal part of

@@ -8,6 +8,7 @@
 // inner loops of the construction algorithms perform no per-query allocation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,9 +24,16 @@ class GraphMask {
         edge_block_epoch_(g.num_edges(), 0),
         edge_allow_epoch_(g.num_edges(), 0) {}
 
-  // Drops all restrictions in O(1).
+  // Drops all restrictions in O(1), amortized: when the 32-bit epoch wraps
+  // (once per 2^32 clears), the stamps are zeroed so that neither the
+  // never-stamped entries nor stale stamps from before the wrap read as live.
   void clear() {
-    ++epoch_;
+    if (++epoch_ == 0) {
+      std::fill(vertex_epoch_.begin(), vertex_epoch_.end(), 0);
+      std::fill(edge_block_epoch_.begin(), edge_block_epoch_.end(), 0);
+      std::fill(edge_allow_epoch_.begin(), edge_allow_epoch_.end(), 0);
+      epoch_ = 1;
+    }
     restricted_vertex_ = kInvalidVertex;
   }
 

@@ -2,8 +2,8 @@
 //
 // Used wherever tie-breaking does not matter: the FT-BFS *verifier* only
 // compares hop distances (the defining property dist(s,v,H∖F) = dist(s,v,G∖F)
-// is about lengths, not about which path realizes them), and BFS is ~3x
-// cheaper than the tie-broken Dijkstra.
+// is about lengths, not about which path realizes them), and BFS skips the
+// per-arc key comparison of the tie-broken W-sweep (spath/dijkstra.h).
 #pragma once
 
 #include <cstdint>

@@ -15,43 +15,55 @@ const SpResult& Dijkstra::run(Vertex source, const GraphMask* mask,
                               Vertex target) {
   const Graph& g = *graph_;
   FTBFS_EXPECTS(source < g.num_vertices());
+  FTBFS_EXPECTS(target == kInvalidVertex || target < g.num_vertices());
   std::fill(result_.dist.begin(), result_.dist.end(), kUnreachable);
   std::fill(result_.parent.begin(), result_.parent.end(), kInvalidVertex);
   std::fill(result_.parent_edge.begin(), result_.parent_edge.end(),
             kInvalidEdge);
-  heap_.clear();
+  layer_.clear();
 
   if (mask != nullptr && mask->vertex_blocked(source)) return result_;
 
-  auto push = [this](DistKey key, Vertex v) {
-    heap_.push_back(HeapEntry{key, v});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  };
-  auto pop = [this]() {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const HeapEntry top = heap_.back();
-    heap_.pop_back();
-    return top;
-  };
-
+  // As in Bfs::run_until: the restriction state is fixed for the run, and
+  // every vertex on a layer is unblocked, so the unrestricted case needs only
+  // the edge-block and head-vertex tests.
+  const bool restricted = mask != nullptr && mask->has_restriction();
   result_.dist[source] = DistKey{0, 0};
-  push(DistKey{0, 0}, source);
-  while (!heap_.empty()) {
-    const HeapEntry top = pop();
-    if (top.key != result_.dist[top.v]) continue;  // stale entry
-    if (top.v == target) break;
-    for (const Arc& arc : g.neighbors(top.v)) {
-      if (mask != nullptr && !mask->edge_usable(arc.id, top.v, arc.to)) {
-        continue;
-      }
-      const DistKey cand = weights_->extend(top.key, arc.id);
-      if (cand < result_.dist[arc.to]) {
-        result_.dist[arc.to] = cand;
-        result_.parent[arc.to] = top.v;
+  layer_.push_back(source);
+  for (std::uint32_t hops = 0; !layer_.empty(); ++hops) {
+    // Every key on this layer is final once the previous layer is expanded.
+    if (target != kInvalidVertex && result_.dist[target].hops == hops) break;
+    // All candidates of the next layer share its hop count, so only their
+    // perturbation sums compete.
+    const std::uint32_t next_hops = hops + 1;
+    next_.clear();
+    for (const Vertex u : layer_) {
+      const std::uint64_t pu = result_.dist[u].pert;
+      for (const Arc& arc : g.neighbors(u)) {
+        DistKey& dv = result_.dist[arc.to];
+        if (dv.hops <= hops) continue;  // on this layer or an earlier one
+        if (mask != nullptr &&
+            (restricted ? !mask->edge_usable(arc.id, u, arc.to)
+                        : mask->arc_blocked_unrestricted(arc.id, arc.to))) {
+          continue;
+        }
+        const std::uint64_t cand = pu + weights_->perturbation(arc.id);
+        if (dv.hops != next_hops) {
+          dv.hops = next_hops;
+          next_.push_back(arc.to);
+        } else if (cand > dv.pert ||
+                   (cand == dv.pert &&
+                    pu >= result_.dist[result_.parent[arc.to]].pert)) {
+          // Keep the incumbent: a heap pops the smaller predecessor key
+          // first and updates only on strict improvement.
+          continue;
+        }
+        dv.pert = cand;
+        result_.parent[arc.to] = u;
         result_.parent_edge[arc.to] = arc.id;
-        push(cand, arc.to);
       }
     }
+    layer_.swap(next_);
   }
   return result_;
 }

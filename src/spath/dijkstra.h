@@ -1,10 +1,11 @@
 // Tie-broken single-source shortest paths under the weight assignment W.
 //
-// This is Dijkstra over lexicographic (hops, perturbation) keys. Because every
-// edge has hop-weight exactly 1, the hop component behaves like BFS layers and
-// the perturbation component selects the W-unique representative among
-// equal-hop paths — exactly SP(s, ·, G', W) of the paper for any masked
-// subgraph G'.
+// Every edge weighs 1 + ε·r_e, so the shortest paths under W are exactly the
+// BFS layers, and within a layer the W-unique representative is the one with
+// the smallest perturbation sum. The engine is therefore a layered sweep, not
+// a priority queue: layer L is relaxed into layer L+1, keeping the smallest
+// lexicographic (hops, perturbation) key per vertex. The result is exactly
+// SP(s, ·, G', W) of the paper for any masked subgraph G'.
 #pragma once
 
 #include <vector>
@@ -31,9 +32,13 @@ class Dijkstra {
  public:
   Dijkstra(const Graph& g, const WeightAssignment& w);
 
-  // Full SSSP from `source` under `mask` (may be null). If `target` is a valid
-  // vertex, stops early once the target is settled (all other entries are
-  // valid lower bounds only — callers wanting full SSSP pass kInvalidVertex).
+  // Full SSSP from `source` under `mask` (may be null). A vertex's parent is
+  // the predecessor on the previous layer giving the strictly smallest key; on
+  // an exact key tie, the predecessor with the smaller key wins. If `target`
+  // is a valid vertex, the sweep stops before expanding the target's own
+  // layer: entries on layers up to the target's are exact (the target and all
+  // its ancestors included), deeper entries are missing — callers wanting
+  // full SSSP pass kInvalidVertex.
   const SpResult& run(Vertex source, const GraphMask* mask = nullptr,
                       Vertex target = kInvalidVertex);
 
@@ -45,15 +50,8 @@ class Dijkstra {
   const Graph* graph_;
   const WeightAssignment* weights_;
   SpResult result_;
-
-  struct HeapEntry {
-    DistKey key;
-    Vertex v;
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      return a.key > b.key;
-    }
-  };
-  std::vector<HeapEntry> heap_;  // binary heap storage, reused across runs
+  std::vector<Vertex> layer_;  // the layer being expanded, reused across runs
+  std::vector<Vertex> next_;   // the layer being discovered
 };
 
 // Extracts the s→t vertex path from an SSSP result (s implied by the run).

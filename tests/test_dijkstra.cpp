@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/generators.h"
 #include "graph/mask.h"
+#include "reference_dijkstra.h"
 #include "spath/bfs.h"
 #include "spath/path.h"
+#include "util/rng.h"
 
 namespace ftbfs {
 namespace {
@@ -78,6 +85,9 @@ TEST(Dijkstra, EarlyExitTargetSettled) {
   const std::uint32_t want = bfs.run(0).hops[42];
   const SpResult& r = dij.run(0, nullptr, 42);
   EXPECT_EQ(r.hops(42), want);
+  const SpResult full = reference_dijkstra(g, w, 0, nullptr);
+  EXPECT_EQ(r.dist[42], full.dist[42]);
+  EXPECT_EQ(extract_path(r, 42), extract_path(full, 42));
 }
 
 TEST(Dijkstra, BlockedSource) {
@@ -125,6 +135,96 @@ TEST(Dijkstra, SubpathConsistency) {
     const Path tail = extract_path(from_mid, 17);
     const Path expected = subpath_by_vertex(p, mid, 17);
     EXPECT_EQ(tail, expected);
+  }
+}
+
+// One mask configuration of the sweep-vs-heap comparison.
+struct MaskCase {
+  std::string name;
+  std::function<void(GraphMask&)> apply;
+};
+
+// Mask kinds the construction uses: none, blocked edges, blocked vertices
+// (the source included), and an incident-edge whitelist at one vertex.
+std::vector<MaskCase> mask_cases(const Graph& g, Vertex source,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  const auto pick_vertex = [&] {
+    return static_cast<Vertex>(rng.next_below(g.num_vertices()));
+  };
+  const auto pick_edge = [&] {
+    return static_cast<EdgeId>(rng.next_below(g.num_edges()));
+  };
+  std::vector<EdgeId> edges;
+  for (int i = 0; i < 6; ++i) edges.push_back(pick_edge());
+  std::vector<Vertex> verts;
+  for (int i = 0; i < 4; ++i) {
+    const Vertex v = pick_vertex();
+    if (v != source) verts.push_back(v);
+  }
+  Vertex hub = pick_vertex();
+  if (hub == source) hub = (hub + 1) % g.num_vertices();
+  std::vector<EdgeId> allowed;
+  for (const Arc& arc : g.neighbors(hub)) {
+    if (rng.next_bool(0.5)) allowed.push_back(arc.id);
+  }
+  return {
+      {"none", [](GraphMask&) {}},
+      {"edges",
+       [edges](GraphMask& m) {
+         for (const EdgeId e : edges) m.block_edge(e);
+       }},
+      {"vertices",
+       [verts](GraphMask& m) {
+         for (const Vertex v : verts) m.block_vertex(v);
+       }},
+      {"source", [source](GraphMask& m) { m.block_vertex(source); }},
+      {"whitelist",
+       [hub, allowed, edges](GraphMask& m) {
+         m.block_edge(edges.front());
+         m.restrict_incident_edges(hub);
+         for (const EdgeId e : allowed) m.allow_edge(e);
+       }},
+  };
+}
+
+TEST(Dijkstra, LayeredSweepMatchesHeapReference) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    graphs.emplace_back("er_sparse" + std::to_string(seed),
+                        erdos_renyi(120, 0.03, seed));
+    graphs.emplace_back("er_dense" + std::to_string(seed),
+                        erdos_renyi(60, 0.2, seed));
+  }
+  graphs.emplace_back("grid", grid_graph(9, 11));
+  graphs.emplace_back("hypercube", hypercube_graph(6));
+  graphs.emplace_back("cycle", cycle_graph(31));
+
+  for (const auto& [name, g] : graphs) {
+    for (const std::uint64_t wseed : {5ull, 6ull, 7ull}) {
+      const WeightAssignment w(g, wseed);
+      Dijkstra dij(g, w);
+      GraphMask mask(g);
+      const Vertex source = static_cast<Vertex>(wseed % g.num_vertices());
+      for (const MaskCase& mc : mask_cases(g, source, wseed)) {
+        SCOPED_TRACE(name + " seed " + std::to_string(wseed) + " mask " +
+                     mc.name);
+        mask.clear();
+        mc.apply(mask);
+        const SpResult want = reference_dijkstra(g, w, source, &mask);
+        const SpResult& got = dij.run(source, &mask);
+        EXPECT_EQ(got.dist, want.dist);
+        EXPECT_EQ(got.parent, want.parent);
+        EXPECT_EQ(got.parent_edge, want.parent_edge);
+        // Early exit: the target's key and path are those of the full run.
+        for (Vertex t = 0; t < g.num_vertices(); t += 7) {
+          const SpResult& early = dij.run(source, &mask, t);
+          EXPECT_EQ(early.dist[t], want.dist[t]) << "target " << t;
+          EXPECT_EQ(extract_path(early, t), extract_path(want, t))
+              << "target " << t;
+        }
+      }
+    }
   }
 }
 

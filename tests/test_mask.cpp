@@ -74,6 +74,37 @@ TEST(GraphMask, BlockedEdgeBeatsWhitelist) {
   EXPECT_FALSE(m.edge_usable(e, 0, 1));
 }
 
+// The epoch is 32 bits wide: a long-running server that clears a pooled mask
+// per query wraps it. Drives clear() across the wrap for real (~4.3e9 calls).
+TEST(GraphMask, EpochWrapKeepsStampsDead) {
+  const Graph g = complete_graph(3);
+  const EdgeId e01 = g.find_edge(0, 1);
+  const EdgeId e12 = g.find_edge(1, 2);
+  GraphMask m(g);
+  // Stamps from the first epoch, which the wrap would otherwise revive.
+  m.block_vertex(2);
+  m.block_edge(e12);
+  m.allow_edge(e01);
+  auto expect_fresh = [&] {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_FALSE(m.vertex_blocked(v)) << "vertex " << v;
+    }
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_FALSE(m.edge_blocked(e)) << "edge " << e;
+    }
+  };
+  // 2^32 - 1 clears bring the epoch to its wrap point.
+  for (std::uint64_t i = 0; i < (std::uint64_t{1} << 32) - 1; ++i) m.clear();
+  expect_fresh();
+  m.restrict_incident_edges(0);
+  EXPECT_FALSE(m.edge_usable(e01, 0, 1));  // the stale whitelist entry is dead
+  m.clear();  // back on the epoch the stamps were set in
+  expect_fresh();
+  m.block_vertex(1);
+  EXPECT_TRUE(m.vertex_blocked(1));
+  EXPECT_FALSE(m.vertex_blocked(2));
+}
+
 TEST(BlockEdges, BlocksAll) {
   const Graph g = cycle_graph(5);
   GraphMask m(g);
