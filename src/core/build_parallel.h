@@ -3,8 +3,8 @@
 // The per-target work of the FT-BFS constructions is almost independent: the
 // only cross-target coupling is through the shared kept-edge set H, and every
 // read or write a target v performs on H touches only edges *incident to v*
-// (the candidate last edges of replacement paths ending at v, and v's
-// incident-edge whitelist E_τ(v)). That locality makes the following schedule
+// (the candidate last edges of replacement paths ending at v, and v's kept
+// edges E_τ(v)). That locality makes the following schedule
 // produce output bit-identical to the sequential target loop at any worker
 // count (the determinism invariant the property tests enforce):
 //

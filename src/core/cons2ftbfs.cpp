@@ -23,8 +23,8 @@ struct VertexOutcome {
   PathClassCounts classes;  // classification of `records` (when enabled)
   Path pi;                  // π(s,v), kept for the record_sink call
   std::uint64_t fault_pairs = 0;
-  std::uint64_t dijkstra = 0;
   std::uint64_t fallbacks = 0;
+  KernelCounts kernels;
 };
 
 // All state for constructing H(v) for one target vertex v. Reads the shared
@@ -53,14 +53,14 @@ class PerVertexRun {
   }
 
   VertexOutcome run() {
-    const std::uint64_t d0 = sel_.dijkstra_runs();
+    const KernelCounts k0 = sel_.kernel_counts();
     step1();
     step2();
     step3();
     if (classify_) {
       out_.classes = classify_new_ending(g_, pi_, out_.records);
     }
-    out_.dijkstra = sel_.dijkstra_runs() - d0;
+    out_.kernels = sel_.kernel_counts() - k0;
     out_.pi = std::move(pi_);
     return std::move(out_);
   }
@@ -83,7 +83,7 @@ class PerVertexRun {
   }
 
   // Adds the last edge of a selected replacement path to H(v); returns true
-  // if the edge was new. Bookkeeps E_τ(v) (v-incident whitelist).
+  // if the edge was new. Bookkeeps E_τ(v), the kept v-edges.
   bool keep_last_edge(const Path& p, NewEndingRecord::Kind kind, EdgeId f1,
                       EdgeId f2, const SingleFaultSelection* det) {
     const EdgeId le = last_edge(g_, p);
@@ -234,14 +234,12 @@ class PerVertexRun {
     const std::uint32_t target = target_distance({e, t});
     if (target == kInfHops) return;
 
-    // Satisfiability in G_{τ−1}(v): v's incident edges restricted to E_{τ−1}(v).
-    GraphMask& m = sel_.mask();
-    m.clear();
-    m.block_edge(e);
-    m.block_edge(t);
-    m.restrict_incident_edges(v_);
-    for (const EdgeId allowed : allowed_v_edges_) m.allow_edge(allowed);
-    if (sel_.hop_distance(s_, v_) == target) return;  // not new-ending
+    // Satisfiability in G_{τ−1}(v) ∖ F (v's edges restricted to E_{τ−1}(v)),
+    // decided from the probe above: v lies below e in T0, so that probe
+    // searched and left every distance below `target` exact.
+    if (reaches_through_kept_edge(sel_, v_, allowed_v_edges_, target)) {
+      return;  // not new-ending
+    }
 
     const Path p = select_new_ending(i, r, e, t, target);
     const bool added =
@@ -346,7 +344,7 @@ class PerVertexRun {
   bool classify_;
 
   std::vector<std::optional<SingleFaultSelection>> selections_;
-  std::vector<EdgeId> allowed_v_edges_;  // E_τ(v)
+  std::vector<EdgeId> allowed_v_edges_;  // E_τ(v): the kept v-edges
   VertexOutcome out_;
 };
 
@@ -354,8 +352,11 @@ struct Cons2Workspace {
   PathSelector sel;
   VertexIndexMap pi_pos;
   VertexIndexMap aux_pos;
-  Cons2Workspace(const Graph& g, const WeightAssignment& w)
-      : sel(g, w), pi_pos(g.num_vertices()), aux_pos(g.num_vertices()) {}
+  Cons2Workspace(const Graph& g, const WeightAssignment& w,
+                 const SelectorBaseline& base)
+      : sel(g, w, &base),
+        pi_pos(g.num_vertices()),
+        aux_pos(g.num_vertices()) {}
 };
 
 void max_classes(PathClassCounts& m, const PathClassCounts& c) {
@@ -373,10 +374,9 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
                              const Cons2Options& opt) {
   FTBFS_EXPECTS(s < g.num_vertices());
   const WeightAssignment w(g, opt.weight_seed);
-  PathSelector sel(g, w);
-
-  sel.mask().clear();
-  const SpResult tree = sel.w_sssp(s);  // copy: buffers are reused later
+  // T0(s), the W-unique shortest-path tree, shared by every worker.
+  const SelectorBaseline base(g, w, s);
+  const SpResult& tree = base.tree();
 
   FtStructure h;
   std::vector<bool> in_h(g.num_edges(), false);
@@ -390,7 +390,6 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
       }
     }
   }
-  h.stats.dijkstra_runs = sel.dijkstra_runs();  // the tree W-SSSP
 
   // Conflict tracking for the speculative schedule: a target is dirty iff a
   // commit since the current block's snapshot added an edge incident to it.
@@ -416,8 +415,8 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
         std::max(h.stats.max_new_per_vertex,
                  static_cast<std::uint64_t>(out.added.size()));
     h.stats.fault_pairs_considered += out.fault_pairs;
-    h.stats.dijkstra_runs += out.dijkstra;
     h.stats.divergence_fallbacks += out.fallbacks;
+    h.stats.kernels += out.kernels;
     if (opt.classify_paths) {
       h.stats.classes.single += out.classes.single;
       h.stats.classes.a_pi_pi += out.classes.a_pi_pi;
@@ -437,7 +436,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
 
   const unsigned workers = resolve_jobs(opt.jobs, targets.size());
   ParallelBuildReport report;
-  Cons2Workspace main_ws{g, w};
+  Cons2Workspace main_ws{g, w, base};
   if (workers <= 1) {
     for (const Vertex v : targets) {
       commit_outcome(v, run_target(main_ws, v));
@@ -447,7 +446,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
     std::vector<std::unique_ptr<Cons2Workspace>> pool;
     pool.reserve(workers);
     for (unsigned t = 0; t < workers; ++t) {
-      pool.push_back(std::make_unique<Cons2Workspace>(g, w));
+      pool.push_back(std::make_unique<Cons2Workspace>(g, w, base));
     }
     std::vector<VertexOutcome> slots(speculative_block_size(workers));
     run_speculate_commit(
@@ -476,6 +475,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
   report.workers = workers;
   if (opt.parallel_report != nullptr) *opt.parallel_report = report;
 
+  h.stats.dijkstra_runs = 1 + h.stats.kernels.sweeps();  // + the tree
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (in_h[e]) h.edges.push_back(e);
   }

@@ -38,6 +38,44 @@ struct PathClassCounts {
   }
 };
 
+// How the construction kernels (core/selector.h) answered their calls: hop
+// probes and W-sweeps, each either read off the fault-free baseline (target
+// outside the cut region, or cut off outright), repaired over the cut region
+// only, or searched from the source with an early exit.
+struct KernelCounts {
+  std::uint64_t probe_baseline = 0;
+  std::uint64_t probe_repair = 0;
+  std::uint64_t probe_search = 0;
+  std::uint64_t sweep_baseline = 0;
+  std::uint64_t sweep_repair = 0;
+  std::uint64_t sweep_search = 0;
+
+  [[nodiscard]] std::uint64_t sweeps() const {
+    return sweep_baseline + sweep_repair + sweep_search;
+  }
+
+  KernelCounts& operator+=(const KernelCounts& o) {
+    probe_baseline += o.probe_baseline;
+    probe_repair += o.probe_repair;
+    probe_search += o.probe_search;
+    sweep_baseline += o.sweep_baseline;
+    sweep_repair += o.sweep_repair;
+    sweep_search += o.sweep_search;
+    return *this;
+  }
+  [[nodiscard]] KernelCounts operator-(const KernelCounts& o) const {
+    KernelCounts d;
+    d.probe_baseline = probe_baseline - o.probe_baseline;
+    d.probe_repair = probe_repair - o.probe_repair;
+    d.probe_search = probe_search - o.probe_search;
+    d.sweep_baseline = sweep_baseline - o.sweep_baseline;
+    d.sweep_repair = sweep_repair - o.sweep_repair;
+    d.sweep_search = sweep_search - o.sweep_search;
+    return d;
+  }
+  friend bool operator==(const KernelCounts&, const KernelCounts&) = default;
+};
+
 struct FtBfsStats {
   std::uint64_t tree_edges = 0;        // |E(T0)|
   std::uint64_t new_edges = 0;         // |E(H)| - |E(T0)|
@@ -45,6 +83,7 @@ struct FtBfsStats {
   std::uint64_t fault_pairs_considered = 0;
   std::uint64_t dijkstra_runs = 0;
   std::uint64_t divergence_fallbacks = 0;  // defensive-path fallbacks (expect 0)
+  KernelCounts kernels;  // how the selection kernels answered (no tree SSSP)
   PathClassCounts classes;             // filled when instrumentation is on
   // Per-vertex maxima of each class (the quantities the per-class O(√n) and
   // O(n^{2/3}) lemmas bound); filled when instrumentation is on.

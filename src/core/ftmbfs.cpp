@@ -27,6 +27,7 @@ FtMbfsResult build_union(const Graph& g, std::span<const Vertex> sources,
         h.stats.fault_pairs_considered;
     out.structure.stats.dijkstra_runs += h.stats.dijkstra_runs;
     out.structure.stats.divergence_fallbacks += h.stats.divergence_fallbacks;
+    out.structure.stats.kernels += h.stats.kernels;
     out.structure.stats.max_new_per_vertex =
         std::max(out.structure.stats.max_new_per_vertex,
                  h.stats.max_new_per_vertex);

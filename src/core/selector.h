@@ -9,23 +9,35 @@
 // binary search, which is sound because the restricted graphs are nested
 // (G(u_k,·) ⊆ G(u_{k+1},·)), making hop-distance monotone in the index.
 //
-// Distance *tests* use plain BFS probes that stop at their target (hop counts
-// are what the FT-BFS property is about); only the finally selected path is
-// computed with the tie-broken W-sweep so that it is the W-unique
-// representative the analysis reasons about. All scratch is O(n + m) per
-// selector, so every parallel-build worker stays linear in the graph.
+// Distance *tests* are hop probes (hop counts are what the FT-BFS property is
+// about); only the finally selected path is computed with the tie-broken
+// W-sweep so that it is the W-unique representative the analysis reasons
+// about. Every restricted graph is G minus a few vertices and edges, so both
+// kernels are fault-local: they start from the fault-free tree T0 of the
+// source (SelectorBaseline) and recompute only the cut region — the T0
+// subtrees below the blocked tree edges and blocked vertices. A target outside
+// the region keeps its T0 distance and root path; otherwise a Dial pass over
+// the region repairs it, unless the region is larger than the BFS ball an
+// early-exit search from the source would cover, in which case that search
+// runs instead. All answers are exact, so the choice never shows in a
+// structure. Scratch is O(n + m) per selector; the baseline is shared.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 
+#include "core/ftbfs_common.h"
 #include "graph/graph.h"
 #include "graph/mask.h"
 #include "spath/bfs.h"
 #include "spath/dijkstra.h"
 #include "spath/path.h"
 #include "spath/replacement.h"
+#include "spath/tree_index.h"
 #include "spath/weights.h"
 
 namespace ftbfs {
@@ -56,31 +68,77 @@ class VertexIndexMap {
   std::vector<std::size_t> pos_;
 };
 
-// Owns the scratch state (mask + BFS + W-sweep) for path selection.
+// The fault-free state of one source that every restricted graph cuts: T0,
+// the W-unique SSSP tree of G; its TreeIndex; the tree edge → child map; and
+// T0's vertices grouped by depth, in preorder within a depth, so that the part
+// of any subtree on one level is a contiguous range. Immutable once built: the
+// workers of a parallel build all read one instance.
+class SelectorBaseline {
+ public:
+  SelectorBaseline(const Graph& g, const WeightAssignment& w, Vertex source);
+
+  [[nodiscard]] Vertex source() const { return index_.root(); }
+  [[nodiscard]] const SpResult& tree() const { return tree_; }
+  [[nodiscard]] const TreeIndex& index() const { return index_; }
+
+  // The child endpoint of tree edge e; kInvalidVertex if e is not in T0.
+  [[nodiscard]] Vertex edge_child(EdgeId e) const { return edge_child_[e]; }
+
+  // |B(s, d)|: the number of vertices within d hops of the source.
+  [[nodiscard]] std::uint32_t ball_size(std::uint32_t d) const {
+    return level_begin_[std::min(std::size_t{d} + 1, level_begin_.size() - 1)];
+  }
+
+  // Depth of the deepest vertex in v's subtree (v reached).
+  [[nodiscard]] std::uint32_t subtree_height(Vertex v) const {
+    return subtree_height_[v];
+  }
+
+  // The vertices of v's subtree at depth `level`, in preorder.
+  [[nodiscard]] std::span<const Vertex> subtree_level(
+      Vertex v, std::uint32_t level) const;
+
+ private:
+  SpResult tree_;
+  TreeIndex index_;
+  std::vector<Vertex> edge_child_;
+  std::vector<std::uint32_t> subtree_height_;
+  // Level d is [level_begin_[d], level_begin_[d + 1]) of level_vertex_, with
+  // the matching preorder positions in level_pre_ (the search key).
+  std::vector<std::uint32_t> level_begin_;
+  std::vector<Vertex> level_vertex_;
+  std::vector<std::uint32_t> level_pre_;
+};
+
+// Owns the scratch state (mask + region repair + fallback searches) for path
+// selection.
 class PathSelector {
  public:
-  PathSelector(const Graph& g, const WeightAssignment& w)
-      : graph_(&g), weights_(&w), mask_(g), bfs_(g), dijkstra_(g, w) {}
+  // `baseline`, if given, is shared and must outlive the selector; it serves
+  // the calls for its source. Calls for any other source (or all calls, when
+  // none is given) use a baseline the selector builds on first use.
+  PathSelector(const Graph& g, const WeightAssignment& w,
+               const SelectorBaseline* baseline = nullptr);
 
   [[nodiscard]] GraphMask& mask() { return mask_; }
+  [[nodiscard]] const GraphMask& mask() const { return mask_; }
   [[nodiscard]] const Graph& graph() const { return *graph_; }
   [[nodiscard]] const WeightAssignment& weights() const { return *weights_; }
 
-  // Hop distance s→t under the current mask; kInfHops if cut off. The BFS
-  // stops as soon as t is discovered, so a probe costs only the ball around s
-  // of radius dist(s, t).
-  [[nodiscard]] std::uint32_t hop_distance(Vertex s, Vertex t) {
-    ++bfs_runs_;
-    return bfs_.run_until(s, std::span<const Vertex>(&t, 1), &mask_).hops[t];
-  }
+  // The fault-free baseline of source s (shared or built on first use).
+  [[nodiscard]] const SelectorBaseline& baseline(Vertex s);
+
+  // Hop distance s→t under the current mask; kInfHops if cut off.
+  [[nodiscard]] std::uint32_t hop_distance(Vertex s, Vertex t);
+
+  // After a hop_distance(s, t) that searched (repair or early-exit search —
+  // always the case when t lies below a blocked tree edge or vertex), and
+  // under the same mask: dist(s, u) exactly for every u closer to s than t,
+  // and some value >= dist(s, t) for every other u.
+  [[nodiscard]] std::uint32_t probed_hops(Vertex u) const;
 
   // W-unique shortest path s→t under the current mask.
-  [[nodiscard]] std::optional<RPath> w_path(Vertex s, Vertex t) {
-    ++dijkstra_runs_;
-    const SpResult& r = dijkstra_.run(s, &mask_, t);
-    if (!r.reached(t)) return std::nullopt;
-    return RPath{extract_path(r, t), r.dist[t]};
-  }
+  [[nodiscard]] std::optional<RPath> w_path(Vertex s, Vertex t);
 
   // Full W-SSSP under the current mask; result borrowed until next call.
   [[nodiscard]] const SpResult& w_sssp(Vertex s) {
@@ -88,7 +146,7 @@ class PathSelector {
     return dijkstra_.run(s, &mask_, kInvalidVertex);
   }
 
-  // dist(s, t, G ∖ {e}): one early-exit probe. Overwrites the scratch mask.
+  // dist(s, t, G ∖ {e}): one probe. Overwrites the scratch mask.
   [[nodiscard]] std::uint32_t single_fault_distance(Vertex s, Vertex t,
                                                     EdgeId e) {
     mask_.clear();
@@ -98,16 +156,67 @@ class PathSelector {
 
   [[nodiscard]] std::uint64_t bfs_runs() const { return bfs_runs_; }
   [[nodiscard]] std::uint64_t dijkstra_runs() const { return dijkstra_runs_; }
+  [[nodiscard]] const KernelCounts& kernel_counts() const { return kernels_; }
 
  private:
+  enum class Route { kCutOff, kBaseline, kRepair, kSearch };
+  enum class Probe { kNone, kRepair, kSearch };
+
+  // Finds the cut region A of the current mask in b (its maximal subtree
+  // roots, in preorder) and picks how to answer for target t.
+  Route route(const SelectorBaseline& b, Vertex t);
+  [[nodiscard]] bool in_region(Vertex x) const {
+    return region_stamp_[x] == region_epoch_;
+  }
+  // Starts a region pass: fresh stamps, empty buckets, and the first level of
+  // A stamped. Returns that level.
+  std::uint32_t begin_region(const SelectorBaseline& b);
+  // Enters level d: the level stamped last (d) becomes current and level
+  // d + 1 of A is stamped, so every neighbor of a level-d vertex is known to
+  // be in A or not.
+  void advance_level(const SelectorBaseline& b, std::uint32_t d);
+  // Marks A's vertices on `level` as in the region with key kUnreachable and
+  // lists them in next_level_.
+  void stamp_level(const SelectorBaseline& b, std::uint32_t level);
+  std::uint32_t repair_hops(const SelectorBaseline& b, Vertex t);
+  std::optional<RPath> repair_path(const SelectorBaseline& b, Vertex t);
+
   const Graph* graph_;
   const WeightAssignment* weights_;
+  const SelectorBaseline* shared_;
+  std::unique_ptr<SelectorBaseline> own_;
   GraphMask mask_;
   Bfs bfs_;
   Dijkstra dijkstra_;
+
+  // Cut-region scratch, valid for the last region pass.
+  std::vector<Vertex> roots_;  // maximal cut subtree roots, by preorder
+  std::uint32_t region_height_ = 0;  // deepest level of A
+  std::uint32_t region_epoch_ = 0;
+  std::vector<std::uint32_t> region_stamp_;  // == epoch: in A, level stamped
+  std::vector<Vertex> level_;                // A's vertices on the level d
+  std::vector<Vertex> next_level_;           // ... and on level d + 1
+  std::array<std::vector<Vertex>, 3> buckets_;  // Dial buckets, hops mod 3
+  std::vector<DistKey> key_;                 // tentative keys inside A
+  std::vector<Vertex> parent_;
+  std::vector<EdgeId> parent_edge_;
+  const SelectorBaseline* probe_base_ = nullptr;
+  Probe probe_ = Probe::kNone;
+
   std::uint64_t bfs_runs_ = 0;
   std::uint64_t dijkstra_runs_ = 0;
+  KernelCounts kernels_;
 };
+
+// Step 3's satisfiability test, decided from the probe that just measured
+// target = dist(s, v, G ∖ F) under the current mask (F blocked, nothing else):
+// whether dist(s, v, G_{τ−1}(v) ∖ F) = target too, where G_{τ−1}(v) keeps
+// only the v-edges in `kept`. True iff some kept v-edge (u, v) ∉ F has
+// dist(s, u, G ∖ F) = target − 1: the restriction touches only v's edges, and
+// no path of length target − 1 passes through v.
+[[nodiscard]] bool reaches_through_kept_edge(const PathSelector& sel, Vertex v,
+                                             std::span<const EdgeId> kept,
+                                             std::uint32_t target);
 
 // Blocks π positions [k+1 .. l] on the mask (the vertex-removal part of
 // Eq. (3)'s G(u_k, u_l); u_k itself stays, as does anything outside the

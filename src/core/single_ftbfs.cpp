@@ -22,20 +22,21 @@ namespace {
 struct SingleOutcome {
   std::vector<EdgeId> candidates;  // selected last edges, in π-position order
   std::uint64_t fault_pairs = 0;
-  std::uint64_t dijkstra = 0;
+  KernelCounts kernels;
 };
 
 struct SingleWorkspace {
   PathSelector sel;
   VertexIndexMap pi_pos;
-  SingleWorkspace(const Graph& g, const WeightAssignment& w)
-      : sel(g, w), pi_pos(g.num_vertices()) {}
+  SingleWorkspace(const Graph& g, const WeightAssignment& w,
+                  const SelectorBaseline& base)
+      : sel(g, w, &base), pi_pos(g.num_vertices()) {}
 };
 
 SingleOutcome run_target(const Graph& g, const SpResult& tree,
                          PathSelector& sel, VertexIndexMap& pi_pos, Vertex v) {
   SingleOutcome out;
-  const std::uint64_t d0 = sel.dijkstra_runs();
+  const KernelCounts k0 = sel.kernel_counts();
   const Path pi = extract_path(tree, v);
   pi_pos.bind(pi);
   for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
@@ -44,7 +45,7 @@ SingleOutcome run_target(const Graph& g, const SpResult& tree,
     if (!selection) continue;  // e_i disconnects v: nothing to preserve
     out.candidates.push_back(last_edge(g, selection->path));
   }
-  out.dijkstra = sel.dijkstra_runs() - d0;
+  out.kernels = sel.kernel_counts() - k0;
   return out;
 }
 
@@ -54,11 +55,9 @@ FtStructure build_single_ftbfs(const Graph& g, Vertex s,
                                const SingleFtbfsOptions& opt) {
   FTBFS_EXPECTS(s < g.num_vertices());
   const WeightAssignment w(g, opt.weight_seed);
-  PathSelector sel(g, w);
-
-  // T0(s): the W-unique shortest-path tree.
-  sel.mask().clear();
-  const SpResult tree = sel.w_sssp(s);  // copy: later runs reuse the buffers
+  // T0(s), the W-unique shortest-path tree, shared by every worker.
+  const SelectorBaseline base(g, w, s);
+  const SpResult& tree = base.tree();
 
   FtStructure h;
   std::vector<bool> in_h(g.num_edges(), false);
@@ -72,7 +71,6 @@ FtStructure build_single_ftbfs(const Graph& g, Vertex s,
       }
     }
   }
-  h.stats.dijkstra_runs = sel.dijkstra_runs();  // the tree W-SSSP
 
   auto commit_outcome = [&](SingleOutcome&& out) {
     std::uint64_t new_here = 0;
@@ -86,7 +84,7 @@ FtStructure build_single_ftbfs(const Graph& g, Vertex s,
     }
     h.stats.max_new_per_vertex = std::max(h.stats.max_new_per_vertex, new_here);
     h.stats.fault_pairs_considered += out.fault_pairs;
-    h.stats.dijkstra_runs += out.dijkstra;
+    h.stats.kernels += out.kernels;
   };
   auto bump_progress = [&] {
     if (opt.progress != nullptr) {
@@ -97,16 +95,16 @@ FtStructure build_single_ftbfs(const Graph& g, Vertex s,
   const unsigned workers = resolve_jobs(opt.jobs, targets.size());
   ParallelBuildReport report;
   if (workers <= 1) {
-    VertexIndexMap pi_pos(g.num_vertices());
+    SingleWorkspace ws(g, w, base);
     for (const Vertex v : targets) {
-      commit_outcome(run_target(g, tree, sel, pi_pos, v));
+      commit_outcome(run_target(g, tree, ws.sel, ws.pi_pos, v));
       bump_progress();
     }
   } else {
     std::vector<std::unique_ptr<SingleWorkspace>> pool;
     pool.reserve(workers);
     for (unsigned t = 0; t < workers; ++t) {
-      pool.push_back(std::make_unique<SingleWorkspace>(g, w));
+      pool.push_back(std::make_unique<SingleWorkspace>(g, w, base));
     }
     std::vector<SingleOutcome> slots(speculative_block_size(workers));
     run_speculate_commit(
@@ -128,6 +126,7 @@ FtStructure build_single_ftbfs(const Graph& g, Vertex s,
   report.workers = workers;
   if (opt.parallel_report != nullptr) *opt.parallel_report = report;
 
+  h.stats.dijkstra_runs = 1 + h.stats.kernels.sweeps();  // + the tree
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (in_h[e]) h.edges.push_back(e);
   }

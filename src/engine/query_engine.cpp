@@ -256,7 +256,7 @@ const BfsResult* FaultQueryEngine::repair(Scratch& s, const Baseline& base,
       const std::uint32_t du = base.tree.hops[arc.to];
       if (du == kInfHops || du + 1 > best) continue;
       if (du + 1 == best && base.rank[arc.to] >= best_rank) continue;
-      if (s.mask.arc_blocked_unrestricted(arc.id, arc.to)) continue;
+      if (s.mask.arc_blocked(arc.id, arc.to)) continue;
       best = du + 1;
       best_rank = base.rank[arc.to];
       best_parent = arc.to;
@@ -287,7 +287,7 @@ const BfsResult* FaultQueryEngine::repair(Scratch& s, const Baseline& base,
         for (const Arc& arc : h.neighbors(w)) {
           const Vertex x = arc.to;
           if (!marked(x) || s.repair.hops[x] <= d + 1) continue;
-          if (s.mask.arc_blocked_unrestricted(arc.id, x)) continue;
+          if (s.mask.arc_blocked(arc.id, x)) continue;
           s.repair.hops[x] = d + 1;
           s.repair.parent[x] = w;
           s.repair.parent_edge[x] = arc.id;

@@ -24,6 +24,19 @@ void add_parallel_counters(BuildResult& out, const ParallelBuildReport& r) {
   }
 }
 
+// How the selection kernels answered (core/selector.h): read off the
+// fault-free baseline, repaired over the cut region, or searched from the
+// source. Identical at every job count.
+void add_kernel_counters(BuildResult& out) {
+  const KernelCounts& k = out.structure.stats.kernels;
+  out.counters.emplace_back("probe_baseline", k.probe_baseline);
+  out.counters.emplace_back("probe_repair", k.probe_repair);
+  out.counters.emplace_back("probe_search", k.probe_search);
+  out.counters.emplace_back("sweep_baseline", k.sweep_baseline);
+  out.counters.emplace_back("sweep_repair", k.sweep_repair);
+  out.counters.emplace_back("sweep_search", k.sweep_search);
+}
+
 BuildResult build_single(const BuildRequest& req) {
   SingleFtbfsOptions opt;
   opt.weight_seed = req.weight_seed;
@@ -33,6 +46,7 @@ BuildResult build_single(const BuildRequest& req) {
   BuildResult out;
   out.structure = build_single_ftbfs(*req.graph, req.sources[0], opt);
   add_parallel_counters(out, report);
+  add_kernel_counters(out);
   return out;
 }
 
@@ -46,6 +60,7 @@ BuildResult build_cons2(const BuildRequest& req) {
   BuildResult out;
   out.structure = build_cons2ftbfs(*req.graph, req.sources[0], opt);
   add_parallel_counters(out, report);
+  add_kernel_counters(out);
   out.counters.emplace_back("fault_pairs_considered",
                             out.structure.stats.fault_pairs_considered);
   if (req.collect_stats) {
@@ -92,6 +107,7 @@ BuildResult build_ftmbfs(const BuildRequest& req) {
   for (const std::uint64_t s : r.per_source_size) before_union += s;
   out.counters.emplace_back("edges_before_union", before_union);
   add_parallel_counters(out, report);
+  add_kernel_counters(out);
   return out;
 }
 

@@ -90,6 +90,9 @@ struct ByteWriter {
   // hosts, spell out the conversion elsewhere.
   void u32_array(std::span<const std::uint32_t> v) {
     u32(static_cast<std::uint32_t>(v.size()));
+    // An empty span may carry a null data(), and memcpy from a null pointer
+    // is undefined even for zero bytes.
+    if (v.empty()) return;
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old = bytes.size();
       bytes.resize(old + v.size_bytes());
@@ -101,6 +104,7 @@ struct ByteWriter {
 
   void u64_array(std::span<const std::uint64_t> v) {
     u32(static_cast<std::uint32_t>(v.size()));
+    if (v.empty()) return;  // data() may be null, see u32_array
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old = bytes.size();
       bytes.resize(old + v.size_bytes());
@@ -169,6 +173,7 @@ struct ByteReader {
     }
     need(static_cast<std::size_t>(count) * 4);
     std::vector<std::uint32_t> out(count);
+    if (count == 0) return out;  // out.data() may be null: no memcpy
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out.data(), p, static_cast<std::size_t>(count) * 4);
       p += static_cast<std::size_t>(count) * 4;
@@ -187,6 +192,7 @@ struct ByteReader {
     }
     need(static_cast<std::size_t>(count) * 8);
     std::vector<std::uint64_t> out(count);
+    if (count == 0) return out;  // out.data() may be null: no memcpy
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(out.data(), p, static_cast<std::size_t>(count) * 8);
       p += static_cast<std::size_t>(count) * 8;

@@ -40,21 +40,14 @@ const BfsResult& Bfs::run_until(Vertex source, std::span<const Vertex> targets,
   if (early_exit && target_epoch_[source] == epoch_ && --remaining == 0) {
     return result_;
   }
-  // The restriction state is fixed for the whole run: load the predicate once
-  // instead of re-deriving it from the mask on every arc. Every vertex popped
-  // from the queue is unblocked (its discovery checked it), so the common
-  // unrestricted case needs only the edge-block and head-vertex tests.
-  const bool restricted = mask != nullptr && mask->has_restriction();
+  // Every vertex popped from the queue is unblocked (its discovery checked
+  // it), so each arc needs only the edge-block and head-vertex tests.
   for (std::size_t head = 0; head < queue_.size(); ++head) {
     const Vertex v = queue_[head];
     const std::uint32_t dv = result_.hops[v];
     for (const Arc& arc : g.neighbors(v)) {
       if (result_.hops[arc.to] != kInfHops) continue;
-      if (mask != nullptr &&
-          (restricted ? !mask->edge_usable(arc.id, v, arc.to)
-                      : mask->arc_blocked_unrestricted(arc.id, arc.to))) {
-        continue;
-      }
+      if (mask != nullptr && mask->arc_blocked(arc.id, arc.to)) continue;
       result_.hops[arc.to] = dv + 1;
       result_.parent[arc.to] = v;
       result_.parent_edge[arc.to] = arc.id;

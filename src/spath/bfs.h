@@ -1,9 +1,13 @@
-// Plain breadth-first search (hop distances only), with optional mask.
+// Plain breadth-first search (hop distances only), with optional mask of
+// blocked vertices and edges.
 //
-// Used wherever tie-breaking does not matter: the FT-BFS *verifier* only
-// compares hop distances (the defining property dist(s,v,H∖F) = dist(s,v,G∖F)
-// is about lengths, not about which path realizes them), and BFS skips the
-// per-arc key comparison of the tie-broken W-sweep (spath/dijkstra.h).
+// Used wherever tie-breaking does not matter, since BFS skips the per-arc key
+// comparison of the tie-broken W-sweep (spath/dijkstra.h): the FT-BFS
+// *verifier* only compares hop distances (the defining property
+// dist(s,v,H∖F) = dist(s,v,G∖F) is about lengths, not about which path
+// realizes them), the query engine's full tier, and the construction
+// kernels' hop probe when the cut region is larger than the ball it would
+// search (core/selector.h).
 #pragma once
 
 #include <cstdint>

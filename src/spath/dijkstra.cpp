@@ -24,10 +24,8 @@ const SpResult& Dijkstra::run(Vertex source, const GraphMask* mask,
 
   if (mask != nullptr && mask->vertex_blocked(source)) return result_;
 
-  // As in Bfs::run_until: the restriction state is fixed for the run, and
-  // every vertex on a layer is unblocked, so the unrestricted case needs only
-  // the edge-block and head-vertex tests.
-  const bool restricted = mask != nullptr && mask->has_restriction();
+  // As in Bfs::run_until: every vertex on a layer is unblocked, so each arc
+  // needs only the edge-block and head-vertex tests.
   result_.dist[source] = DistKey{0, 0};
   layer_.push_back(source);
   for (std::uint32_t hops = 0; !layer_.empty(); ++hops) {
@@ -42,11 +40,7 @@ const SpResult& Dijkstra::run(Vertex source, const GraphMask* mask,
       for (const Arc& arc : g.neighbors(u)) {
         DistKey& dv = result_.dist[arc.to];
         if (dv.hops <= hops) continue;  // on this layer or an earlier one
-        if (mask != nullptr &&
-            (restricted ? !mask->edge_usable(arc.id, u, arc.to)
-                        : mask->arc_blocked_unrestricted(arc.id, arc.to))) {
-          continue;
-        }
+        if (mask != nullptr && mask->arc_blocked(arc.id, arc.to)) continue;
         const std::uint64_t cand = pu + weights_->perturbation(arc.id);
         if (dv.hops != next_hops) {
           dv.hops = next_hops;

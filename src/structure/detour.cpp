@@ -9,8 +9,7 @@ namespace ftbfs {
 DetourSet compute_detours(PathSelector& sel, Vertex s, Vertex v) {
   FTBFS_EXPECTS(s != v);
   DetourSet out;
-  sel.mask().clear();
-  const SpResult tree = sel.w_sssp(s);
+  const SpResult& tree = sel.baseline(s).tree();
   FTBFS_EXPECTS(tree.reached(v));
   out.pi = extract_path(tree, v);
 

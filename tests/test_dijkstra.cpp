@@ -144,8 +144,8 @@ struct MaskCase {
   std::function<void(GraphMask&)> apply;
 };
 
-// Mask kinds the construction uses: none, blocked edges, blocked vertices
-// (the source included), and an incident-edge whitelist at one vertex.
+// Mask kinds the construction uses: none, blocked edges, and blocked vertices
+// (the source included).
 std::vector<MaskCase> mask_cases(const Graph& g, Vertex source,
                                  std::uint64_t seed) {
   Rng rng(seed);
@@ -162,12 +162,6 @@ std::vector<MaskCase> mask_cases(const Graph& g, Vertex source,
     const Vertex v = pick_vertex();
     if (v != source) verts.push_back(v);
   }
-  Vertex hub = pick_vertex();
-  if (hub == source) hub = (hub + 1) % g.num_vertices();
-  std::vector<EdgeId> allowed;
-  for (const Arc& arc : g.neighbors(hub)) {
-    if (rng.next_bool(0.5)) allowed.push_back(arc.id);
-  }
   return {
       {"none", [](GraphMask&) {}},
       {"edges",
@@ -179,12 +173,6 @@ std::vector<MaskCase> mask_cases(const Graph& g, Vertex source,
          for (const Vertex v : verts) m.block_vertex(v);
        }},
       {"source", [source](GraphMask& m) { m.block_vertex(source); }},
-      {"whitelist",
-       [hub, allowed, edges](GraphMask& m) {
-         m.block_edge(edges.front());
-         m.restrict_incident_edges(hub);
-         for (const EdgeId e : allowed) m.allow_edge(e);
-       }},
   };
 }
 

@@ -41,37 +41,25 @@ TEST(GraphMask, EdgeUsableRespectsEndpoints) {
   EXPECT_FALSE(m.edge_usable(e01, 1, 0));
 }
 
-TEST(GraphMask, RestrictIncidentEdgesWhitelist) {
-  const Graph g = complete_graph(4);
+TEST(GraphMask, RecordsDistinctBlocksUntilClear) {
+  const Graph g = path_graph(5);
   GraphMask m(g);
-  const EdgeId keep = g.find_edge(0, 3);
-  const EdgeId drop = g.find_edge(1, 3);
-  const EdgeId unrelated = g.find_edge(1, 2);
-  m.restrict_incident_edges(3);
-  m.allow_edge(keep);
-  EXPECT_TRUE(m.edge_usable(keep, 0, 3));
-  EXPECT_FALSE(m.edge_usable(drop, 1, 3));
-  EXPECT_TRUE(m.edge_usable(unrelated, 1, 2));  // not incident to 3
-}
-
-TEST(GraphMask, RestrictionClearedByClear) {
-  const Graph g = complete_graph(3);
-  GraphMask m(g);
-  m.restrict_incident_edges(0);
-  EXPECT_FALSE(m.edge_usable(g.find_edge(0, 1), 0, 1));
+  m.block_vertex(3);
+  m.block_edge(1);
+  m.block_vertex(1);
+  m.block_vertex(3);  // already blocked: recorded once
+  m.block_edge(1);
+  EXPECT_EQ(std::vector<Vertex>(m.blocked_vertices().begin(),
+                                m.blocked_vertices().end()),
+            (std::vector<Vertex>{3, 1}));
+  EXPECT_EQ(std::vector<EdgeId>(m.blocked_edges().begin(),
+                                m.blocked_edges().end()),
+            (std::vector<EdgeId>{1}));
   m.clear();
-  EXPECT_TRUE(m.edge_usable(g.find_edge(0, 1), 0, 1));
-  EXPECT_EQ(m.restricted_vertex(), kInvalidVertex);
-}
-
-TEST(GraphMask, BlockedEdgeBeatsWhitelist) {
-  const Graph g = complete_graph(3);
-  GraphMask m(g);
-  const EdgeId e = g.find_edge(0, 1);
-  m.restrict_incident_edges(0);
-  m.allow_edge(e);
-  m.block_edge(e);
-  EXPECT_FALSE(m.edge_usable(e, 0, 1));
+  EXPECT_TRUE(m.blocked_vertices().empty());
+  EXPECT_TRUE(m.blocked_edges().empty());
+  m.block_edge(1);  // a block from before clear() does not suppress this one
+  EXPECT_EQ(m.blocked_edges().size(), 1u);
 }
 
 // The epoch is 32 bits wide: a long-running server that clears a pooled mask
@@ -84,7 +72,6 @@ TEST(GraphMask, EpochWrapKeepsStampsDead) {
   // Stamps from the first epoch, which the wrap would otherwise revive.
   m.block_vertex(2);
   m.block_edge(e12);
-  m.allow_edge(e01);
   auto expect_fresh = [&] {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_FALSE(m.vertex_blocked(v)) << "vertex " << v;
@@ -96,8 +83,8 @@ TEST(GraphMask, EpochWrapKeepsStampsDead) {
   // 2^32 - 1 clears bring the epoch to its wrap point.
   for (std::uint64_t i = 0; i < (std::uint64_t{1} << 32) - 1; ++i) m.clear();
   expect_fresh();
-  m.restrict_incident_edges(0);
-  EXPECT_FALSE(m.edge_usable(e01, 0, 1));  // the stale whitelist entry is dead
+  EXPECT_TRUE(m.edge_usable(e01, 0, 1));
+  EXPECT_TRUE(m.blocked_vertices().empty());
   m.clear();  // back on the epoch the stamps were set in
   expect_fresh();
   m.block_vertex(1);

@@ -31,6 +31,7 @@ void expect_same_stats(const FtBfsStats& a, const FtBfsStats& b,
   EXPECT_EQ(a.fault_pairs_considered, b.fault_pairs_considered) << label;
   EXPECT_EQ(a.dijkstra_runs, b.dijkstra_runs) << label;
   EXPECT_EQ(a.divergence_fallbacks, b.divergence_fallbacks) << label;
+  EXPECT_EQ(a.kernels, b.kernels) << label;  // how each kernel call was answered
   EXPECT_EQ(a.classes.single, b.classes.single) << label;
   EXPECT_EQ(a.classes.a_pi_pi, b.classes.a_pi_pi) << label;
   EXPECT_EQ(a.classes.b_nodet, b.classes.b_nodet) << label;
@@ -85,6 +86,13 @@ TEST(ParallelBuild, ByteIdenticalAcrossJobCounts) {
             " jobs=" + std::to_string(jobs);
         EXPECT_EQ(base.structure.edges, r.structure.edges) << label;
         expect_same_stats(base.structure.stats, r.structure.stats, label);
+        for (const char* key :
+             {"probe_baseline", "probe_repair", "probe_search",
+              "sweep_baseline", "sweep_repair", "sweep_search"}) {
+          EXPECT_EQ(has_counter(base, key), has_counter(r, key)) << label;
+          EXPECT_EQ(counter_value(base, key), counter_value(r, key))
+              << label << " " << key;
+        }
         if (t.parallel_build) {
           // The schedule must report itself and never fall back.
           EXPECT_GT(counter_value(r, "build_workers"), 1u) << label;
@@ -97,6 +105,27 @@ TEST(ParallelBuild, ByteIdenticalAcrossJobCounts) {
         }
       }
     }
+  }
+}
+
+// The selection-kernel counters reach the registry for every family that
+// runs the kernels, and the builds exercise the cut-region repair.
+TEST(ParallelBuild, KernelCountersAreReported) {
+  const Graph g = random_connected(120, 360, 3);
+  const BuilderRegistry& reg = BuilderRegistry::instance();
+  for (const char* algo : {"single_ftbfs", "cons2ftbfs", "ftmbfs"}) {
+    BuildRequest req;
+    req.graph = &g;
+    req.sources = {0};
+    req.fault_budget = std::string(algo) == "single_ftbfs" ? 1 : 2;
+    const BuildResult r = reg.build(algo, req);
+    const KernelCounts& k = r.structure.stats.kernels;
+    EXPECT_GT(k.probe_repair, 0u) << algo;
+    EXPECT_GT(k.sweep_repair, 0u) << algo;
+    EXPECT_EQ(counter_value(r, "probe_repair"), k.probe_repair) << algo;
+    EXPECT_EQ(counter_value(r, "sweep_search"), k.sweep_search) << algo;
+    // One W-sweep per counted kernel call, plus the tree.
+    EXPECT_EQ(k.sweeps() + 1, r.structure.stats.dijkstra_runs) << algo;
   }
 }
 

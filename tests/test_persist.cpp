@@ -184,6 +184,33 @@ TEST(PersistRoundTrip, BarbellGraph) {
 
 // Warm-cache restore answers identically modulo the cache_hit flag (warmed
 // lines hit where the cold replay missed), and actually pre-fills lines.
+// Zero-length arrays — a structure with no kept edges, a delta cache line
+// with an empty diff — save and load without touching their (possibly null)
+// data pointers; the sanitizer build fails on such a memcpy.
+TEST(PersistRoundTrip, EmptyArraysRoundTrip) {
+  SnapshotImage image;
+  image.graph = cycle_graph(5);
+  EntryImage entry;
+  entry.name = "empty";
+  image.entries.push_back(entry);
+  CacheLineImage line;
+  line.key_words = {0, 0, 0};
+  line.delta = true;
+  image.cache_lines.push_back(line);
+  const std::string path = temp_path("empty_arrays.ftb");
+  save_snapshot(path, image, 1);
+  for (const bool use_mmap : {true, false}) {
+    SnapshotLoadOptions options;
+    options.use_mmap = use_mmap;
+    const SnapshotImage loaded = load_snapshot(path, options);
+    ASSERT_EQ(loaded.entries.size(), 1u);
+    EXPECT_TRUE(loaded.entries[0].edges.empty());
+    ASSERT_EQ(loaded.cache_lines.size(), 1u);
+    EXPECT_TRUE(loaded.cache_lines[0].delta);
+    EXPECT_TRUE(loaded.cache_lines[0].diff.empty());
+  }
+}
+
 TEST(PersistRoundTrip, WarmCacheRestoreMatchesModuloCacheHit) {
   const Graph g = grid_graph(5, 8);
   const ServiceConfig config = test_config();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "reference_dijkstra.h"
 #include "spath/bfs.h"
 #include "spath/dijkstra.h"
+#include "util/rng.h"
 
 namespace ftbfs {
 namespace {
@@ -220,23 +222,54 @@ TEST(SelectSingleFault, MatchesFullBfsHeapReference) {
   }
 }
 
-// The early-exit probe returns exactly the full BFS's hop count, kInfHops
-// included, under every mask kind the construction builds.
-TEST(PathSelector, HopProbeMatchesFullBfs) {
-  // Two components: vertices 30..34 are never reachable from 0..29.
+// Host graphs for the kernel checks: two components (vertices 30..34 are never
+// reachable from 0..29), a grid, and a hypercube — deep and shallow trees, so
+// that both the repair and the early-exit branch of each kernel run.
+std::vector<std::pair<std::string, Graph>> kernel_graphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
   GraphBuilder b(35);
   const Graph er = erdos_renyi(30, 0.12, 4);
   for (EdgeId e = 0; e < er.num_edges(); ++e) {
     b.add_edge(er.edge(e).u, er.edge(e).v);
   }
   for (Vertex v = 30; v + 1 < 35; ++v) b.add_edge(v, v + 1);
-  const Graph g = std::move(b).build();
-  const WeightAssignment w(g, 4);
-  PathSelector sel(g, w);
-  Bfs bfs(g);
-  GraphMask& m = sel.mask();
-  using MaskKind = std::pair<std::string, std::function<void(GraphMask&)>>;
-  const std::vector<MaskKind> kinds = {
+  graphs.emplace_back("er+path", std::move(b).build());
+  graphs.emplace_back("grid", grid_graph(7, 8));
+  graphs.emplace_back("hypercube", hypercube_graph(6));
+  return graphs;
+}
+
+using MaskKind = std::pair<std::string, std::function<void(GraphMask&)>>;
+
+// Every mask kind the constructions build, placed relative to T0(s): plain
+// edge and vertex blocks, a blocked source, a π-segment block of Eq. (3), a
+// detour-tail block of Eq. (4), a cut above the source in another source's
+// tree, and a deep cut that leaves most targets outside the cut region.
+std::vector<MaskKind> kernel_masks(const Graph& g, const WeightAssignment& w,
+                                   Vertex s) {
+  const SelectorBaseline base(g, w, s);
+  const SpResult& tree = base.tree();
+  // The deepest target gives the longest π(s, v).
+  Vertex deep = s;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (tree.reached(v) && tree.hops(v) > tree.hops(deep)) deep = v;
+  }
+  const Path pi = extract_path(tree, deep);
+  const std::size_t len = pi.size() - 1;
+  const EdgeId e_mid = len >= 2 ? g.find_edge(pi[len / 2], pi[len / 2 + 1])
+                                : kInvalidEdge;
+  const EdgeId e_last =
+      len >= 1 ? g.find_edge(pi[len - 1], pi[len]) : kInvalidEdge;
+  // Vertices off π, for the detour tail.
+  std::vector<Vertex> off_pi;
+  for (Vertex v = 0; v < g.num_vertices() && off_pi.size() < 4; v += 3) {
+    if (!contains_vertex(pi, v) && v != s) off_pi.push_back(v);
+  }
+  // A vertex whose T0(0) parent edge is cut: the source of the "other tree"
+  // case when s != 0.
+  const SelectorBaseline base0(g, w, 0);
+  const EdgeId above_s = base0.tree().parent_edge[s];
+  return {
       {"none", [](GraphMask&) {}},
       {"edges",
        [](GraphMask& mk) {
@@ -246,29 +279,157 @@ TEST(PathSelector, HopProbeMatchesFullBfs) {
        [](GraphMask& mk) {
          for (const Vertex v : {2u, 5u, 9u}) mk.block_vertex(v);
        }},
-      {"source", [](GraphMask& mk) { mk.block_vertex(0); }},
-      {"whitelist",
-       [&g](GraphMask& mk) {
-         mk.restrict_incident_edges(1);
-         for (const Arc& arc : g.neighbors(1)) {
-           if (arc.to % 2 == 0) mk.allow_edge(arc.id);
-         }
+      {"source", [s](GraphMask& mk) { mk.block_vertex(s); }},
+      {"pi_segment",
+       [=](GraphMask& mk) {
+         if (e_mid == kInvalidEdge) return;
+         mk.block_edge(e_mid);
+         block_pi_segment(mk, pi, 1, len / 2);
+       }},
+      {"detour_tail",
+       [=](GraphMask& mk) {
+         if (e_mid == kInvalidEdge) return;
+         mk.block_edge(e_mid);
+         for (const Vertex v : off_pi) mk.block_vertex(v);
+       }},
+      {"cut_above_source",
+       [=](GraphMask& mk) {
+         if (above_s != kInvalidEdge) mk.block_edge(above_s);
+       }},
+      {"deep_cut",
+       [=](GraphMask& mk) {
+         if (e_last != kInvalidEdge) mk.block_edge(e_last);
        }},
   };
-  std::size_t unreachable = 0;
-  for (const auto& [kind, apply] : kinds) {
-    SCOPED_TRACE(kind);
+}
+
+// The hop probe returns exactly the full BFS's hop count, kInfHops included,
+// under every mask kind — whether it answers from the baseline, repairs the
+// cut region, or searches.
+TEST(PathSelector, HopProbeMatchesFullBfs) {
+  for (const auto& [name, g] : kernel_graphs()) {
+    SCOPED_TRACE(name);
+    const WeightAssignment w(g, 4);
+    // The shared baseline is T0(0); other sources build their own.
+    const SelectorBaseline base0(g, w, 0);
+    PathSelector sel(g, w, &base0);
+    Bfs bfs(g);
+    GraphMask& m = sel.mask();
+    std::size_t unreachable = 0;
     for (const Vertex s : {0u, 1u, 5u, 31u}) {
-      for (Vertex t = 0; t < g.num_vertices(); ++t) {
+      if (s >= g.num_vertices()) continue;
+      for (const auto& [kind, apply] : kernel_masks(g, w, s)) {
+        SCOPED_TRACE(kind);
+        for (Vertex t = 0; t < g.num_vertices(); ++t) {
+          m.clear();
+          apply(m);
+          const std::uint32_t want = bfs.run(s, &m).hops[t];
+          ASSERT_EQ(sel.hop_distance(s, t), want) << s << "->" << t;
+          unreachable += want == kInfHops ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(unreachable, 0u);  // the kInfHops case was exercised
+    const KernelCounts& k = sel.kernel_counts();
+    EXPECT_GT(k.probe_baseline, 0u);
+    EXPECT_GT(k.probe_repair, 0u);
+    EXPECT_GT(k.probe_search, 0u);
+  }
+}
+
+// The W-sweep returns the path and key of a full sweep of the masked graph —
+// the layered Dijkstra::run and the heap reference alike.
+TEST(PathSelector, WPathMatchesFullSweep) {
+  for (const auto& [name, g] : kernel_graphs()) {
+    SCOPED_TRACE(name);
+    const WeightAssignment w(g, 8);
+    const SelectorBaseline base0(g, w, 0);
+    PathSelector sel(g, w, &base0);
+    Dijkstra dij(g, w);
+    GraphMask& m = sel.mask();
+    for (const Vertex s : {0u, 1u, 5u, 31u}) {
+      if (s >= g.num_vertices()) continue;
+      for (const auto& [kind, apply] : kernel_masks(g, w, s)) {
+        SCOPED_TRACE(kind);
         m.clear();
         apply(m);
-        const std::uint32_t want = bfs.run(s, &m).hops[t];
-        EXPECT_EQ(sel.hop_distance(s, t), want) << s << "->" << t;
-        unreachable += want == kInfHops ? 1 : 0;
+        const SpResult want = reference_dijkstra(g, w, s, &m);
+        EXPECT_EQ(dij.run(s, &m).dist, want.dist);
+        for (Vertex t = 0; t < g.num_vertices(); ++t) {
+          m.clear();
+          apply(m);
+          const std::optional<RPath> got = sel.w_path(s, t);
+          ASSERT_EQ(got.has_value(), want.reached(t)) << s << "->" << t;
+          if (!got) continue;
+          EXPECT_EQ(got->key, want.dist[t]) << s << "->" << t;
+          EXPECT_EQ(got->verts, extract_path(want, t)) << s << "->" << t;
+          EXPECT_EQ(got->verts, extract_path(dij.run(s, &m, t), t))
+              << s << "->" << t;
+        }
+      }
+    }
+    const KernelCounts& k = sel.kernel_counts();
+    EXPECT_GT(k.sweep_baseline, 0u);
+    EXPECT_GT(k.sweep_repair, 0u);
+    EXPECT_GT(k.sweep_search, 0u);
+  }
+}
+
+// Step 3's one-probe rule against a full BFS over an explicitly built
+// G_{τ−1}(v) ∖ F: v's edges cut down to a kept subset, F = {e_i, t} removed.
+TEST(PathSelector, KeptEdgeRuleMatchesRestrictedGraph) {
+  std::size_t satisfied = 0, new_ending = 0;
+  for (const std::uint64_t seed : {31ull, 32ull, 33ull, 34ull}) {
+    const Graph g = erdos_renyi(45, 0.09, seed);
+    const WeightAssignment w(g, seed);
+    const SelectorBaseline base(g, w, 0);
+    PathSelector sel(g, w, &base);
+    VertexIndexMap pos(g.num_vertices());
+    Rng rng(seed);
+    for (Vertex v = 1; v < g.num_vertices(); ++v) {
+      if (!base.tree().reached(v)) continue;
+      const Path pi = extract_path(base.tree(), v);
+      pos.bind(pi);
+      for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
+        const auto sel_i = select_single_fault(sel, pi, pos, i);
+        if (!sel_i) continue;
+        const EdgeId e_i = g.find_edge(pi[i], pi[i + 1]);
+        for (std::size_t r = 0; r + 1 < sel_i->detour.size(); ++r) {
+          const EdgeId t =
+              g.find_edge(sel_i->detour[r], sel_i->detour[r + 1]);
+          std::vector<EdgeId> kept;
+          for (const Arc& arc : g.neighbors(v)) {
+            if (rng.next_below(2) == 0) kept.push_back(arc.id);
+          }
+          GraphMask& m = sel.mask();
+          m.clear();
+          m.block_edge(e_i);
+          m.block_edge(t);
+          const std::uint32_t target = sel.hop_distance(0, v);
+          if (target == kInfHops) continue;
+          const bool got = reaches_through_kept_edge(sel, v, kept, target);
+
+          std::vector<EdgeId> restricted;
+          for (EdgeId e = 0; e < g.num_edges(); ++e) {
+            if (e == e_i || e == t) continue;
+            const Edge& ed = g.edge(e);
+            const bool at_v = ed.u == v || ed.v == v;
+            if (at_v &&
+                std::find(kept.begin(), kept.end(), e) == kept.end()) {
+              continue;
+            }
+            restricted.push_back(e);
+          }
+          const Graph gr = subgraph_from_edges(g, restricted);
+          const bool want = bfs_distance(gr, 0, v) == target;
+          EXPECT_EQ(got, want) << "v " << v << " i " << i << " r " << r;
+          (want ? satisfied : new_ending)++;
+        }
       }
     }
   }
-  EXPECT_GT(unreachable, 0u);  // the kInfHops case was exercised
+  EXPECT_GT(satisfied, 0u);
+  EXPECT_GT(new_ending, 0u);
 }
 
 TEST(PathSelector, CountersAdvance) {
@@ -285,6 +446,11 @@ TEST(PathSelector, CountersAdvance) {
   EXPECT_EQ(sel.single_fault_distance(0, 3, e), 3u);
   EXPECT_EQ(sel.single_fault_distance(0, 1, e), 5u);
   EXPECT_EQ(sel.bfs_runs(), 3u);
+  // Every call lands in exactly one kernel route.
+  const KernelCounts& k = sel.kernel_counts();
+  EXPECT_EQ(k.probe_baseline + k.probe_repair + k.probe_search, 3u);
+  EXPECT_EQ(k.sweep_baseline + k.sweep_repair + k.sweep_search, 1u);
+  EXPECT_GE(k.probe_baseline, 1u);  // the unmasked probe
 }
 
 }  // namespace
