@@ -20,7 +20,7 @@
 //     row keeps n where one cold build is feasible, making the ratio a
 //     measurement, not an extrapolation.
 //   * the same real build at n = 10^5, cold side run under a timeout
-//     (fork + alarm): construction does not finish at that scale — the
+//     (fork + alarm). If construction does not finish in time, the
 //     elapsed time at the kill is recorded as a measured *lower bound*, and
 //     the speedup against the measured n = 10^5 load time is reported as
 //     ">= bound / load". Skipped under --small (CI smoke budget).
@@ -165,9 +165,8 @@ Row measure(const std::string& algo, Vertex n, std::uint64_t seed) {
 }
 
 // The full-scale construction row: runs the registry build in a forked child
-// under alarm(timeout). When construction does not finish — the expected
-// outcome at n = 10^5, where it runs for hours — the elapsed time at the
-// SIGALRM is a measured lower bound on the cold build, reported against
+// under alarm(timeout). When construction does not finish, the elapsed time
+// at the SIGALRM is a measured lower bound on the cold build, reported against
 // `load_s`, the measured load-to-first-response at the same n (taken from
 // the pool row, whose all-edges snapshot is a superset of — so no smaller
 // than — any structure snapshot at that n).

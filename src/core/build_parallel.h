@@ -1,4 +1,7 @@
-// Deterministic speculate-and-commit executor for parallel construction.
+// Deterministic parallel executors for construction: run_claimed hands out
+// independent work items (the tree edges of the batched single-fault phase,
+// core/selector.h), and the speculate-and-commit schedule below runs the
+// per-target steps (2) and (3) of Cons2FTBFS.
 //
 // The per-target work of the FT-BFS constructions is almost independent: the
 // only cross-target coupling is through the shared kept-edge set H, and every
@@ -43,6 +46,13 @@ struct ParallelBuildReport {
   std::uint64_t speculated = 0;  // targets run in a speculation phase
   std::uint64_t conflicts = 0;   // speculative outcomes discarded and re-run
 };
+
+// Runs work(worker, idx) once for every idx < count on `workers` threads, the
+// caller's among them (worker 0), claiming indices in ascending order from an
+// atomic cursor. workers <= 1 is a plain loop on the caller's thread.
+void run_claimed(
+    std::size_t count, unsigned workers,
+    const std::function<void(unsigned worker, std::size_t idx)>& work);
 
 // Targets speculated per block before the ordered commit barrier. Callers
 // size their outcome slot arrays with this; `slot` arguments below are always

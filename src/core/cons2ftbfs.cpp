@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,97 @@
 namespace ftbfs {
 namespace {
 
+// Per-worker storage for detour vertices: fixed-size chunks that never move,
+// so slots can point into them while later detours are added.
+class DetourArena {
+ public:
+  const Vertex* store(std::span<const Vertex> d) {
+    if (chunks_.empty() || used_ + d.size() > capacity_) {
+      capacity_ = std::max(kChunk, d.size());
+      chunks_.emplace_back(new Vertex[capacity_]);
+      used_ = 0;
+    }
+    Vertex* out = chunks_.back().get() + used_;
+    std::copy(d.begin(), d.end(), out);
+    used_ += d.size();
+    stored_ += d.size();
+    return out;
+  }
+  [[nodiscard]] std::uint64_t stored() const { return stored_; }
+
+ private:
+  static constexpr std::size_t kChunk = std::size_t{1} << 12;
+  std::vector<std::unique_ptr<Vertex[]>> chunks_;
+  std::size_t used_ = 0;
+  std::size_t capacity_ = 0;
+  std::uint64_t stored_ = 0;
+};
+
+// Step (1)'s selection for one (target v, π edge i): the compact form of
+// SingleFaultChoice, with the detour in a worker's arena.
+struct SelectionSlot {
+  const Vertex* detour_data = nullptr;
+  std::uint32_t detour_size = 0;
+  std::uint32_t x_pi_index = 0;
+  std::uint32_t y_pi_index = 0;
+  EdgeId last_edge = kInvalidEdge;  // kInvalidEdge: e_i disconnects v
+
+  [[nodiscard]] bool connected() const { return last_edge != kInvalidEdge; }
+  [[nodiscard]] std::span<const Vertex> detour() const {
+    return {detour_data, detour_size};
+  }
+};
+
+// Step (1) for every target, filled tree edge by tree edge before the
+// per-target loop and read-only afterwards: by the speculative runs and the
+// conflict re-runs alike, since selections never read H. One slot per
+// (v, i), row v holding π(s,v)'s depth(v) edges.
+class SelectionTable {
+ public:
+  SelectionTable(const TreeIndex& idx, Vertex n, unsigned workers)
+      : row_begin_(std::size_t{n} + 1, 0), arenas_(workers) {
+    for (Vertex v = 0; v < n; ++v) {
+      row_begin_[v + 1] = row_begin_[v] + (idx.reached(v) ? idx.depth(v) : 0);
+    }
+    slots_.resize(row_begin_[n]);
+  }
+
+  // Worker `worker` records every selection of one batch.
+  void fill(unsigned worker, const SingleFaultBatch& batch) {
+    for (const SingleFaultChoice& c : batch.choices) {
+      SelectionSlot& slot = slots_[row_begin_[c.target] + batch.pi_index];
+      if (!c.connected()) continue;
+      slot.detour_data = arenas_[worker].store(batch.detour(c));
+      slot.detour_size = c.detour_size;
+      slot.x_pi_index = c.x_pi_index;
+      slot.y_pi_index = c.y_pi_index;
+      slot.last_edge = c.last_edge;
+    }
+  }
+
+  [[nodiscard]] std::span<const SelectionSlot> row(Vertex v) const {
+    return {slots_.data() + row_begin_[v],
+            static_cast<std::size_t>(row_begin_[v + 1] - row_begin_[v])};
+  }
+
+  // Its (v, e) pairs: Σ_v depth(v).
+  [[nodiscard]] std::uint64_t pairs() const { return slots_.size(); }
+
+  // Slots plus stored detour vertices; the chunk slack, which depends on
+  // the worker count, is not counted.
+  [[nodiscard]] std::uint64_t bytes() const {
+    std::uint64_t detour_verts = 0;
+    for (const DetourArena& a : arenas_) detour_verts += a.stored();
+    return slots_.size() * sizeof(SelectionSlot) +
+           detour_verts * sizeof(Vertex);
+  }
+
+ private:
+  std::vector<std::uint64_t> row_begin_;
+  std::vector<SelectionSlot> slots_;
+  std::vector<DetourArena> arenas_;
+};
+
 // Everything one target contributes, recorded against a frozen H and applied
 // to the shared state by the ordered commit (build_parallel.h). Every edge in
 // `added` is incident to the target — the locality the conflict check relies
@@ -22,7 +114,7 @@ struct VertexOutcome {
   std::vector<NewEndingRecord> records;
   PathClassCounts classes;  // classification of `records` (when enabled)
   Path pi;                  // π(s,v), kept for the record_sink call
-  std::uint64_t fault_pairs = 0;
+  std::uint64_t fault_pairs = 0;  // steps (2) and (3); step (1)'s are the table's
   std::uint64_t fallbacks = 0;
   KernelCounts kernels;
 };
@@ -32,10 +124,12 @@ struct VertexOutcome {
 // shared state — the commit step replays the outcome in target order.
 class PerVertexRun {
  public:
-  PerVertexRun(const Graph& g, PathSelector& sel, VertexIndexMap& pi_pos,
-               VertexIndexMap& aux_pos, Vertex s, Vertex v, Path pi,
+  PerVertexRun(const Graph& g, const SelectorBaseline& base, PathSelector& sel,
+               VertexIndexMap& pi_pos, VertexIndexMap& aux_pos, Vertex s,
+               Vertex v, Path pi, std::span<const SelectionSlot> selections,
                const std::vector<bool>& in_h, bool classify)
       : g_(g),
+        base_(base),
         sel_(sel),
         pi_pos_(pi_pos),
         aux_pos_(aux_pos),
@@ -43,7 +137,8 @@ class PerVertexRun {
         v_(v),
         pi_(std::move(pi)),
         in_h_(in_h),
-        classify_(classify) {
+        classify_(classify),
+        selections_(selections) {
     pi_pos_.bind(pi_);
     // E_0(v) starts as every v-incident edge already in H (= E(v,T0) here,
     // since steps run before any other edge of v can exist).
@@ -82,26 +177,34 @@ class PerVertexRun {
                             out_.added.end();
   }
 
-  // Adds the last edge of a selected replacement path to H(v); returns true
-  // if the edge was new. Bookkeeps E_τ(v), the kept v-edges.
-  bool keep_last_edge(const Path& p, NewEndingRecord::Kind kind, EdgeId f1,
-                      EdgeId f2, const SingleFaultSelection* det) {
-    const EdgeId le = last_edge(g_, p);
+  // Adds `le`, the last edge of a selected replacement path, to H(v); returns
+  // true if the edge was new. Bookkeeps E_τ(v), the kept v-edges.
+  bool keep_edge(EdgeId le) {
     if (kept(le)) return false;
     out_.added.push_back(le);
     allowed_v_edges_.push_back(le);
-    if (classify_) {
-      NewEndingRecord rec;
-      rec.kind = kind;
-      rec.path = p;
-      rec.f1 = f1;
-      rec.f2 = f2;
-      if (det != nullptr) {
-        rec.detour = det->detour;
-        rec.detour_y_pi_index = det->y_pi_index;
-      }
-      out_.records.push_back(std::move(rec));
+    return true;
+  }
+
+  void record(Path p, NewEndingRecord::Kind kind, EdgeId f1, EdgeId f2,
+              const SelectionSlot* det) {
+    NewEndingRecord rec;
+    rec.kind = kind;
+    rec.path = std::move(p);
+    rec.f1 = f1;
+    rec.f2 = f2;
+    if (det != nullptr) {
+      rec.detour.assign(det->detour().begin(), det->detour().end());
+      rec.detour_y_pi_index = det->y_pi_index;
     }
+    out_.records.push_back(std::move(rec));
+  }
+
+  // keep_edge for the last edge of p, recording p when classifying.
+  bool keep_last_edge(const Path& p, NewEndingRecord::Kind kind, EdgeId f1,
+                      EdgeId f2, const SelectionSlot* det) {
+    if (!keep_edge(last_edge(g_, p))) return false;
+    if (classify_) record(p, kind, f1, f2, det);
     return true;
   }
 
@@ -115,16 +218,21 @@ class PerVertexRun {
 
   // ---- step (1): single faults on π ---------------------------------------
 
+  // P_i = π(s, x_i) ∘ D_i ∘ π(y_i, v) in full.
+  [[nodiscard]] Path single_fault_path(const SelectionSlot& si) const {
+    Path p(pi_.begin(), pi_.begin() + si.x_pi_index);
+    p.insert(p.end(), si.detour().begin(), si.detour().end());
+    p.insert(p.end(), pi_.begin() + si.y_pi_index + 1, pi_.end());
+    return p;
+  }
+
+  // The selections come from the table; only their last edges are kept here.
   void step1() {
-    const std::size_t len = pi_.size() - 1;
-    selections_.assign(len, std::nullopt);
-    for (std::size_t i = 0; i < len; ++i) {
-      ++out_.fault_pairs;
-      selections_[i] = select_single_fault(sel_, pi_, pi_pos_, i);
-      if (selections_[i]) {
-        keep_last_edge(selections_[i]->path, NewEndingRecord::Kind::kSingle,
-                       pi_edge(i), kInvalidEdge, nullptr);
-      }
+    for (std::size_t i = 0; i < selections_.size(); ++i) {
+      const SelectionSlot& si = selections_[i];
+      if (!si.connected() || !keep_edge(si.last_edge) || !classify_) continue;
+      record(single_fault_path(si), NewEndingRecord::Kind::kSingle,
+             pi_edge(i), kInvalidEdge, nullptr);
     }
   }
 
@@ -134,7 +242,7 @@ class PerVertexRun {
   // P_i = π(s,x_i) ∘ D_i ∘ π(y_i,v) contains π edges at positions
   // [0, x_idx) and [y_idx, len). For j > i >= x_idx this reduces to
   // j >= y_idx.
-  [[nodiscard]] bool pi_edge_on_selection(const SingleFaultSelection& si,
+  [[nodiscard]] bool pi_edge_on_selection(const SelectionSlot& si,
                                           std::size_t j) const {
     return j + 1 <= si.x_pi_index || j >= si.y_pi_index;
   }
@@ -147,10 +255,12 @@ class PerVertexRun {
         // Cheap satisfiability: if one single-fault path avoids the other
         // fault, it is itself an optimal replacement path for the pair and
         // its last edge is already in H(v).
-        if (selections_[i] && !pi_edge_on_selection(*selections_[i], j)) {
+        if (selections_[i].connected() &&
+            !pi_edge_on_selection(selections_[i], j)) {
           continue;
         }
-        if (selections_[j] && !pi_edge_on_selection(*selections_[j], i)) {
+        if (selections_[j].connected() &&
+            !pi_edge_on_selection(selections_[j], i)) {
           continue;
         }
         handle_pi_pi_pair(i, j);
@@ -165,7 +275,7 @@ class PerVertexRun {
 
     // Preferred candidate: compose the two detours through their last shared
     // vertex (the paper tries this path first).
-    if (selections_[i] && selections_[j]) {
+    if (selections_[i].connected() && selections_[j].connected()) {
       if (const std::optional<Path> composed = compose_detours(i, j);
           composed && composed->size() - 1 == target) {
         keep_last_edge(*composed, NewEndingRecord::Kind::kPiPi, ei, ej,
@@ -187,23 +297,25 @@ class PerVertexRun {
   // composition is not a simple path.
   [[nodiscard]] std::optional<Path> compose_detours(std::size_t i,
                                                     std::size_t j) {
-    const SingleFaultSelection& si = *selections_[i];
-    const SingleFaultSelection& sj = *selections_[j];
-    aux_pos_.bind(si.detour);
+    const std::span<const Vertex> di = selections_[i].detour();
+    const std::span<const Vertex> dj = selections_[j].detour();
+    aux_pos_.bind(di);
     std::size_t w_on_j = kNpos;
-    for (std::size_t t = sj.detour.size(); t-- > 0;) {
-      if (aux_pos_.on_path(sj.detour[t])) {
+    for (std::size_t t = dj.size(); t-- > 0;) {
+      if (aux_pos_.on_path(dj[t])) {
         w_on_j = t;
         break;
       }
     }
     if (w_on_j == kNpos) return std::nullopt;
-    const Vertex w = sj.detour[w_on_j];
+    const Vertex w = dj[w_on_j];
     const std::size_t w_on_i = aux_pos_.pos(w);
+    const SelectionSlot& si = selections_[i];
+    const SelectionSlot& sj = selections_[j];
 
     Path p = subpath(pi_, 0, si.x_pi_index);
-    p = concat(p, subpath(si.detour, 0, w_on_i));
-    p = concat(p, subpath(sj.detour, w_on_j, sj.detour.size() - 1));
+    p = concat(p, subpath(di, 0, w_on_i));
+    p = concat(p, subpath(dj, w_on_j, dj.size() - 1));
     p = concat(p, subpath(pi_, sj.y_pi_index, pi_.size() - 1));
     if (!is_simple_path_in(g_, p)) return std::nullopt;
     return p;
@@ -216,9 +328,8 @@ class PerVertexRun {
     // Decreasing (e, t) order: deeper π edge first; within one detour, deeper
     // detour edge first.
     for (std::size_t i = len; i-- > 0;) {
-      if (!selections_[i]) continue;
-      const Path& detour = selections_[i]->detour;
-      for (std::size_t r = detour.size() - 1; r-- > 0;) {
+      if (!selections_[i].connected()) continue;
+      for (std::size_t r = selections_[i].detour_size - 1; r-- > 0;) {
         ++out_.fault_pairs;
         handle_pi_d_pair(i, r);
       }
@@ -226,10 +337,17 @@ class PerVertexRun {
   }
 
   void handle_pi_d_pair(std::size_t i, std::size_t r) {
-    const SingleFaultSelection& si = *selections_[i];
+    const SelectionSlot& si = selections_[i];
     const EdgeId e = pi_edge(i);
-    const EdgeId t = g_.find_edge(si.detour[r], si.detour[r + 1]);
+    const EdgeId t = g_.find_edge(si.detour()[r], si.detour()[r + 1]);
     FTBFS_ENSURES(t != kInvalidEdge);
+    // |P_i(v)| = dist(s, v, G ∖ {e}): often T0 alone shows it survives t.
+    const std::size_t single_hops = si.x_pi_index + (si.detour_size - 1) +
+                                    (pi_.size() - 1 - si.y_pi_index);
+    if (satisfied_in_t0(g_, base_, v_, allowed_v_edges_, e, t,
+                        static_cast<std::uint32_t>(single_hops))) {
+      return;  // not new-ending
+    }
 
     const std::uint32_t target = target_distance({e, t});
     if (target == kInfHops) return;
@@ -253,7 +371,8 @@ class PerVertexRun {
   // π-divergence; if that divergence equals x_τ, also earliest D-divergence.
   [[nodiscard]] Path select_new_ending(std::size_t i, std::size_t r, EdgeId e,
                                        EdgeId t, std::uint32_t target) {
-    const SingleFaultSelection& si = *selections_[i];
+    const SelectionSlot& si = selections_[i];
+    const Vertex x = pi_[si.x_pi_index];
     GraphMask& m = sel_.mask();
 
     // Masks G(u_k, v) ∖ F: π positions [k+1 .. |π|-2] removed.
@@ -296,11 +415,11 @@ class PerVertexRun {
     FTBFS_ENSURES(rp.has_value() && rp->key.hops == target);
     const std::size_t b_idx = first_divergence(rp->verts, pi_);
     const Vertex b = rp->verts[b_idx];
-    if (b != si.x) return rp->verts;
+    if (b != x) return rp->verts;
 
     // b == x_τ: refine the divergence from the detour D_τ. G_D(w_l) removes
     // the detour tail V(D[l+1 .. end]) (v itself is never blocked).
-    const Path& d = si.detour;
+    const std::span<const Vertex> d = si.detour();
     auto apply_gd = [&](std::size_t l) {
       apply_gk(si.x_pi_index);
       for (std::size_t pos = l + 1; pos < d.size(); ++pos) {
@@ -334,6 +453,7 @@ class PerVertexRun {
   // ---- data ---------------------------------------------------------------
 
   const Graph& g_;
+  const SelectorBaseline& base_;
   PathSelector& sel_;
   VertexIndexMap& pi_pos_;
   VertexIndexMap& aux_pos_;
@@ -343,7 +463,7 @@ class PerVertexRun {
   const std::vector<bool>& in_h_;
   bool classify_;
 
-  std::vector<std::optional<SingleFaultSelection>> selections_;
+  std::span<const SelectionSlot> selections_;  // step (1), from the table
   std::vector<EdgeId> allowed_v_edges_;  // E_τ(v): the kept v-edges
   VertexOutcome out_;
 };
@@ -391,14 +511,40 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
     }
   }
 
+  const unsigned workers = resolve_jobs(opt.jobs, targets.size());
+  Cons2Workspace main_ws{g, w, base};
+  std::vector<std::unique_ptr<Cons2Workspace>> pool;
+  std::vector<PathSelector*> selectors{&main_ws.sel};
+  if (workers > 1) {
+    selectors.clear();
+    for (unsigned t = 0; t < workers; ++t) {
+      pool.push_back(std::make_unique<Cons2Workspace>(g, w, base));
+      selectors.push_back(&pool.back()->sel);
+    }
+  }
+
+  // Step (1) for every target, one tree edge at a time.
+  SelectionTable table(base.index(), g.num_vertices(), workers);
+  for_each_single_fault_batch(
+      base, selectors, opt.progress,
+      [&table](unsigned worker, const SingleFaultBatch& batch) {
+        table.fill(worker, batch);
+      });
+  for (const PathSelector* sel : selectors) {
+    h.stats.kernels += sel->kernel_counts();
+  }
+  h.stats.fault_pairs_considered = table.pairs();
+  h.stats.selection_table_bytes = table.bytes();
+
   // Conflict tracking for the speculative schedule: a target is dirty iff a
   // commit since the current block's snapshot added an edge incident to it.
   std::vector<std::uint32_t> dirty(g.num_vertices(), 0);
   std::uint32_t dirty_epoch = 0;
 
   auto run_target = [&](Cons2Workspace& ws, Vertex v) {
-    PerVertexRun run(g, ws.sel, ws.pi_pos, ws.aux_pos, s, v,
-                     extract_path(tree, v), in_h, opt.classify_paths);
+    PerVertexRun run(g, base, ws.sel, ws.pi_pos, ws.aux_pos, s, v,
+                     extract_path(tree, v), table.row(v), in_h,
+                     opt.classify_paths);
     return run.run();
   };
 
@@ -428,35 +574,30 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
       if (opt.record_sink) opt.record_sink(v, out.pi, out.records);
     }
   };
-  auto bump_progress = [&] {
+  // Progress counts fault pairs as their work finishes: step (1)'s per batch
+  // above, steps (2) and (3) per target here — at speculation, not commit,
+  // since block commits land together and would quantize the sampled rate
+  // the bench_e13 windowed sweep reads from outside the process.
+  auto bump_progress = [&](const VertexOutcome& out) {
     if (opt.progress != nullptr) {
-      opt.progress->fetch_add(1, std::memory_order_relaxed);
+      opt.progress->fetch_add(out.fault_pairs, std::memory_order_relaxed);
     }
   };
 
-  const unsigned workers = resolve_jobs(opt.jobs, targets.size());
   ParallelBuildReport report;
-  Cons2Workspace main_ws{g, w, base};
   if (workers <= 1) {
     for (const Vertex v : targets) {
-      commit_outcome(v, run_target(main_ws, v));
-      bump_progress();
+      VertexOutcome out = run_target(main_ws, v);
+      bump_progress(out);
+      commit_outcome(v, std::move(out));
     }
   } else {
-    std::vector<std::unique_ptr<Cons2Workspace>> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.push_back(std::make_unique<Cons2Workspace>(g, w, base));
-    }
     std::vector<VertexOutcome> slots(speculative_block_size(workers));
     run_speculate_commit(
         targets.size(), workers, /*on_block_start=*/[&] { ++dirty_epoch; },
         [&](unsigned worker, std::size_t idx, std::size_t slot) {
           slots[slot] = run_target(*pool[worker], targets[idx]);
-          // Progress counts finished per-target work, not commits — block
-          // commits land together, which would quantize the sampled rate the
-          // bench_e13 windowed sweep reads from outside the process.
-          bump_progress();
+          bump_progress(slots[slot]);
         },
         [&](std::size_t idx, std::size_t slot) {
           const Vertex v = targets[idx];

@@ -3,7 +3,8 @@
 //
 // For every target v the algorithm selects one replacement path P_{s,v,F} per
 // relevant fault set F and keeps only its last edge:
-//   step (1): F = {e_i}, e_i ∈ π(s,v)          — earliest π-divergence;
+//   step (1): F = {e_i}, e_i ∈ π(s,v)          — earliest π-divergence,
+//             selected per tree edge for all targets below it at once;
 //   step (2): F = {e_i, e_j} ⊆ π(s,v)          — prefer composing the two
 //             detours D_i, D_j when they intersect;
 //   step (3): F = {e_i, t_j}, t_j ∈ D_i        — processed in decreasing
@@ -42,17 +43,20 @@ struct Cons2Options {
   std::function<void(Vertex v, const Path& pi,
                      const std::vector<NewEndingRecord>& records)>
       record_sink;
-  // Worker threads for the per-target loop; 0 = auto (hardware), 1 =
-  // sequential. Targets are speculated in parallel against a frozen H and
-  // committed in target order, with conflicted targets (an earlier commit
-  // added an edge incident to them — the only state a target can observe)
-  // re-run sequentially, so the structure and every stats field are
-  // byte-identical at any value (build_parallel.h).
+  // Worker threads; 0 = auto (hardware), 1 = sequential. Step (1) runs
+  // first, one tree edge at a time for every target below it, into a table
+  // (selections never read H). Steps (2) and (3) are then speculated per
+  // target in parallel against a frozen H and committed in target order,
+  // with conflicted targets (an earlier commit added an edge incident to
+  // them — the only state a target can observe) re-run sequentially, so the
+  // structure and every stats field are byte-identical at any value
+  // (build_parallel.h).
   unsigned jobs = 1;
-  // Optional: incremented once per target vertex as its construction work
-  // finishes (speculation in the parallel schedule, commit sequentially).
-  // Lets long builds report throughput without block-commit quantization
-  // (the bench_e13 n=10^5 jobs sweep samples it from a forked child).
+  // Optional: grows by fault pairs as their work finishes — step (1)'s per
+  // tree edge, steps (2) and (3)'s per target at speculation — so its final
+  // value is stats.fault_pairs_considered. Lets long builds report
+  // throughput without block-commit quantization (the bench_e13 n=10^5 jobs
+  // sweep samples it from a forked child).
   std::atomic<std::uint64_t>* progress = nullptr;
   // Optional: filled with the parallel schedule actually used.
   ParallelBuildReport* parallel_report = nullptr;

@@ -83,6 +83,10 @@ struct FtBfsStats {
   std::uint64_t fault_pairs_considered = 0;
   std::uint64_t dijkstra_runs = 0;
   std::uint64_t divergence_fallbacks = 0;  // defensive-path fallbacks (expect 0)
+  // Cons2FTBFS: bytes of its step-(1) selection table — one slot per (v, e)
+  // with e on π(s,v), plus the detour vertices — O(Σ_v depth(v) + Σ|D|),
+  // which is at most a constant times fault_pairs_considered.
+  std::uint64_t selection_table_bytes = 0;
   KernelCounts kernels;  // how the selection kernels answered (no tree SSSP)
   PathClassCounts classes;             // filled when instrumentation is on
   // Per-vertex maxima of each class (the quantities the per-class O(√n) and

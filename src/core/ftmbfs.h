@@ -22,8 +22,8 @@ struct FtMbfsOptions {
   // stays sequential in source order, so the union is byte-identical at any
   // job count (each inner build already is — single_ftbfs.h / cons2ftbfs.h).
   unsigned jobs = 1;
-  // Optional: incremented once per finished target vertex across all
-  // per-source builds (single_ftbfs.h semantics).
+  // Optional: grows by the finished fault pairs of every per-source build
+  // (single_ftbfs.h / cons2ftbfs.h semantics).
   std::atomic<std::uint64_t>* progress = nullptr;
   // Optional: the schedules of the per-source builds, aggregated — workers is
   // the maximum crew used, blocks/speculated/conflicts are summed.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/build_parallel.h"
+
 namespace ftbfs {
 
 SelectorBaseline::SelectorBaseline(const Graph& g, const WeightAssignment& w,
@@ -73,13 +75,8 @@ const SelectorBaseline& PathSelector::baseline(Vertex s) {
   return *own_;
 }
 
-PathSelector::Route PathSelector::route(const SelectorBaseline& b, Vertex t) {
-  FTBFS_EXPECTS(t < graph_->num_vertices());
+void PathSelector::find_region(const SelectorBaseline& b) {
   const TreeIndex& idx = b.index();
-  if (mask_.vertex_blocked(b.source()) || mask_.vertex_blocked(t) ||
-      !idx.reached(t)) {
-    return Route::kCutOff;
-  }
   // A = the T0 subtrees below blocked tree edges and blocked vertices: exactly
   // the vertices whose T0 root path the mask cuts. Everything else keeps its
   // T0 distance and path, because removing things never shortens a path.
@@ -97,24 +94,33 @@ PathSelector::Route PathSelector::route(const SelectorBaseline& b, Vertex t) {
   // nested in it; keep the maximal ones.
   std::size_t kept = 0;
   std::uint32_t end = 0;
-  std::uint64_t size = 0;
-  bool cut = false;
+  region_size_ = 0;
   region_height_ = 0;
-  const std::uint32_t t_pre = idx.preorder_index(t);
   for (const Vertex r : roots_) {
     const std::uint32_t pre = idx.preorder_index(r);
     if (kept > 0 && pre < end) continue;
     roots_[kept++] = r;
     end = pre + idx.subtree_size(r);
-    size += idx.subtree_size(r);
-    cut = cut || (pre <= t_pre && t_pre < end);
+    region_size_ += idx.subtree_size(r);
     region_height_ = std::max(region_height_, b.subtree_height(r));
   }
   roots_.resize(kept);
-  if (!cut) return Route::kBaseline;
-  // Repair costs up to |A|; an early-exit search from s at least the ball of
-  // radius d0(t). Both are known before either runs.
-  return size > b.ball_size(idx.depth(t)) ? Route::kSearch : Route::kRepair;
+}
+
+PathSelector::Route PathSelector::route(const SelectorBaseline& b, Vertex t) {
+  FTBFS_EXPECTS(t < graph_->num_vertices());
+  const TreeIndex& idx = b.index();
+  if (mask_.vertex_blocked(b.source()) || mask_.vertex_blocked(t) ||
+      !idx.reached(t)) {
+    return Route::kCutOff;
+  }
+  find_region(b);
+  const std::uint32_t t_pre = idx.preorder_index(t);
+  const bool cut = std::any_of(roots_.begin(), roots_.end(), [&](Vertex r) {
+    const std::uint32_t pre = idx.preorder_index(r);
+    return pre <= t_pre && t_pre < pre + idx.subtree_size(r);
+  });
+  return cut ? Route::kCut : Route::kBaseline;
 }
 
 std::uint32_t PathSelector::begin_region(const SelectorBaseline& b) {
@@ -151,7 +157,8 @@ void PathSelector::stamp_level(const SelectorBaseline& b, std::uint32_t level) {
 // never closer than its T0 depth; so the seeds of level d are due when bucket
 // d is reached and not before, and every neighbor of level d is stamped by
 // then. Buckets d, d + 1 and d + 2 are the only live ones: a ring of three.
-std::uint32_t PathSelector::repair_hops(const SelectorBaseline& b, Vertex t) {
+void PathSelector::repair_hops(const SelectorBaseline& b, Vertex t,
+                               std::uint32_t stop) {
   const Graph& g = *graph_;
   const SpResult& t0 = b.tree();
   for (std::uint32_t d = begin_region(b);; ++d) {
@@ -175,7 +182,10 @@ std::uint32_t PathSelector::repair_hops(const SelectorBaseline& b, Vertex t) {
     // Every vertex closer than d + 1 holds its exact distance now, so a key
     // of d + 1 is exact as well; so is the first relaxation to reach t below.
     // Either way every vertex closer than t is final when the probe returns.
-    if (in_region(t) && key_[t].hops <= d + 1) return key_[t].hops;
+    if (d >= stop ||
+        (t != kInvalidVertex && in_region(t) && key_[t].hops <= d + 1)) {
+      return;
+    }
     std::vector<Vertex>& bucket = buckets_[d % 3];
     for (const Vertex x : bucket) {
       if (key_[x].hops != d) continue;  // superseded by a closer seed
@@ -186,14 +196,14 @@ std::uint32_t PathSelector::repair_hops(const SelectorBaseline& b, Vertex t) {
           continue;
         }
         key_[y].hops = d + 1;
-        if (y == t) return d + 1;
+        if (y == t) return;
         buckets_[(d + 1) % 3].push_back(y);
       }
     }
     bucket.clear();
     if (d >= region_height_ && buckets_[(d + 1) % 3].empty() &&
         buckets_[(d + 2) % 3].empty()) {
-      return kInfHops;
+      return;
     }
   }
 }
@@ -201,9 +211,10 @@ std::uint32_t PathSelector::repair_hops(const SelectorBaseline& b, Vertex t) {
 // The same pass with W keys. Candidates compare by (hops, perturbation sum,
 // predecessor perturbation) and replace only on strict improvement — the rule
 // of Dijkstra::run — so every parent inside A is the one a full sweep of the
-// masked graph picks, and outside A the T0 parent already is.
-std::optional<RPath> PathSelector::repair_path(const SelectorBaseline& b,
-                                               Vertex t) {
+// masked graph picks, and outside A the T0 parent already is. A key and its
+// parent are final once the seeds of its level are in.
+void PathSelector::repair_sweep(const SelectorBaseline& b, Vertex t,
+                                std::uint32_t stop) {
   const Graph& g = *graph_;
   const WeightAssignment& w = *weights_;
   const SpResult& t0 = b.tree();
@@ -234,7 +245,10 @@ std::optional<RPath> PathSelector::repair_path(const SelectorBaseline& b,
       }
       if (kx.hops < hops_before) buckets_[kx.hops % 3].push_back(x);
     }
-    if (in_region(t) && key_[t].hops == d) break;  // t and its path are final
+    if (d >= stop ||
+        (t != kInvalidVertex && in_region(t) && key_[t].hops == d)) {
+      return;
+    }
     std::vector<Vertex>& bucket = buckets_[d % 3];
     for (const Vertex x : bucket) {
       if (key_[x].hops != d) continue;  // superseded by a closer seed
@@ -260,42 +274,28 @@ std::optional<RPath> PathSelector::repair_path(const SelectorBaseline& b,
     bucket.clear();
     if (d >= region_height_ && buckets_[(d + 1) % 3].empty() &&
         buckets_[(d + 2) % 3].empty()) {
-      return std::nullopt;
+      return;
     }
   }
-  // Inside A follow the repaired parents; the first vertex outside A keeps
-  // its T0 root path.
-  RPath out;
-  out.key = key_[t];
-  Vertex cur = t;
-  for (; in_region(cur); cur = parent_[cur]) out.verts.push_back(cur);
-  for (; cur != kInvalidVertex; cur = t0.parent[cur]) out.verts.push_back(cur);
-  std::reverse(out.verts.begin(), out.verts.end());
-  return out;
 }
 
 std::uint32_t PathSelector::hop_distance(Vertex s, Vertex t) {
-  ++bfs_runs_;
   const SelectorBaseline& b = baseline(s);
   probe_ = Probe::kNone;
-  probe_base_ = &b;
   switch (route(b, t)) {
     case Route::kCutOff:
+      ++bfs_runs_;
       ++kernels_.probe_baseline;
       return kInfHops;
     case Route::kBaseline:
+      ++bfs_runs_;
       ++kernels_.probe_baseline;
       return b.tree().dist[t].hops;
-    case Route::kRepair:
-      ++kernels_.probe_repair;
-      probe_ = Probe::kRepair;
-      return repair_hops(b, t);
-    case Route::kSearch:
+    case Route::kCut:
       break;
   }
-  ++kernels_.probe_search;
-  probe_ = Probe::kSearch;
-  return bfs_.run_until(s, std::span<const Vertex>(&t, 1), &mask_).hops[t];
+  probe_region(b, std::span<const Vertex>(&t, 1), kInfHops);
+  return probed_hops(t);
 }
 
 std::uint32_t PathSelector::probed_hops(Vertex u) const {
@@ -303,30 +303,94 @@ std::uint32_t PathSelector::probed_hops(Vertex u) const {
   if (probe_ == Probe::kSearch) return bfs_.result().hops[u];
   // Unstamped vertices of A lie at least two levels below where the pass
   // stopped, so their T0 depth already exceeds the probed distance.
-  return in_region(u) ? key_[u].hops : probe_base_->tree().dist[u].hops;
+  return in_region(u) ? key_[u].hops : pass_base_->tree().dist[u].hops;
 }
 
 std::optional<RPath> PathSelector::w_path(Vertex s, Vertex t) {
-  ++dijkstra_runs_;
   const SelectorBaseline& b = baseline(s);
   probe_ = Probe::kNone;
   switch (route(b, t)) {
     case Route::kCutOff:
+      ++dijkstra_runs_;
       ++kernels_.sweep_baseline;
       return std::nullopt;
     case Route::kBaseline:
+      ++dijkstra_runs_;
       ++kernels_.sweep_baseline;
       return RPath{extract_path(b.tree(), t), b.tree().dist[t]};
-    case Route::kRepair:
-      ++kernels_.sweep_repair;
-      return repair_path(b, t);
-    case Route::kSearch:
+    case Route::kCut:
       break;
   }
-  ++kernels_.sweep_search;
-  const SpResult& r = dijkstra_.run(s, &mask_, t);
-  if (!r.reached(t)) return std::nullopt;
-  return RPath{extract_path(r, t), r.dist[t]};
+  sweep_region(b, std::span<const Vertex>(&t, 1), t, kInfHops);
+  if (swept_key(t) == kUnreachable) return std::nullopt;
+  RPath out;
+  out.key = swept_key(t);
+  for (Vertex cur = t; cur != kInvalidVertex; cur = swept_parent(cur)) {
+    out.verts.push_back(cur);
+  }
+  std::reverse(out.verts.begin(), out.verts.end());
+  return out;
+}
+
+bool PathSelector::search_cheaper(const SelectorBaseline& b,
+                                  std::span<const Vertex> targets,
+                                  std::uint32_t stop) const {
+  const std::uint32_t level = stop == kInfHops && targets.size() == 1
+                                  ? b.index().depth(targets.front())
+                                  : stop;
+  return region_size_ > b.ball_size(level);
+}
+
+void PathSelector::probe_region(const SelectorBaseline& b,
+                                std::span<const Vertex> targets,
+                                std::uint32_t stop) {
+  FTBFS_EXPECTS(!targets.empty());
+  ++bfs_runs_;
+  pass_base_ = &b;
+  if (search_cheaper(b, targets, stop)) {
+    ++kernels_.probe_search;
+    probe_ = Probe::kSearch;
+    (void)bfs_.run_until(b.source(), targets, &mask_);
+    return;
+  }
+  ++kernels_.probe_repair;
+  probe_ = Probe::kRepair;
+  repair_hops(b, targets.size() == 1 ? targets.front() : kInvalidVertex,
+              stop);
+}
+
+void PathSelector::sweep_region(const SelectorBaseline& b,
+                                std::span<const Vertex> targets,
+                                Vertex deepest, std::uint32_t stop) {
+  FTBFS_EXPECTS(!targets.empty());
+  ++dijkstra_runs_;
+  pass_base_ = &b;
+  probe_ = Probe::kNone;  // a sweep overwrites the probe's keys
+  swept_by_search_ = search_cheaper(b, targets, stop);
+  if (swept_by_search_) {
+    ++kernels_.sweep_search;
+    (void)dijkstra_.run(b.source(), &mask_, deepest);
+    return;
+  }
+  ++kernels_.sweep_repair;
+  repair_sweep(b, targets.size() == 1 ? targets.front() : kInvalidVertex,
+               stop);
+}
+
+// Inside A the repaired keys and parents; outside A, T0's.
+DistKey PathSelector::swept_key(Vertex x) const {
+  if (swept_by_search_) return dijkstra_.result().dist[x];
+  return in_region(x) ? key_[x] : pass_base_->tree().dist[x];
+}
+
+Vertex PathSelector::swept_parent(Vertex x) const {
+  if (swept_by_search_) return dijkstra_.result().parent[x];
+  return in_region(x) ? parent_[x] : pass_base_->tree().parent[x];
+}
+
+EdgeId PathSelector::swept_parent_edge(Vertex x) const {
+  if (swept_by_search_) return dijkstra_.result().parent_edge[x];
+  return in_region(x) ? parent_edge_[x] : pass_base_->tree().parent_edge[x];
 }
 
 bool reaches_through_kept_edge(const PathSelector& sel, Vertex v,
@@ -345,6 +409,28 @@ bool reaches_through_kept_edge(const PathSelector& sel, Vertex v,
   return false;
 }
 
+bool satisfied_in_t0(const Graph& g, const SelectorBaseline& b, Vertex v,
+                     std::span<const EdgeId> kept, EdgeId e, EdgeId t,
+                     std::uint32_t single_fault_hops) {
+  const Vertex below_e = b.edge_child(e);
+  const Vertex below_t = t == kInvalidEdge ? kInvalidVertex : b.edge_child(t);
+  FTBFS_EXPECTS(below_e != kInvalidVertex);
+  const TreeIndex& idx = b.index();
+  for (const EdgeId a : kept) {
+    if (a == e || a == t) continue;
+    const Edge& ed = g.edge(a);
+    FTBFS_EXPECTS(ed.u == v || ed.v == v);
+    const Vertex u = ed.u == v ? ed.v : ed.u;
+    if (!idx.reached(u) || idx.depth(u) + 1 != single_fault_hops ||
+        idx.ancestor_of(below_e, u) ||
+        (below_t != kInvalidVertex && idx.ancestor_of(below_t, u))) {
+      continue;
+    }
+    return true;
+  }
+  return false;
+}
+
 void block_pi_segment(GraphMask& mask, const Path& pi, std::size_t k,
                       std::size_t l) {
   FTBFS_EXPECTS(k <= l && l < pi.size());
@@ -353,75 +439,220 @@ void block_pi_segment(GraphMask& mask, const Path& pi, std::size_t k,
   }
 }
 
+const SingleFaultBatch& PathSelector::select_below(
+    const SelectorBaseline& b, EdgeId e, std::span<const Vertex> targets) {
+  const TreeIndex& idx = b.index();
+  const Vertex c = b.edge_child(e);
+  FTBFS_EXPECTS(c != kInvalidVertex && !targets.empty());
+  const std::uint32_t i = idx.depth(c) - 1;
+  batch_ = SingleFaultBatch{};
+  SingleFaultBatch& out = batch_;
+  out.pi_index = i;
+  Path pi(std::size_t{i} + 2);  // π[0 .. i+1], the root path of c
+  Vertex up = c;
+  for (std::size_t j = pi.size(); j-- > 0; up = idx.parent(up)) pi[j] = up;
+  // G(u_k, u_i) ∖ {e}: π positions [k+1 .. i] removed (none when k == i).
+  const auto restrict_to = [&](std::uint32_t k) {
+    mask_.clear();
+    mask_.block_edge(e);
+    block_pi_segment(mask_, pi, k, i);
+    find_region(b);
+  };
+
+  // Target distances dist(s, v, G ∖ {e}): one probe for all of them.
+  restrict_to(i);
+  probe_region(b, targets, kInfHops);
+  struct BatchItem {
+    Vertex v;
+    std::uint32_t choice;  // index into out.choices
+    std::uint32_t target;  // dist(s, v, G ∖ {e})
+    std::uint32_t lo, hi;  // binary search over k; hi is feasible
+  };
+  std::vector<BatchItem> items;
+  out.choices.reserve(targets.size());
+  for (const Vertex v : targets) {
+    FTBFS_EXPECTS(idx.ancestor_of(c, v));
+    const auto choice = static_cast<std::uint32_t>(out.choices.size());
+    out.choices.push_back(SingleFaultChoice{.target = v});
+    const std::uint32_t target = probed_hops(v);
+    if (target != kInfHops) items.push_back({v, choice, target, 0, i});
+  }
+
+  // A pass serves a run [first, last) of items: group lists their targets,
+  // `stop` is the farthest target distance among them, `deepest` a target
+  // at that distance.
+  std::vector<Vertex> group;
+  std::uint32_t stop = 0;
+  Vertex deepest = kInvalidVertex;
+  const auto serve = [&](auto first, auto last) {
+    group.clear();
+    stop = 0;
+    for (auto it = first; it != last; ++it) {
+      group.push_back(it->v);
+      if (it->target >= stop) {
+        stop = it->target;
+        deepest = it->v;
+      }
+    }
+  };
+  // The selected path of `it` is the W-unique shortest path in
+  // G(u_k0, u_i) ∖ {e}, read off the parents of the sweep of k0. Walking up
+  // from v, the path follows T0 through π(y, v); the first step off T0
+  // enters the detour, which ends at the first vertex on π(s, v) again, x.
+  // x lies above the removed segment, outside the cut region, so the rest is
+  // π(s, x) (Claim 3.4).
+  const auto read_path = [&](const BatchItem& it, std::uint32_t k0) {
+    const Vertex v = it.v;
+    FTBFS_ENSURES(swept_key(v).hops == it.target);
+    Vertex y = v;
+    while (y != c && swept_parent(y) == idx.parent(y)) y = swept_parent(y);
+    FTBFS_ENSURES(swept_parent(y) != idx.parent(y));
+    SingleFaultChoice& ch = out.choices[it.choice];
+    ch.detour_begin = static_cast<std::uint32_t>(out.detour_verts.size());
+    out.detour_verts.push_back(y);  // the detour, backwards from y to x
+    Vertex x = swept_parent(y);
+    for (; !idx.ancestor_of(x, v); x = swept_parent(x)) {
+      out.detour_verts.push_back(x);
+    }
+    out.detour_verts.push_back(x);
+    FTBFS_ENSURES(idx.depth(x) <= k0);
+    std::reverse(out.detour_verts.begin() + ch.detour_begin,
+                 out.detour_verts.end());
+    ch.x_pi_index = idx.depth(x);
+    ch.y_pi_index = idx.depth(y);
+    ch.last_edge = swept_parent_edge(v);
+    ch.detour_size =
+        static_cast<std::uint32_t>(out.detour_verts.size() - ch.detour_begin);
+  };
+
+  // k0 is the minimal k with dist(s, v, G(u_k, u_i) ∖ {e}) == target(v):
+  // feasible at k == i because G(u_i, u_i) = G, and hop-distance is monotone
+  // non-increasing in k because G(u_k,·) ⊆ G(u_{k+1},·). Every target tries
+  // k = 0 first, in one W-sweep for all of them: where k = 0 is feasible —
+  // the common case, and always when i == 0 — it is k0 and the path is read
+  // off that same sweep. The others bisect (0, i] with hop probes.
+  if (!items.empty()) {
+    serve(items.begin(), items.end());
+    restrict_to(0);
+    sweep_region(b, group, deepest, stop);
+    for (BatchItem& it : items) {
+      if (swept_key(it.v).hops != it.target) continue;
+      read_path(it, 0);
+      it.hi = 0;
+    }
+  }
+  // All bisections start from the same interval, so one k is asked in one
+  // round only, by every target that asks it. Each k is probed once, up to
+  // the farthest target distance among its askers: a target is feasible iff
+  // its probed distance is exact and equal to its target.
+  const auto mid = [](const BatchItem& it) {
+    return it.lo + (it.hi - it.lo) / 2;
+  };
+  for (;;) {
+    const auto open = std::partition(
+        items.begin(), items.end(),
+        [](const BatchItem& it) { return it.lo + 1 < it.hi; });
+    if (open == items.begin()) break;
+    std::sort(items.begin(), open, [&](const BatchItem& x,
+                                         const BatchItem& y) {
+      return mid(x) < mid(y);
+    });
+    for (auto first = items.begin(); first != open;) {
+      const std::uint32_t k = mid(*first);
+      auto last = first;
+      while (last != open && mid(*last) == k) ++last;
+      serve(first, last);
+      restrict_to(k);
+      probe_region(b, group, stop);
+      for (auto it = first; it != last; ++it) {
+        (probed_hops(it->v) == it->target ? it->hi : it->lo) = k;
+      }
+      first = last;
+    }
+  }
+
+  // The remaining paths: one sweep per distinct k0 > 0.
+  const auto swept = std::partition(
+      items.begin(), items.end(),
+      [](const BatchItem& it) { return it.hi == 0; });
+  std::sort(swept, items.end(),
+            [](const BatchItem& x, const BatchItem& y) { return x.hi < y.hi; });
+  for (auto first = swept; first != items.end();) {
+    const std::uint32_t k0 = first->hi;
+    auto last = first;
+    while (last != items.end() && last->hi == k0) ++last;
+    serve(first, last);
+    restrict_to(k0);
+    sweep_region(b, group, deepest, stop);
+    for (auto it = first; it != last; ++it) read_path(*it, k0);
+    first = last;
+  }
+  return out;
+}
+
+const SingleFaultBatch& select_single_faults_below(PathSelector& sel,
+                                                   Vertex s, EdgeId e) {
+  const SelectorBaseline& b = sel.baseline(s);
+  const Vertex c = b.edge_child(e);
+  FTBFS_EXPECTS(c != kInvalidVertex);
+  return sel.select_below(b, e, b.index().subtree_span(c));
+}
+
 std::optional<SingleFaultSelection> select_single_fault(
     PathSelector& sel, const Path& pi, const VertexIndexMap& pi_pos,
     std::size_t i) {
   FTBFS_EXPECTS(pi.size() >= 2);
   FTBFS_EXPECTS(i + 1 < pi.size());
-  const Vertex s = pi.front();
   const Vertex v = pi.back();
-  const Graph& g = sel.graph();
-  const EdgeId e_i = g.find_edge(pi[i], pi[i + 1]);
-  FTBFS_EXPECTS(e_i != kInvalidEdge);
-
-  // Target distance: dist(s, v, G ∖ {e_i}).
-  const std::uint32_t target = sel.single_fault_distance(s, v, e_i);
-  if (target == kInfHops) return std::nullopt;
-  GraphMask& mask = sel.mask();
-
-  // Binary search for the minimal k with
-  //   dist(s, v, G(u_k, u_i) ∖ {e_i}) == dist(s, v, G ∖ {e_i});
-  // feasible at k == i because G(u_i, u_i) = G, and hop-distance is monotone
-  // non-increasing in k because G(u_k,·) ⊆ G(u_{k+1},·).
-  auto feasible = [&](std::size_t k) {
-    mask.clear();
-    mask.block_edge(e_i);
-    block_pi_segment(mask, pi, k, i);
-    return sel.hop_distance(s, v) == target;
-  };
-  std::size_t lo = 0, hi = i;  // invariant: feasible(hi)
-  if (!feasible(0)) {
-    while (lo + 1 < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      (feasible(mid) ? hi : lo) = mid;
-    }
-  } else {
-    hi = 0;
+  FTBFS_EXPECTS(pi_pos.pos(v) + 1 == pi.size());
+  const SelectorBaseline& b = sel.baseline(pi.front());
+  const TreeIndex& idx = b.index();
+  // The batch reads π(s, v) off T0, so π must be v's T0 root path.
+  for (std::size_t j = 1; j < pi.size(); ++j) {
+    FTBFS_EXPECTS(idx.parent(pi[j]) == pi[j - 1]);
   }
-  const std::size_t k0 = hi;
-
-  // The selected path: the W-unique shortest path in G(u_k0, u_i) ∖ {e_i}.
-  mask.clear();
-  mask.block_edge(e_i);
-  block_pi_segment(mask, pi, k0, i);
-  const std::optional<RPath> rp = sel.w_path(s, v);
-  FTBFS_ENSURES(rp.has_value() && rp->key.hops == target);
-
+  const SingleFaultBatch& batch = sel.select_below(
+      b, idx.parent_edge(pi[i + 1]), std::span<const Vertex>(&v, 1));
+  const SingleFaultChoice& choice = batch.choices.front();
+  if (!choice.connected()) return std::nullopt;
+  const std::span<const Vertex> detour = batch.detour(choice);
   SingleFaultSelection out;
-  out.path = rp->verts;
-
-  // Decompose per Claim 3.4: prefix on π up to x, detour, suffix on π from y.
-  const std::size_t x_path_idx = first_divergence(out.path, pi);
-  std::size_t y_path_idx = x_path_idx + 1;
-  while (y_path_idx < out.path.size() && !pi_pos.on_path(out.path[y_path_idx])) {
-    ++y_path_idx;
-  }
-  FTBFS_ENSURES(y_path_idx < out.path.size());  // path ends at v ∈ π
-  out.x = out.path[x_path_idx];
-  out.y = out.path[y_path_idx];
-  out.x_pi_index = pi_pos.pos(out.x);
-  out.y_pi_index = pi_pos.pos(out.y);
-  out.detour = subpath(out.path, x_path_idx, y_path_idx);
-
-  // Claim 3.4(1): after y the path follows π(y, v); under W-uniqueness this
-  // is an invariant of the construction.
-  FTBFS_ENSURES(out.y_pi_index >= out.x_pi_index);
-  for (std::size_t j = y_path_idx; j < out.path.size(); ++j) {
-    FTBFS_ENSURES(out.y_pi_index + (j - y_path_idx) < pi.size());
-    FTBFS_ENSURES(out.path[j] == pi[out.y_pi_index + (j - y_path_idx)]);
-  }
-  FTBFS_ENSURES(out.path.back() == v);
+  out.detour.assign(detour.begin(), detour.end());
+  out.x_pi_index = choice.x_pi_index;
+  out.y_pi_index = choice.y_pi_index;
+  out.x = pi[out.x_pi_index];
+  out.y = pi[out.y_pi_index];
+  out.path.assign(pi.begin(), pi.begin() + out.x_pi_index);
+  out.path.insert(out.path.end(), detour.begin(), detour.end());
+  out.path.insert(out.path.end(), pi.begin() + out.y_pi_index + 1, pi.end());
   return out;
+}
+
+void for_each_single_fault_batch(
+    const SelectorBaseline& base, std::span<PathSelector* const> selectors,
+    std::atomic<std::uint64_t>* progress,
+    const std::function<void(unsigned worker, const SingleFaultBatch&)>&
+        sink) {
+  FTBFS_EXPECTS(!selectors.empty());
+  const TreeIndex& idx = base.index();
+  // Tree edges by their child, the largest subtree first: the edges near the
+  // root carry most of the targets, so handing them out first keeps the
+  // workers' finishing times close (the Bobpp partitioning rule).
+  std::vector<Vertex> order(idx.preorder().begin() + 1, idx.preorder().end());
+  std::stable_sort(order.begin(), order.end(), [&idx](Vertex a, Vertex c) {
+    return idx.subtree_size(a) > idx.subtree_size(c);
+  });
+  run_claimed(order.size(), static_cast<unsigned>(selectors.size()),
+              [&](unsigned worker, std::size_t k) {
+                const SingleFaultBatch& batch = select_single_faults_below(
+                    *selectors[worker], base.source(),
+                    idx.parent_edge(order[k]));
+                sink(worker, batch);
+                if (progress != nullptr) {
+                  progress->fetch_add(batch.choices.size(),
+                                      std::memory_order_relaxed);
+                }
+              });
 }
 
 }  // namespace ftbfs

@@ -8,24 +8,30 @@
 // G_D(w_l) of Eq. (4); the minimal feasible divergence index is found by
 // binary search, which is sound because the restricted graphs are nested
 // (G(u_k,·) ⊆ G(u_{k+1},·)), making hop-distance monotone in the index.
+// Step (1)'s graphs G(u_k, u_i) ∖ {e_i} depend only on the tree edge e_i, so
+// select_single_faults_below answers every target below e_i in one batch.
 //
 // Distance *tests* are hop probes (hop counts are what the FT-BFS property is
 // about); only the finally selected path is computed with the tie-broken
 // W-sweep so that it is the W-unique representative the analysis reasons
-// about. Every restricted graph is G minus a few vertices and edges, so both
-// kernels are fault-local: they start from the fault-free tree T0 of the
-// source (SelectorBaseline) and recompute only the cut region — the T0
-// subtrees below the blocked tree edges and blocked vertices. A target outside
-// the region keeps its T0 distance and root path; otherwise a Dial pass over
-// the region repairs it, unless the region is larger than the BFS ball an
-// early-exit search from the source would cover, in which case that search
-// runs instead. All answers are exact, so the choice never shows in a
-// structure. Scratch is O(n + m) per selector; the baseline is shared.
+// about (a sweep's hop counts are exact too, so step (1) tests k = 0 with the
+// sweep that selects there when it is feasible). Every restricted graph is G
+// minus a few vertices and edges, so both kernels are fault-local: they start
+// from the fault-free tree T0 of the source (SelectorBaseline) and recompute
+// only the cut region — the T0 subtrees below the blocked tree edges and
+// blocked vertices. A target outside the region keeps its T0 distance and
+// root path; otherwise a Dial pass over the region repairs it, unless the
+// region is larger than the BFS ball an early-exit search from the source
+// would cover, in which case that search runs instead. All answers are exact,
+// so the choice never shows in a structure. Scratch is O(n + m) per selector,
+// plus the last batch's results; the baseline is shared.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -48,7 +54,7 @@ class VertexIndexMap {
  public:
   explicit VertexIndexMap(Vertex n) : epoch_(n, 0), pos_(n, 0) {}
 
-  void bind(const Path& p) {
+  void bind(std::span<const Vertex> p) {
     ++cur_;
     for (std::size_t i = 0; i < p.size(); ++i) {
       epoch_[p[i]] = cur_;
@@ -110,6 +116,34 @@ class SelectorBaseline {
   std::vector<std::uint32_t> level_pre_;
 };
 
+// One target's selected path in a batch, in Claim 3.4's compact form: π(s, v)
+// is v's T0 root path, so x, y and the path itself follow from the indexes
+// and the detour.
+struct SingleFaultChoice {
+  Vertex target = kInvalidVertex;
+  std::uint32_t x_pi_index = 0;
+  std::uint32_t y_pi_index = 0;
+  EdgeId last_edge = kInvalidEdge;  // kInvalidEdge: e disconnects the target
+  std::uint32_t detour_begin = 0;   // into SingleFaultBatch::detour_verts
+  std::uint32_t detour_size = 0;    // D's vertices, x and y included
+
+  [[nodiscard]] bool connected() const { return last_edge != kInvalidEdge; }
+};
+
+// Step (1) for every target below one tree edge e = (π[i], π[i+1]).
+struct SingleFaultBatch {
+  std::uint32_t pi_index = 0;               // i
+  std::vector<SingleFaultChoice> choices;   // one per target, in input order
+  std::vector<Vertex> detour_verts;         // the choices' detours, concatenated
+
+  [[nodiscard]] std::span<const Vertex> detour(
+      const SingleFaultChoice& c) const {
+    return {detour_verts.data() + c.detour_begin, c.detour_size};
+  }
+};
+
+struct SingleFaultSelection;
+
 // Owns the scratch state (mask + region repair + fallback searches) for path
 // selection.
 class PathSelector {
@@ -146,24 +180,25 @@ class PathSelector {
     return dijkstra_.run(s, &mask_, kInvalidVertex);
   }
 
-  // dist(s, t, G ∖ {e}): one probe. Overwrites the scratch mask.
-  [[nodiscard]] std::uint32_t single_fault_distance(Vertex s, Vertex t,
-                                                    EdgeId e) {
-    mask_.clear();
-    mask_.block_edge(e);
-    return hop_distance(s, t);
-  }
-
   [[nodiscard]] std::uint64_t bfs_runs() const { return bfs_runs_; }
   [[nodiscard]] std::uint64_t dijkstra_runs() const { return dijkstra_runs_; }
   [[nodiscard]] const KernelCounts& kernel_counts() const { return kernels_; }
 
  private:
-  enum class Route { kCutOff, kBaseline, kRepair, kSearch };
+  friend const SingleFaultBatch& select_single_faults_below(PathSelector& sel,
+                                                            Vertex s,
+                                                            EdgeId e);
+  friend std::optional<SingleFaultSelection> select_single_fault(
+      PathSelector& sel, const Path& pi, const VertexIndexMap& pi_pos,
+      std::size_t i);
+
+  enum class Route { kCutOff, kBaseline, kCut };
   enum class Probe { kNone, kRepair, kSearch };
 
-  // Finds the cut region A of the current mask in b (its maximal subtree
-  // roots, in preorder) and picks how to answer for target t.
+  // Finds the cut region A of the current mask in b: its maximal subtree
+  // roots in preorder, |A| and A's deepest level.
+  void find_region(const SelectorBaseline& b);
+  // find_region, then whether t is cut off, keeps its T0 answer, or lies in A.
   Route route(const SelectorBaseline& b, Vertex t);
   [[nodiscard]] bool in_region(Vertex x) const {
     return region_stamp_[x] == region_epoch_;
@@ -178,8 +213,35 @@ class PathSelector {
   // Marks A's vertices on `level` as in the region with key kUnreachable and
   // lists them in next_level_.
   void stamp_level(const SelectorBaseline& b, std::uint32_t level);
-  std::uint32_t repair_hops(const SelectorBaseline& b, Vertex t);
-  std::optional<RPath> repair_path(const SelectorBaseline& b, Vertex t);
+  // The Dial passes over A. Each stops once the seeds of level `stop` are in
+  // (every vertex at distance <= stop is then final), once its one target t
+  // is final (t == kInvalidVertex: no such target), or when A is exhausted.
+  void repair_hops(const SelectorBaseline& b, Vertex t, std::uint32_t stop);
+  void repair_sweep(const SelectorBaseline& b, Vertex t, std::uint32_t stop);
+
+  // One probe or one sweep of the region found last, serving `targets` — all
+  // reached in T0, unblocked and inside A — up to level `stop`; a single
+  // target also ends the pass once it is final. Afterwards probed_hops is
+  // exact for every target at distance <= stop, and the swept_* accessors
+  // hold the final key and parent of every vertex at hops <= stop. `deepest`
+  // is a target at the largest distance the sweep serves.
+  void probe_region(const SelectorBaseline& b,
+                    std::span<const Vertex> targets, std::uint32_t stop);
+  void sweep_region(const SelectorBaseline& b,
+                    std::span<const Vertex> targets, Vertex deepest,
+                    std::uint32_t stop);
+  // Repairing A costs up to |A|; an early-exit search from the source at
+  // least the ball out to `stop`, or to a single target's T0 depth when its
+  // distance is unknown (stop == kInfHops). Both are known before either runs.
+  [[nodiscard]] bool search_cheaper(const SelectorBaseline& b,
+                                    std::span<const Vertex> targets,
+                                    std::uint32_t stop) const;
+  [[nodiscard]] DistKey swept_key(Vertex x) const;
+  [[nodiscard]] Vertex swept_parent(Vertex x) const;
+  [[nodiscard]] EdgeId swept_parent_edge(Vertex x) const;
+  // The batch below tree edge e for `targets`, a subset of subtree(child(e)).
+  const SingleFaultBatch& select_below(const SelectorBaseline& b, EdgeId e,
+                                       std::span<const Vertex> targets);
 
   const Graph* graph_;
   const WeightAssignment* weights_;
@@ -191,6 +253,7 @@ class PathSelector {
 
   // Cut-region scratch, valid for the last region pass.
   std::vector<Vertex> roots_;  // maximal cut subtree roots, by preorder
+  std::uint64_t region_size_ = 0;    // |A|
   std::uint32_t region_height_ = 0;  // deepest level of A
   std::uint32_t region_epoch_ = 0;
   std::vector<std::uint32_t> region_stamp_;  // == epoch: in A, level stamped
@@ -200,8 +263,13 @@ class PathSelector {
   std::vector<DistKey> key_;                 // tentative keys inside A
   std::vector<Vertex> parent_;
   std::vector<EdgeId> parent_edge_;
-  const SelectorBaseline* probe_base_ = nullptr;
+  const SelectorBaseline* pass_base_ = nullptr;  // of the last probe/sweep
   Probe probe_ = Probe::kNone;
+  bool swept_by_search_ = false;  // the last sweep_region searched
+
+  // The last single-fault batch. Each call starts a fresh one, so the
+  // buffers of a large batch do not outlive the next call.
+  SingleFaultBatch batch_;
 
   std::uint64_t bfs_runs_ = 0;
   std::uint64_t dijkstra_runs_ = 0;
@@ -217,6 +285,18 @@ class PathSelector {
 [[nodiscard]] bool reaches_through_kept_edge(const PathSelector& sel, Vertex v,
                                              std::span<const EdgeId> kept,
                                              std::uint32_t target);
+
+// Step 3's probe-free test, decided from T0 alone, for F = {e, t} with e a
+// tree edge above v and `single_fault_hops` = dist(s, v, G ∖ {e}): true if
+// some kept v-edge (u, v) ∉ F has T0 depth(u) = single_fault_hops − 1 and a
+// T0 root path avoiding F (u neither below e nor, if t is a tree edge, below
+// t). Then dist(s, v, G ∖ F) = single_fault_hops — it cannot be less, since
+// G ∖ F ⊆ G ∖ {e}, and u's root path meets it — so the probe would find that
+// target and reaches_through_kept_edge would accept this same edge.
+[[nodiscard]] bool satisfied_in_t0(const Graph& g, const SelectorBaseline& b,
+                                   Vertex v, std::span<const EdgeId> kept,
+                                   EdgeId e, EdgeId t,
+                                   std::uint32_t single_fault_hops);
 
 // Blocks π positions [k+1 .. l] on the mask (the vertex-removal part of
 // Eq. (3)'s G(u_k, u_l); u_k itself stays, as does anything outside the
@@ -235,16 +315,36 @@ struct SingleFaultSelection {
   std::size_t y_pi_index = 0;  // position of y on π
 };
 
-// Step (1) of Cons2FTBFS: the replacement path for the failure of the π edge
-// at position i (edge (π[i], π[i+1])), selected so that its divergence point
-// from π is as close to s as possible. Returns nullopt when v is disconnected
-// from s in G ∖ {e_i}.
-//
-// `pi_pos` must be bound to `pi`. Postcondition (Claim 3.4): the returned path
-// equals π(s,x) ∘ detour ∘ π(y,v), enforced with a hard invariant — under the
-// uniqueness of W this cannot fail.
+// Step (1) of Cons2FTBFS (and the whole of single_ftbfs) for one tree edge e
+// of T0(s): for every vertex v below e, the replacement path for the failure
+// of e, selected so that its divergence point from π(s,v) is as close to s as
+// possible — the W-unique shortest path in G(u_k0, u_i) ∖ {e} of Eq. (3) with
+// k0 minimal. Those graphs depend on e alone, so the targets share their
+// passes: one probe of G ∖ {e} for every target distance, one W-sweep of
+// k = 0 (which is k0 for most targets), at most one probe per other k for
+// all the binary searches together, and one W-sweep per distinct k0 > 0.
+// Each pass stops once the farthest target it serves is final. The result
+// lives in `sel` until its next call.
+[[nodiscard]] const SingleFaultBatch& select_single_faults_below(
+    PathSelector& sel, Vertex s, EdgeId e);
+
+// The same selection for the single target v = π.back() and the π edge at
+// position i (edge (π[i], π[i+1])); nullopt when v is disconnected from s in
+// G ∖ {e_i}. π must be v's T0 root path and `pi_pos` bound to it. The result
+// equals π(s,x) ∘ detour ∘ π(y,v) (Claim 3.4); under the uniqueness of W the
+// hard invariants that check it cannot fail.
 [[nodiscard]] std::optional<SingleFaultSelection> select_single_fault(
     PathSelector& sel, const Path& pi, const VertexIndexMap& pi_pos,
     std::size_t i);
+
+// Runs select_single_faults_below for every tree edge of `base`, on one
+// worker per selector (each built over `base`): workers claim edges from an
+// atomic cursor, the largest subtree first. sink(worker, batch) sees each
+// batch once, on the worker that computed it. `progress`, if given, grows by
+// each batch's target count — its fault pairs — as the batch finishes.
+void for_each_single_fault_batch(
+    const SelectorBaseline& base, std::span<PathSelector* const> selectors,
+    std::atomic<std::uint64_t>* progress,
+    const std::function<void(unsigned worker, const SingleFaultBatch&)>& sink);
 
 }  // namespace ftbfs

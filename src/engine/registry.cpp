@@ -16,9 +16,11 @@ namespace {
 
 // Registry counters describing the parallel schedule a builder actually ran
 // (worker count after clamping, speculation conflicts re-run sequentially).
+// Builds that speculate nothing — single_ftbfs, whose workers share no
+// state — report no spec_* counters.
 void add_parallel_counters(BuildResult& out, const ParallelBuildReport& r) {
   out.counters.emplace_back("build_workers", r.workers);
-  if (r.workers > 1) {
+  if (r.blocks > 0) {
     out.counters.emplace_back("spec_blocks", r.blocks);
     out.counters.emplace_back("spec_conflicts", r.conflicts);
   }
@@ -63,6 +65,8 @@ BuildResult build_cons2(const BuildRequest& req) {
   add_kernel_counters(out);
   out.counters.emplace_back("fault_pairs_considered",
                             out.structure.stats.fault_pairs_considered);
+  out.counters.emplace_back("selection_table_bytes",
+                            out.structure.stats.selection_table_bytes);
   if (req.collect_stats) {
     const PathClassCounts& c = out.structure.stats.classes;
     out.counters.emplace_back("class_single", c.single);

@@ -59,7 +59,7 @@ bool contains_edge(const Graph& g, const Path& p, EdgeId e) {
   return false;
 }
 
-Path subpath(const Path& p, std::size_t i, std::size_t j) {
+Path subpath(std::span<const Vertex> p, std::size_t i, std::size_t j) {
   FTBFS_EXPECTS(i <= j && j < p.size());
   return Path(p.begin() + static_cast<std::ptrdiff_t>(i),
               p.begin() + static_cast<std::ptrdiff_t>(j) + 1);

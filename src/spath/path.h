@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -39,7 +40,8 @@ inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 [[nodiscard]] bool contains_edge(const Graph& g, const Path& p, EdgeId e);
 
 // P[i..j] by positional indices, inclusive. Requires i <= j < |p|.
-[[nodiscard]] Path subpath(const Path& p, std::size_t i, std::size_t j);
+[[nodiscard]] Path subpath(std::span<const Vertex> p, std::size_t i,
+                           std::size_t j);
 
 // P[a, b] by vertex values (paper notation); both must occur, a before b.
 [[nodiscard]] Path subpath_by_vertex(const Path& p, Vertex a, Vertex b);

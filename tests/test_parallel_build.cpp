@@ -14,10 +14,12 @@
 
 #include "core/build_parallel.h"
 #include "core/cons2ftbfs.h"
+#include "core/single_ftbfs.h"
 #include "engine/registry.h"
 #include "graph/generators.h"
 #include "service/oracle_service.h"
 #include "service/protocol.h"
+#include "spath/bfs.h"
 #include "util/concurrency.h"
 
 namespace ftbfs {
@@ -31,6 +33,7 @@ void expect_same_stats(const FtBfsStats& a, const FtBfsStats& b,
   EXPECT_EQ(a.fault_pairs_considered, b.fault_pairs_considered) << label;
   EXPECT_EQ(a.dijkstra_runs, b.dijkstra_runs) << label;
   EXPECT_EQ(a.divergence_fallbacks, b.divergence_fallbacks) << label;
+  EXPECT_EQ(a.selection_table_bytes, b.selection_table_bytes) << label;
   EXPECT_EQ(a.kernels, b.kernels) << label;  // how each kernel call was answered
   EXPECT_EQ(a.classes.single, b.classes.single) << label;
   EXPECT_EQ(a.classes.a_pi_pi, b.classes.a_pi_pi) << label;
@@ -88,7 +91,8 @@ TEST(ParallelBuild, ByteIdenticalAcrossJobCounts) {
         expect_same_stats(base.structure.stats, r.structure.stats, label);
         for (const char* key :
              {"probe_baseline", "probe_repair", "probe_search",
-              "sweep_baseline", "sweep_repair", "sweep_search"}) {
+              "sweep_baseline", "sweep_repair", "sweep_search",
+              "selection_table_bytes"}) {
           EXPECT_EQ(has_counter(base, key), has_counter(r, key)) << label;
           EXPECT_EQ(counter_value(base, key), counter_value(r, key))
               << label << " " << key;
@@ -129,6 +133,37 @@ TEST(ParallelBuild, KernelCountersAreReported) {
   }
 }
 
+// Cons2FTBFS reports its step-(1) table: one 24-byte slot per fault pair
+// (v, e) of step (1) plus 4 bytes per stored detour vertex, so it lies
+// between the slots alone and a constant times fault_pairs_considered.
+// Single-source single_ftbfs keeps no table and runs no speculation.
+TEST(ParallelBuild, SelectionTableBytesAreReported) {
+  const Graph g = random_connected(120, 360, 3);
+  const BuilderRegistry& reg = BuilderRegistry::instance();
+  BuildRequest req;
+  req.graph = &g;
+  req.sources = {0};
+  req.fault_budget = 2;
+  const BuildResult cons2 = reg.build("cons2ftbfs", req);
+  const FtBfsStats& st = cons2.structure.stats;
+  std::uint64_t step1_pairs = 0;
+  for (Vertex v = 1; v < g.num_vertices(); ++v) {
+    step1_pairs += bfs_distance(g, 0, v);
+  }
+  EXPECT_EQ(counter_value(cons2, "selection_table_bytes"),
+            st.selection_table_bytes);
+  EXPECT_GT(st.selection_table_bytes, 24 * step1_pairs);
+  EXPECT_LE(st.selection_table_bytes, 28 * st.fault_pairs_considered);
+
+  req.fault_budget = 1;
+  req.options.jobs = 4;
+  const BuildResult single = reg.build("single_ftbfs", req);
+  EXPECT_FALSE(has_counter(single, "selection_table_bytes"));
+  EXPECT_FALSE(has_counter(single, "spec_blocks"));
+  EXPECT_FALSE(has_counter(single, "spec_conflicts"));
+  EXPECT_EQ(counter_value(single, "build_workers"), 4u);
+}
+
 // jobs=0 (auto) resolves to the hardware-clamped crew and must be just as
 // invisible in the output as an explicit count.
 TEST(ParallelBuild, AutoJobsMatchesSequential) {
@@ -146,18 +181,28 @@ TEST(ParallelBuild, AutoJobsMatchesSequential) {
   expect_same_stats(base.structure.stats, auto_built.structure.stats, "auto");
 }
 
-// The progress counter counts every target exactly once at any job count.
+// The progress counter counts every fault pair (v, e) exactly once, at any
+// job count: its final value is fault_pairs_considered.
 TEST(ParallelBuild, ProgressCountsEveryTargetOnce) {
   const Graph g = random_connected(100, 300, 5);
-  for (const unsigned jobs : {1u, 4u}) {
-    std::atomic<std::uint64_t> progress{0};
-    Cons2Options opt;
-    opt.jobs = jobs;
-    opt.progress = &progress;
-    const FtStructure h = build_cons2ftbfs(g, 0, opt);
-    EXPECT_GT(h.stats.tree_edges, 0u);
-    // Every vertex reachable from 0 except the source itself is a target.
-    EXPECT_EQ(progress.load(), g.num_vertices() - 1) << "jobs=" << jobs;
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    std::atomic<std::uint64_t> single_progress{0};
+    SingleFtbfsOptions single;
+    single.jobs = jobs;
+    single.progress = &single_progress;
+    const FtStructure hs = build_single_ftbfs(g, 0, single);
+    EXPECT_GT(hs.stats.fault_pairs_considered, g.num_vertices() - 1);
+    EXPECT_EQ(single_progress.load(), hs.stats.fault_pairs_considered)
+        << "single jobs=" << jobs;
+
+    std::atomic<std::uint64_t> cons2_progress{0};
+    Cons2Options cons2;
+    cons2.jobs = jobs;
+    cons2.progress = &cons2_progress;
+    const FtStructure hc = build_cons2ftbfs(g, 0, cons2);
+    EXPECT_GT(hc.stats.fault_pairs_considered, hs.stats.fault_pairs_considered);
+    EXPECT_EQ(cons2_progress.load(), hc.stats.fault_pairs_considered)
+        << "cons2 jobs=" << jobs;
   }
 }
 

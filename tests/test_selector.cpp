@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/single_ftbfs.h"
 #include "graph/generators.h"
 #include "reference_dijkstra.h"
 #include "spath/bfs.h"
@@ -45,13 +46,13 @@ std::optional<Path> reference_selection(const Graph& g,
 
 TEST(VertexIndexMap, BindAndLookup) {
   VertexIndexMap map(10);
-  map.bind({3, 5, 7});
+  map.bind(Path{3, 5, 7});
   EXPECT_TRUE(map.on_path(5));
   EXPECT_EQ(map.pos(5), 1u);
   EXPECT_EQ(map.pos(7), 2u);
   EXPECT_FALSE(map.on_path(4));
   EXPECT_EQ(map.pos(4), kNpos);
-  map.bind({4});
+  map.bind(Path{4});
   EXPECT_FALSE(map.on_path(5));  // rebinding invalidates old entries
   EXPECT_TRUE(map.on_path(4));
 }
@@ -218,6 +219,135 @@ TEST(SelectSingleFault, MatchesFullBfsHeapReference) {
           EXPECT_EQ(got->path, *want) << "target " << v << " edge " << i;
         }
       }
+    }
+  }
+}
+
+// Graphs for the batch checks: ER graphs, a grid, a hypercube, a cycle, and an
+// ER graph with a pendant path hung off it, whose edges are bridges (a fault
+// there disconnects every target below it).
+std::vector<std::pair<std::string, Graph>> batch_graphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const std::uint64_t seed : {21ull, 22ull}) {
+    graphs.emplace_back("er" + std::to_string(seed),
+                        erdos_renyi(40, 0.1, seed));
+  }
+  GraphBuilder b(36);
+  const Graph er = erdos_renyi(30, 0.15, 5);
+  for (EdgeId e = 0; e < er.num_edges(); ++e) {
+    b.add_edge(er.edge(e).u, er.edge(e).v);
+  }
+  for (Vertex v = 29; v + 1 < 36; ++v) b.add_edge(v, v + 1);
+  graphs.emplace_back("er+bridges", std::move(b).build());
+  graphs.emplace_back("grid", grid_graph(6, 7));
+  graphs.emplace_back("hypercube", hypercube_graph(5));
+  graphs.emplace_back("cycle", cycle_graph(13));
+  return graphs;
+}
+
+// The batch below each tree edge against the slow reference, for every
+// (tree edge, target) pair: same connectivity, same path, same last edge, and
+// a decomposition that reassembles into that path.
+TEST(SelectSingleFaultsBelow, MatchesSlowReferenceForEveryTreeEdge) {
+  std::size_t disconnected = 0;
+  for (const auto& [name, g] : batch_graphs()) {
+    SCOPED_TRACE(name);
+    const WeightAssignment w(g, 99);
+    const SelectorBaseline base(g, w, 0);
+    const TreeIndex& idx = base.index();
+    PathSelector sel(g, w, &base);
+    for (const Vertex c : idx.preorder()) {
+      if (c == 0) continue;
+      const SingleFaultBatch& batch =
+          select_single_faults_below(sel, 0, idx.parent_edge(c));
+      const std::span<const Vertex> below = idx.subtree_span(c);
+      ASSERT_EQ(batch.choices.size(), below.size());
+      ASSERT_EQ(batch.pi_index, idx.depth(c) - 1);
+      for (std::size_t k = 0; k < below.size(); ++k) {
+        const SingleFaultChoice& ch = batch.choices[k];
+        ASSERT_EQ(ch.target, below[k]);
+        const Path pi = extract_path(base.tree(), ch.target);
+        const std::optional<Path> want =
+            reference_selection(g, w, pi, batch.pi_index);
+        ASSERT_EQ(ch.connected(), want.has_value())
+            << "edge above " << c << " target " << ch.target;
+        if (!want) {
+          ++disconnected;
+          continue;
+        }
+        const std::span<const Vertex> d = batch.detour(ch);
+        Path got(pi.begin(), pi.begin() + ch.x_pi_index);
+        got.insert(got.end(), d.begin(), d.end());
+        got.insert(got.end(), pi.begin() + ch.y_pi_index + 1, pi.end());
+        EXPECT_EQ(got, *want) << "edge above " << c << " target " << ch.target;
+        EXPECT_EQ(ch.last_edge, last_edge(g, *want));
+        EXPECT_LE(ch.x_pi_index, batch.pi_index);
+        EXPECT_GT(ch.y_pi_index, batch.pi_index);
+        for (std::size_t p = 1; p + 1 < d.size(); ++p) {
+          EXPECT_FALSE(contains_vertex(pi, d[p]));  // detour interior off π
+        }
+      }
+    }
+  }
+  EXPECT_GT(disconnected, 0u);  // the bridges gave nullopt
+}
+
+// single_ftbfs against a per-target replay in id order — the loop it replaced:
+// kept edges and every structure stat, at several job counts. Which endpoint
+// a new edge is credited to shows only in max_new_per_vertex, and only on
+// some graphs, so many small ER graphs join the batch graphs (the credit
+// rule with min and max swapped fails on er30-35).
+TEST(SelectSingleFaultsBelow, SingleFtbfsMatchesPerTargetReplay) {
+  std::vector<std::pair<std::string, Graph>> graphs = batch_graphs();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    graphs.emplace_back("er30-" + std::to_string(seed),
+                        erdos_renyi(30, 0.15, seed));
+  }
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const WeightAssignment w(g, 1);
+    PathSelector sel(g, w);
+    const SpResult& tree = sel.baseline(0).tree();
+    VertexIndexMap pos(g.num_vertices());
+    std::vector<bool> in_h(g.num_edges(), false);
+    FtBfsStats want;
+    for (Vertex v = 1; v < g.num_vertices(); ++v) {
+      if (tree.reached(v) && !in_h[tree.parent_edge[v]]) {
+        in_h[tree.parent_edge[v]] = true;
+        ++want.tree_edges;
+      }
+    }
+    for (Vertex v = 1; v < g.num_vertices(); ++v) {
+      if (!tree.reached(v)) continue;
+      const Path pi = extract_path(tree, v);
+      pos.bind(pi);
+      std::uint64_t new_here = 0;
+      for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
+        ++want.fault_pairs_considered;
+        const auto s1 = select_single_fault(sel, pi, pos, i);
+        if (!s1 || in_h[last_edge(g, s1->path)]) continue;
+        in_h[last_edge(g, s1->path)] = true;
+        ++want.new_edges;
+        ++new_here;
+      }
+      want.max_new_per_vertex = std::max(want.max_new_per_vertex, new_here);
+    }
+    std::vector<EdgeId> want_edges;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (in_h[e]) want_edges.push_back(e);
+    }
+    for (const unsigned jobs : {1u, 3u, 8u}) {
+      SingleFtbfsOptions opt;
+      opt.jobs = jobs;
+      const FtStructure h = build_single_ftbfs(g, 0, opt);
+      EXPECT_EQ(h.edges, want_edges) << "jobs " << jobs;
+      EXPECT_EQ(h.stats.tree_edges, want.tree_edges) << "jobs " << jobs;
+      EXPECT_EQ(h.stats.new_edges, want.new_edges) << "jobs " << jobs;
+      EXPECT_EQ(h.stats.classes.single, want.new_edges) << "jobs " << jobs;
+      EXPECT_EQ(h.stats.max_new_per_vertex, want.max_new_per_vertex)
+          << "jobs " << jobs;
+      EXPECT_EQ(h.stats.fault_pairs_considered, want.fault_pairs_considered)
+          << "jobs " << jobs;
     }
   }
 }
@@ -432,6 +562,56 @@ TEST(PathSelector, KeptEdgeRuleMatchesRestrictedGraph) {
   EXPECT_GT(new_ending, 0u);
 }
 
+// Step 3's probe-free rule: whenever it fires, the probe of G ∖ F finds
+// dist(s, v, G ∖ {e_i}) and reaches_through_kept_edge accepts the pair.
+TEST(PathSelector, T0WitnessAgreesWithProbe) {
+  std::size_t fired = 0, fired_tree_t = 0, silent = 0;
+  for (const std::uint64_t seed : {41ull, 42ull, 43ull}) {
+    const Graph g = erdos_renyi(50, 0.08, seed);
+    const WeightAssignment w(g, seed);
+    const SelectorBaseline base(g, w, 0);
+    PathSelector sel(g, w, &base);
+    VertexIndexMap pos(g.num_vertices());
+    Rng rng(seed);
+    for (Vertex v = 1; v < g.num_vertices(); ++v) {
+      if (!base.tree().reached(v)) continue;
+      const Path pi = extract_path(base.tree(), v);
+      pos.bind(pi);
+      for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
+        const auto sel_i = select_single_fault(sel, pi, pos, i);
+        if (!sel_i) continue;
+        const EdgeId e_i = g.find_edge(pi[i], pi[i + 1]);
+        const auto hops_i = static_cast<std::uint32_t>(sel_i->path.size() - 1);
+        for (std::size_t r = 0; r + 1 < sel_i->detour.size(); ++r) {
+          const EdgeId t =
+              g.find_edge(sel_i->detour[r], sel_i->detour[r + 1]);
+          std::vector<EdgeId> kept;
+          for (const Arc& arc : g.neighbors(v)) {
+            if (rng.next_below(3) != 0) kept.push_back(arc.id);
+          }
+          if (!satisfied_in_t0(g, base, v, kept, e_i, t, hops_i)) {
+            ++silent;
+            continue;
+          }
+          ++fired;
+          fired_tree_t += base.edge_child(t) != kInvalidVertex ? 1 : 0;
+          GraphMask& m = sel.mask();
+          m.clear();
+          m.block_edge(e_i);
+          m.block_edge(t);
+          const std::uint32_t target = sel.hop_distance(0, v);
+          EXPECT_EQ(target, hops_i) << "v " << v << " i " << i << " r " << r;
+          EXPECT_TRUE(reaches_through_kept_edge(sel, v, kept, target))
+              << "v " << v << " i " << i << " r " << r;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fired, 0u);
+  EXPECT_GT(fired_tree_t, 0u);
+  EXPECT_GT(silent, 0u);
+}
+
 TEST(PathSelector, CountersAdvance) {
   const Graph g = cycle_graph(6);
   const WeightAssignment w(g, 2);
@@ -442,9 +622,10 @@ TEST(PathSelector, CountersAdvance) {
   EXPECT_EQ(sel.bfs_runs(), 1u);
   EXPECT_EQ(sel.dijkstra_runs(), 1u);
   // No per-edge memo: every single-fault distance is one probe.
-  const EdgeId e = g.find_edge(0, 1);
-  EXPECT_EQ(sel.single_fault_distance(0, 3, e), 3u);
-  EXPECT_EQ(sel.single_fault_distance(0, 1, e), 5u);
+  sel.mask().clear();
+  sel.mask().block_edge(g.find_edge(0, 1));
+  EXPECT_EQ(sel.hop_distance(0, 3), 3u);
+  EXPECT_EQ(sel.hop_distance(0, 1), 5u);
   EXPECT_EQ(sel.bfs_runs(), 3u);
   // Every call lands in exactly one kernel route.
   const KernelCounts& k = sel.kernel_counts();
