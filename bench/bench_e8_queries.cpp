@@ -20,11 +20,11 @@
 // of the tables (CI uploads it as BENCH_e8.json).
 //
 // E8c is the serve-mode scaling sweep at large n (sparse-ER, n=10^5): the
-// same repeated-scenario hammer run in `ftbfs serve`'s two admission modes —
+// same repeated-scenario hammer run in-process in the two admission modes —
 // ordered (a ticket lock sequences admissions; batch K admissions drain per
-// acquisition, the `--batch` knob) and relaxed (no ordering, responses
-// correlate by id) — at 1/2/4/8 workers. Every row records n, mode, and
-// batch so the CI gate can key on them; the acceptance bar is relaxed
+// acquisition through RequestSequencer::advance_n) and relaxed (no ordering,
+// responses correlate by id) — at 1/2/4/8 workers. Every row records n, mode,
+// and batch so the CI gate can key on them; the acceptance bar is relaxed
 // speedup > 1 at 4 workers on >= 4 hardware threads, with ordered close
 // behind (admission is the only serialized section — BFS misses and payload
 // copies run in execute(), outside the ticket lock).
@@ -92,9 +92,8 @@ double hammer(OracleService& service, const std::vector<QueryRequest>& requests,
 
 // Ordered-mode hammer: workers pull dense runs of `batch` consecutive
 // requests from a shared counter, sequence the admissions through a ticket
-// lock (ticket = request index, one wait_for/advance_n per run — the batched
-// admission path of `ftbfs serve --mode ordered --batch K`), and execute out
-// of order. Returns wall seconds; distances checked outside the timer.
+// lock (ticket = request index, one wait_for/advance_n per run), and execute
+// out of order. Returns wall seconds; distances checked outside the timer.
 double hammer_ordered(OracleService& service,
                       const std::vector<QueryRequest>& requests,
                       const std::vector<std::uint32_t>& truth, std::size_t cols,
@@ -757,10 +756,10 @@ int main(int argc, char** argv) {
   scale_table.print(std::cout);
   std::printf(
       "E8c: the serve --mode sweep at n=10^5. 'ordered' sequences admissions\n"
-      "through a ticket lock ('batch' admissions per acquisition — the\n"
-      "--batch knob); 'relaxed' skips ordering entirely (responses correlate\n"
-      "by id). BFS misses and payload copies run outside the ticket lock in\n"
-      "both modes, so ordered tracks relaxed closely; the acceptance bar is\n"
-      "relaxed speedup > 1 at 4 workers on >= 4 hardware threads.\n");
+      "through a ticket lock ('batch' admissions per acquisition); 'relaxed'\n"
+      "skips ordering entirely (responses correlate by id). BFS misses and\n"
+      "payload copies run outside the ticket lock in both modes, so ordered\n"
+      "tracks relaxed closely; the acceptance bar is relaxed speedup > 1 at\n"
+      "4 workers on >= 4 hardware threads.\n");
   return 0;
 }

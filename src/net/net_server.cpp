@@ -59,14 +59,38 @@ std::int64_t peek_request_id(const std::string& line) {
 
 }  // namespace
 
-NetServer::NetServer(TenantRegistry& registry, NetServerConfig config)
-    : registry_(&registry), config_(std::move(config)) {
+void NetServer::setup_loop() {
   if (config_.threads == 0) config_.threads = 1;
   if (config_.queue_capacity == 0) {
     config_.queue_capacity = 16u * config_.threads;
   }
   queue_ = std::make_unique<BoundedQueue<NetJob>>(config_.queue_capacity);
 
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) die("epoll_create1");
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) die("eventfd");
+  if (::pipe2(sig_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) die("pipe2");
+  if (!watch(wake_fd_) || !watch(sig_pipe_[0])) die("epoll_ctl");
+}
+
+bool NetServer::watch(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+bool NetServer::add_conn(int fd) {
+  if (!watch(fd)) return false;
+  conns_.emplace(fd, std::make_unique<Conn>(fd, config_.max_line_bytes));
+  conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+NetServer::NetServer(TenantRegistry& registry, NetServerConfig config)
+    : registry_(&registry), config_(std::move(config)) {
+  setup_loop();
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) die("socket");
   const int one = 1;
@@ -91,26 +115,23 @@ NetServer::NetServer(TenantRegistry& registry, NetServerConfig config)
     die("getsockname");
   }
   port_ = ntohs(bound.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) die("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) die("eventfd");
-  if (::pipe2(sig_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) die("pipe2");
-
-  auto watch = [&](int fd) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) die("epoll_ctl");
-  };
-  watch(listen_fd_);
-  watch(wake_fd_);
-  watch(sig_pipe_[0]);
+  if (!watch(listen_fd_)) die("epoll_ctl");
 
   // The EMFILE escape hatch (see shed_via_spare_fd). Failing to reserve it is
   // survivable — the server just loses the shedding behavior at the limit.
   spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+}
+
+NetServer::NetServer(TenantRegistry& registry, NetServerConfig config, int fd)
+    : registry_(&registry), config_(std::move(config)) {
+  setup_loop();
+  if (::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK) != 0 ||
+      !add_conn(fd)) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    die("adopting connection");
+  }
 }
 
 NetServer::~NetServer() {
@@ -139,38 +160,77 @@ void NetServer::request_reload() {
 
 void NetServer::worker_main() {
   while (auto job = queue_->pop()) {
-    std::string line;
-    const bool stamp_seq = !config_.ordered;
-    if (job->oversized) {
-      counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-      ParsedRequest pr;
-      pr.status = ParseStatus::kSyntax;
-      pr.error = "request line exceeds " +
-                 std::to_string(config_.max_line_bytes) + " bytes";
-      line = format_parse_error_line(
-          pr, stamp_seq ? static_cast<std::int64_t>(job->seq) : -1);
+    if (config_.ordered && !job->oversized && !job->admitted) {
+      admit_in_turn(std::move(*job));
     } else {
-      LineJob lj(*registry_, job->line, static_cast<std::int64_t>(job->seq),
-                 stamp_seq, counters_, job->arrival);
-      lj.admit();
-      line = lj.finish();
+      complete(*job);
     }
-    Conn* c = job->conn;
-    deliver(*c, job->seq, std::move(line));
-    // Ready-list insert must happen BEFORE the inflight decrement: the loop
-    // only frees a connection it observes with inflight == 0 && !in_ready, so
-    // this order guarantees the worker never touches a freed Conn.
-    bool expected = false;
-    if (c->in_ready.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel)) {
-      const std::lock_guard lock(ready_mutex_);
-      ready_.push_back(c);
-    }
-    c->inflight.fetch_sub(1, std::memory_order_acq_rel);
-    jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
   }
+}
+
+void NetServer::admit_in_turn(NetJob job) {
+  Conn& c = *job.conn;
+  {
+    const std::lock_guard lock(c.turn_mutex);
+    if (job.ticket != c.turn) {
+      // Popped early: whoever admits the ticket before it takes it from here.
+      c.early.emplace(job.ticket, std::move(job));
+      return;
+    }
+  }
+  while (true) {
+    job.admitted.emplace(*registry_, job.line,
+                         static_cast<std::int64_t>(job.seq), false, counters_,
+                         job.arrival);
+    job.admitted->admit();
+    std::optional<NetJob> next;
+    {
+      const std::lock_guard lock(c.turn_mutex);
+      const auto it = c.early.find(++c.turn);
+      if (it != c.early.end()) {
+        next = std::move(it->second);
+        c.early.erase(it);
+      }
+    }
+    if (!next) break;
+    // Keep the turn: admit the next line here, and hand this one's execution
+    // to another worker (or run it now if the queue is full).
+    if (!queue_->try_push(job)) complete(job);
+    job = std::move(*next);
+  }
+  complete(job);
+}
+
+void NetServer::complete(NetJob& job) {
+  Conn* c = job.conn;
+  const auto seq = static_cast<std::int64_t>(job.seq);
+  const bool stamp_seq = !config_.ordered;
+  std::string line;
+  if (job.oversized) {
+    line = oversized_line_answer(config_.max_line_bytes, seq, stamp_seq,
+                                 counters_);
+  } else {
+    if (!job.admitted) {
+      job.admitted.emplace(*registry_, job.line, seq, stamp_seq, counters_,
+                           job.arrival);
+      job.admitted->admit();
+    }
+    line = job.admitted->finish();
+  }
+  deliver(*c, job.seq, std::move(line));
+  // Ready-list insert must happen BEFORE the inflight decrement: the loop
+  // only frees a connection it observes with inflight == 0 && !in_ready, so
+  // this order guarantees the worker never touches a freed Conn.
+  bool expected = false;
+  if (c->in_ready.compare_exchange_strong(expected, true,
+                                          std::memory_order_acq_rel)) {
+    const std::lock_guard lock(ready_mutex_);
+    ready_.push_back(c);
+  }
+  c->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
 }
 
 void NetServer::deliver(Conn& c, std::uint64_t seq, std::string line) {
@@ -252,31 +312,38 @@ void NetServer::handle_accept() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    conns_.emplace(fd, std::make_unique<Conn>(fd, config_.max_line_bytes));
-    conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+    if (!add_conn(fd)) ::close(fd);
   }
+}
+
+bool NetServer::park(Conn& c) {
+  if (!c.parked_for_queue) {
+    c.parked_for_queue = true;
+    c.park_since = std::chrono::steady_clock::now();
+    queue_waiters_.push_back(&c);
+  }
+  return false;
 }
 
 bool NetServer::drain_backlog(Conn& c) {
   while (!c.backlog.empty()) {
+    // Ordered mode: early lines wait outside the queue (admit_in_turn), so
+    // the connection's own cap bounds them instead.
+    if (config_.ordered && c.inflight.load(std::memory_order_acquire) >=
+                               config_.queue_capacity) {
+      return park(c);
+    }
     NetJob& job = c.backlog.front();
+    // The ticket is taken on entry to the queue, so a line shed from the
+    // backlog instead never holds one; nor does an oversized line.
+    const bool ticketed = config_.ordered && !job.oversized;
+    job.ticket = c.next_ticket;
     c.inflight.fetch_add(1, std::memory_order_acq_rel);
     if (!queue_->try_push(job)) {
       c.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      if (!c.parked_for_queue) {
-        c.parked_for_queue = true;
-        c.park_since = std::chrono::steady_clock::now();
-        queue_waiters_.push_back(&c);
-      }
-      return false;
+      return park(c);
     }
+    if (ticketed) ++c.next_ticket;
     c.backlog.pop_front();
   }
   c.parked_for_queue = false;
@@ -284,8 +351,9 @@ bool NetServer::drain_backlog(Conn& c) {
 }
 
 void NetServer::shed_backlog(Conn& c) {
-  // The admission FIFO has been full past the shed budget: parking longer
-  // only converts load into queueing latency the client never asked for.
+  // The admission FIFO (or, ordered, the connection's own cap) has been full
+  // past the shed budget: parking longer only converts load into queueing
+  // latency the client never asked for.
   // Answer every parked line `overloaded` from the loop thread — the lines
   // were already framed and seq-stamped, so responses take the normal
   // (ordered) deliver path and interleave correctly with worker output.
@@ -316,6 +384,16 @@ void NetServer::handle_readable(Conn& c) {
   if (!c.backlog.empty()) return;
   static fp::Failpoint& fp_read = fp::site("net.read");
   const auto now = std::chrono::steady_clock::now();
+  const auto frame = [&](const std::string& line, bool oversized) {
+    NetJob job;
+    job.conn = &c;
+    job.seq = c.next_seq++;
+    job.oversized = oversized;
+    job.line = line;
+    job.arrival = now;
+    jobs_outstanding_.fetch_add(1, std::memory_order_acq_rel);
+    c.backlog.push_back(std::move(job));
+  };
   char buf[65536];
   while (true) {
     ssize_t n;
@@ -326,17 +404,7 @@ void NetServer::handle_readable(Conn& c) {
       n = ::read(c.fd, buf, sizeof buf);
     }
     if (n > 0) {
-      c.framer.feed(buf, static_cast<std::size_t>(n),
-                    [&](const std::string& line, bool oversized) {
-                      NetJob job;
-                      job.conn = &c;
-                      job.seq = c.next_seq++;
-                      job.oversized = oversized;
-                      job.line = line;
-                      job.arrival = now;
-                      jobs_outstanding_.fetch_add(1, std::memory_order_acq_rel);
-                      c.backlog.push_back(std::move(job));
-                    });
+      c.framer.feed(buf, static_cast<std::size_t>(n), frame);
       if (!drain_backlog(c)) break;  // admission ring full: park
       bool write_parked;
       {
@@ -348,6 +416,8 @@ void NetServer::handle_readable(Conn& c) {
     }
     if (n == 0) {
       c.read_closed = true;
+      c.framer.finish(frame);  // an unterminated last line is still a request
+      drain_backlog(c);
       break;
     }
     if (errno == EINTR) continue;
@@ -659,6 +729,9 @@ void NetServer::run() {
     reap_zombies();
     for (const int fd : pending_close_) ::close(fd);
     pending_close_.clear();
+    // Without a listener nothing new can arrive: the adopted connection's
+    // close ends the run.
+    if (listen_fd_ < 0 && conns_.empty()) begin_drain();
   }
 
   queue_->close();

@@ -1,25 +1,34 @@
-// Non-blocking socket front-end for `ftbfs serve --listen`.
+// Non-blocking socket front-end: the threaded pipeline of `ftbfs serve`.
+// It serves TCP clients (`--listen`), or one adopted connection — the
+// socketpair `serve --threads N` pumps stdin and stdout through.
 //
 // One epoll event loop (the thread that calls run()) owns every socket:
 // it accepts connections, reassembles JSONL request lines (net/framing.h),
 // and writes response bytes. A pool of worker threads owns every answer:
 // lines flow loop → BoundedQueue → workers, each worker runs the same
-// LineJob parse/admit/finish pipeline the stdin serve loops use
+// LineJob parse/admit/finish pipeline the inline stdin loop uses
 // (service/tenant.h), and finished response lines flow back worker → loop
 // through per-connection buffers plus an eventfd wakeup. The loop never
 // computes and the workers never touch a socket.
 //
-// Ordering. Responses on one connection are emitted in that connection's
-// request order when `ordered` is set (a per-connection resequencer holds
-// out-of-order completions back); relaxed mode emits in completion order and
-// stamps `seq` (the connection-local request index) into responses to id-less
-// requests so they stay correlatable — exactly the stdin contract, applied
-// per connection. Cross-connection order is never defined.
+// Ordering. With `ordered` set, a line takes its connection's next admission
+// ticket when it enters the FIFO admission queue, admissions run in ticket
+// order, and a per-connection resequencer emits responses in request order:
+// the answer stream, `cache_hit` included, is byte-identical at any worker
+// count while no other connection interleaves admissions. No worker waits
+// for a turn: a line popped early is set aside, and the worker whose
+// admission makes it the turn admits it next, handing its own line's
+// execution on. So a slow admission (a lazy build) holds one worker and its
+// own connection's later lines, never the pool. Relaxed mode emits in
+// completion order and stamps `seq` (the connection-local request index)
+// into responses to id-less requests. Cross-connection order is undefined.
 //
 // Backpressure, two rings of it, both by *parking the connection* (dropping
 // its EPOLLIN interest so the kernel's TCP window does the rest):
-//   * admission ring — the BoundedQueue is full: parsed lines wait in the
-//     connection's backlog and the loop retries on the next worker wakeup;
+//   * admission ring — the BoundedQueue is full, or (ordered) the
+//     connection has `queue_capacity` lines in flight: parsed lines wait in
+//     the connection's backlog and the loop retries on the next worker
+//     wakeup;
 //   * write ring — the peer is not reading: once the connection's pending
 //     output exceeds `write_park_bytes`, reading stops until it drains.
 // A slow or malicious client therefore costs O(its own buffers), never
@@ -32,7 +41,7 @@
 // SHUT_WR) and reads to EOF.
 //
 // Degradation (docs/robustness.md). Parking is bounded: a connection whose
-// backlog has waited on a full admission FIFO past `shed_after_ms` gets its
+// backlog has waited at the admission ring past `shed_after_ms` gets its
 // backlog answered `overloaded` from the loop thread instead of parking
 // forever; a connection whose write buffer has made no progress for
 // `write_stall_ms` (the peer stopped reading) is evicted. Both timers run on
@@ -54,6 +63,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,7 +81,7 @@ struct NetServerConfig {
   std::size_t max_line_bytes = 1u << 20;
   std::size_t write_park_bytes = 1u << 20;
   std::size_t queue_capacity = 0;  // admission queue slots; 0 = 16 * threads
-  // Queue-pressure budget: a backlog parked on a full admission FIFO longer
+  // Queue-pressure budget: a backlog parked at the admission ring longer
   // than this is answered `overloaded` instead of waiting. 0 = park forever
   // (the pre-PR-9 behavior).
   std::int64_t shed_after_ms = 2000;
@@ -88,6 +98,11 @@ class NetServer {
   // Binds and listens immediately (so callers can print the port before
   // run()); throws std::runtime_error with errno context on failure.
   NetServer(TenantRegistry& registry, NetServerConfig config);
+
+  // Serves the already-connected stream socket `fd` (ownership passes to the
+  // server) and binds nothing; run() drains and returns once that connection
+  // closes. config.host/port are ignored.
+  NetServer(TenantRegistry& registry, NetServerConfig config, int fd);
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -96,7 +111,8 @@ class NetServer {
   // The bound port (resolves config.port == 0).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  // Runs the event loop until request_shutdown() and the drain completes.
+  // Runs the event loop until request_shutdown() (or, without a listener,
+  // the last connection's close) and the drain completes.
   // Call from exactly one thread; worker threads are spawned and joined
   // inside.
   void run();
@@ -132,7 +148,9 @@ class NetServer {
   struct Conn;
   struct NetJob {
     Conn* conn = nullptr;
-    std::uint64_t seq = 0;  // connection-local request index
+    std::uint64_t seq = 0;     // connection-local request index
+    std::uint64_t ticket = 0;  // ordered mode: connection admission ticket
+    std::optional<LineJob> admitted;  // set once admitted (ordered mode)
     bool oversized = false;
     std::string line;
     // When the bytes arrived — the moment the request's deadline clock
@@ -149,6 +167,7 @@ class NetServer {
 
     // --- loop-thread-only state ---------------------------------------------
     std::uint64_t next_seq = 0;        // next request index to assign
+    std::uint64_t next_ticket = 0;     // next admission ticket to hand out
     std::deque<NetJob> backlog;        // parsed lines the queue refused
     bool read_closed = false;          // peer sent EOF
     bool reading = true;               // EPOLLIN currently armed
@@ -169,16 +188,27 @@ class NetServer {
     std::atomic<bool> dead{false};           // error/hangup: drop everything
     std::atomic<std::uint64_t> inflight{0};  // jobs queued or being served
     std::atomic<bool> in_ready{false};       // already on the ready list
+
+    // --- ordered mode: admission turns (turn_mutex) -------------------------
+    std::mutex turn_mutex;
+    std::uint64_t turn = 0;                   // ticket admitted next
+    std::map<std::uint64_t, NetJob> early;  // popped before their turn
   };
 
+  void setup_loop();           // epoll + wakeup fd + signal self-pipe
+  bool watch(int fd);          // add fd to epoll for EPOLLIN
+  bool add_conn(int fd);       // serve a connected, non-blocking socket
   void worker_main();
+  void admit_in_turn(NetJob job);  // ordered mode, see the file comment
+  void complete(NetJob& job);       // answer, deliver, wake the loop
   void deliver(Conn& c, std::uint64_t seq, std::string line);
 
   void handle_accept();
   void shed_via_spare_fd();     // EMFILE/ENFILE: accept+close one connection
   void handle_readable(Conn& c);
   bool flush_writes(Conn& c);   // false: peer gone, caller must drop
-  bool drain_backlog(Conn& c);  // false: queue full, connection parked
+  bool park(Conn& c);           // wait in queue_waiters_; returns false
+  bool drain_backlog(Conn& c);  // false: connection parked
   void shed_backlog(Conn& c);   // answer the backlog `overloaded`, unpark
   void update_interest(Conn& c, bool want_read, bool want_write);
   void refresh_after_io(Conn& c);  // flush + recompute interest + finish
@@ -198,7 +228,7 @@ class NetServer {
   WireCounters counters_;
 
   int epoll_fd_ = -1;
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;    // < 0: no listener (adopted fd, or draining)
   int wake_fd_ = -1;      // eventfd: workers → loop
   int sig_pipe_[2] = {-1, -1};  // self-pipe: shutdown/reload signals → loop
   // Reserved fd: released under EMFILE/ENFILE so the pending connection can

@@ -571,11 +571,10 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
           {
             // Chaos hook: a lazy build is the largest allocation burst on the
             // serving path; err() here simulates it failing under memory
-            // pressure, exercising the kOverloaded refusal below.
+            // pressure, exercising the kOverloaded refusal below, and sleep()
+            // a slow build.
             static fp::Failpoint& fp_build = fp::site("service.build_alloc");
-            if (fp::eval(fp_build).kind == fp::Outcome::Kind::kErr) {
-              throw std::bad_alloc();
-            }
+            if (fp::fail_errno(fp_build) != 0) throw std::bad_alloc();
           }
           const BuildResult result =
               BuilderRegistry::instance().build(algo, breq);

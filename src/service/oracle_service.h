@@ -191,8 +191,8 @@ class OracleService {
   // Admission; execute() runs the execution tail (BFS / cache wait / payload
   // copy) on private state. Both are thread-safe on their own; ordering the
   // admit() calls (by sequencer ticket) is what makes the response stream
-  // deterministic. The batched ordered serve path drains several tickets'
-  // admit() calls under ONE sequencer turn:
+  // deterministic. A caller may also run several dense tickets' admit()
+  // calls under ONE sequencer turn:
   //
   //   sequencer.wait_for(first);
   //   for (r : batch) a.push_back(admit(r));   // dense tickets, in order

@@ -199,44 +199,28 @@ std::vector<TenantRegistry::PendingTenant> TenantRegistry::parse_manifest(
   JsonValue root;
   std::string err;
   if (!JsonReader(text).parse(root, err)) manifest_error(err);
-  // Two accepted shapes: a bare array of tenant entries (legacy, schema 1),
-  // or an object with a "tenants" key and an optional "schema" version.
-  // Schema 1 (the PR 6 surface) has no snapshot keys and treats unknown keys
-  // as fatal; schema 2 adds "snapshot"/"cache_warm" plus the rate-limit and
-  // deadline quotas, and downgrades unknown keys to stderr warnings (the
-  // PR 7 convention: surface, don't refuse).
-  std::uint64_t schema = 1;
-  const JsonValue* tenants = &root;
-  if (root.kind == JsonValue::Kind::kObject) {
-    if (const JsonValue* sv = root.find("schema")) {
-      if (!json_read_uint(*sv, schema) || schema < 1 || schema > 2) {
-        manifest_error(
-            "\"schema\" must be 1 or 2 (this build understands up to 2)");
-      }
-    }
-    for (const auto& [key, value] : root.object) {
-      if (key == "tenants" || key == "schema") continue;
-      if (schema >= 2) {
-        std::fprintf(stderr,
-                     "ftbfs: warning: tenant manifest: ignoring unknown "
-                     "top-level key \"%s\"\n",
-                     key.c_str());
-      } else {
-        manifest_error("unknown top-level key \"" + key + "\"");
-      }
-    }
-    tenants = root.find("tenants");
-    if (tenants == nullptr) manifest_error("missing \"tenants\" array");
+  // One accepted shape: {"schema": 2, "tenants": [...]}. Unknown keys are
+  // stderr warnings, not errors (surface, don't refuse); a schema version
+  // this build does not know is fatal.
+  if (root.kind != JsonValue::Kind::kObject) {
+    manifest_error("top level must be {\"schema\": 2, \"tenants\": [...]}");
   }
-  if (tenants->kind != JsonValue::Kind::kArray) {
-    manifest_error("top level must be a tenant array or {\"tenants\": [...]}");
+  const JsonValue* sv = root.find("schema");
+  std::uint64_t schema = 0;
+  if (sv == nullptr || !json_read_uint(*sv, schema) || schema != 2) {
+    manifest_error("\"schema\" must be 2 (the only manifest schema this "
+                   "build understands)");
   }
-  if (schema < 2) {
+  for (const auto& [key, value] : root.object) {
+    if (key == "tenants" || key == "schema") continue;
     std::fprintf(stderr,
-                 "ftbfs: warning: tenant manifest '%s' parsed as schema 1 "
-                 "(deprecated); add \"schema\": 2 — see the schema table in "
-                 "docs/serving.md\n",
-                 path.c_str());
+                 "ftbfs: warning: tenant manifest: ignoring unknown "
+                 "top-level key \"%s\"\n",
+                 key.c_str());
+  }
+  const JsonValue* tenants = root.find("tenants");
+  if (tenants == nullptr || tenants->kind != JsonValue::Kind::kArray) {
+    manifest_error("missing \"tenants\" array");
   }
 
   std::vector<PendingTenant> out;
@@ -246,9 +230,6 @@ std::vector<TenantRegistry::PendingTenant> TenantRegistry::parse_manifest(
     }
     PendingTenant p;
     p.config = base;
-    const auto needs_schema2 = [&](const std::string& key) {
-      if (schema < 2) manifest_error("\"" + key + "\" needs \"schema\": 2");
-    };
     for (const auto& [key, value] : entry.object) {
       std::uint64_t u = 0;
       if (key == "name") {
@@ -282,44 +263,35 @@ std::vector<TenantRegistry::PendingTenant> TenantRegistry::parse_manifest(
         }
         p.quotas.max_requests = u;
       } else if (key == "rate_limit_rps") {
-        needs_schema2(key);
         if (value.kind != JsonValue::Kind::kNumber || value.number < 0.0) {
           manifest_error("\"rate_limit_rps\" must be a non-negative number");
         }
         p.quotas.rate_limit_rps = value.number;
       } else if (key == "burst") {
-        needs_schema2(key);
         if (!json_read_uint(value, u)) {
           manifest_error("\"burst\" must be an integer");
         }
         p.quotas.rate_limit_burst = u;
       } else if (key == "deadline_ms") {
-        needs_schema2(key);
         if (!json_read_uint(value, u) || u > (1ull << 40)) {
           manifest_error("\"deadline_ms\" must be a non-negative integer");
         }
         p.quotas.deadline_ms = static_cast<std::int64_t>(u);
       } else if (key == "snapshot") {
-        needs_schema2(key);
         if (value.kind != JsonValue::Kind::kString || value.str.empty()) {
           manifest_error("\"snapshot\" must be a file path");
         }
         p.snapshot_path = value.str;
       } else if (key == "cache_warm") {
-        needs_schema2(key);
         if (value.kind != JsonValue::Kind::kBool) {
           manifest_error("\"cache_warm\" must be a boolean");
         }
         p.cache_warm = value.boolean;
-      } else if (schema >= 2) {
+      } else {
         std::fprintf(stderr,
                      "ftbfs: warning: tenant manifest: ignoring unknown "
                      "tenant key \"%s\"\n",
                      key.c_str());
-      } else {
-        // Schema 1 is operator config with no warnings channel: a typo here
-        // should stop the process, not silently serve with defaults.
-        manifest_error("unknown tenant key \"" + key + "\"");
       }
     }
     if (p.name.empty()) manifest_error("tenant entry is missing \"name\"");
@@ -328,9 +300,8 @@ std::vector<TenantRegistry::PendingTenant> TenantRegistry::parse_manifest(
                      "\"snapshot\"");
     }
     if (p.snapshot_path.empty() && p.graph_path.empty()) {
-      manifest_error("tenant \"" + p.name + "\" is missing \"graph\"" +
-                     (schema >= 2 ? std::string(" (or \"snapshot\")")
-                                  : std::string()));
+      manifest_error("tenant \"" + p.name +
+                     "\" is missing \"graph\" (or \"snapshot\")");
     }
     for (const PendingTenant& seen : out) {
       if (seen.name == p.name) {
@@ -558,6 +529,17 @@ std::string LineJob::finish() {
   resp.seq = stamp_seq_ ? seq_ : -1;
   resp.warnings = std::move(parsed_->warnings);
   return format_response_line(resp);
+}
+
+std::string oversized_line_answer(std::size_t max_line_bytes,
+                                  std::int64_t seq, bool stamp_seq,
+                                  WireCounters& counters) {
+  counters.parse_errors.fetch_add(1, std::memory_order_relaxed);
+  ParsedRequest pr;
+  pr.status = ParseStatus::kSyntax;
+  pr.error =
+      "request line exceeds " + std::to_string(max_line_bytes) + " bytes";
+  return format_parse_error_line(pr, stamp_seq ? seq : -1);
 }
 
 }  // namespace ftbfs

@@ -18,7 +18,7 @@
 // reap_retired() frees retired tenants whose pin count has hit zero.
 //
 // LineJob is the one request-line serving pipeline shared by every front-end
-// (the stdin loops in ftbfs_cli and the socket workers in src/net/): it
+// (the inline stdin loop in ftbfs_cli and the NetServer workers): it
 // splits a raw JSONL line into the same three phases OracleService exposes —
 //   parse   (JSON + tenant route + fault resolution; thread-private)
 //   admit   (deadline + rate-limit + quota gates + OracleService::admit —
@@ -26,8 +26,8 @@
 //            serve modes run this slice under their sequencer turn)
 //   finish  (deadline recheck + OracleService::execute + formatting;
 //            thread-private)
-// — so ordered, relaxed, batched, stdin, and socket serving cannot drift
-// apart in how they answer a line.
+// — so ordered, relaxed, stdin, and socket serving cannot drift apart in how
+// they answer a line.
 #pragma once
 
 #include <algorithm>
@@ -223,7 +223,7 @@ class TenantRegistry {
                             const std::string& graph_path = {});
 
   // Registers every tenant named in a JSON manifest file (see the schema
-  // table in docs/serving.md "Network serving & tenants"). Schema 2:
+  // table in docs/serving.md "Network serving & tenants"):
   //   {"schema": 2,
   //    "tenants": [{"name": "alpha", "graph": "a.txt", "cache": 256,
   //                 "budget": 2, "max_lazy": 3, "lazy": true, "seed": 1,
@@ -232,9 +232,7 @@ class TenantRegistry {
   //                 "cache_warm": false}, ...]}
   // `name` plus one of `graph`/`snapshot` are required (both = fingerprint
   // cross-check); everything else defaults to `base`. Unknown keys warn on
-  // stderr under schema 2. Manifests without "schema" (or with "schema": 1)
-  // parse with schema-1 semantics — no snapshot/rate/deadline keys, unknown
-  // keys fatal — plus a deprecation warning. Throws GraphIoError on
+  // stderr; a missing or other "schema" is fatal. Throws GraphIoError on
   // unreadable/malformed manifests or graphs, SnapshotError on snapshot
   // rejections.
   void load_manifest(const std::string& path, const ServiceConfig& base = {});
@@ -386,5 +384,12 @@ class LineJob {
   std::int64_t seq_;
   bool stamp_seq_;
 };
+
+// The answer to a line the framer discarded for exceeding `max_line_bytes`:
+// a parse error (counted as one), stamped with `seq` when `stamp_seq` is set.
+[[nodiscard]] std::string oversized_line_answer(std::size_t max_line_bytes,
+                                                std::int64_t seq,
+                                                bool stamp_seq,
+                                                WireCounters& counters);
 
 }  // namespace ftbfs

@@ -2,7 +2,7 @@
 // ticket lock that orders the service's admission sections, and a resequencer
 // that restores request order on the output side.
 //
-// Together they form the threaded `ftbfs serve` pipeline:
+// Together they form an ordered threaded pipeline:
 //
 //   reader ──► BoundedQueue ──► workers (serve concurrently) ──► Resequencer
 //                (FIFO)           │ admission ordered by            (emits in
@@ -93,7 +93,7 @@ class BoundedQueue {
   // (cleared first); blocks like pop() while the queue is empty. Returns the
   // number taken — 0 only once the queue is closed and drained. Because the
   // queue is FIFO, a batch is always a dense run of consecutively pushed
-  // items; the batched-admission serve path leans on that.
+  // items, so a batch of ticketed items holds consecutive tickets.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
     out.clear();
     std::unique_lock lock(mutex_);

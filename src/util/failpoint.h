@@ -34,7 +34,8 @@
 //   persist.write write() of the snapshot temp file
 //   persist.fsync fsync() of the snapshot temp file / parent directory
 //   persist.mmap  mmap() of a snapshot being loaded (falls back to read())
-//   service.build_alloc   allocation inside a lazy structure build
+//   service.build_alloc   allocation inside a lazy structure build (sleep =
+//                         a slow build)
 //   service.execute       request execution (sleep = a slow backend)
 //
 // Thread-safety: site() interns under a mutex (call-sites cache the

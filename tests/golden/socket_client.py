@@ -7,12 +7,10 @@ one TCP connection, half-closes, and reads responses to EOF. Then SIGTERMs
 the server and requires a clean drain (exit code 0, "drained:" summary).
 
 Comparison modes:
-  exact       byte-identical to the golden response stream (single worker:
-              socket serving must be indistinguishable from stdin serving).
-  normalized  positional per-line diff with cache_hit normalized on both
-              sides (multi-worker ordered mode: responses keep request order
-              per connection, but which of two racing requests for one
-              scenario gets the cache hit is the scheduler's choice).
+  exact       byte-identical to the golden response stream at any worker
+              count: ordered mode admits a connection's requests in its
+              request order, so socket serving is indistinguishable from
+              stdin serving, cache_hit included.
   relaxed     order-free: id-bearing lines must match the golden per id
               (cache_hit-normalized); id-less lines must carry a "seq"
               correlation field and, seq stripped, equal the golden id-less
@@ -32,7 +30,7 @@ exists in the new manifest answering on the SAME connection, no reconnect.
 Usage:
   socket_client.py --binary ./build/ftbfs --graph G.txt \
       --requests reqs.jsonl --golden resp.jsonl \
-      --compare exact|normalized|relaxed|tolerant \
+      --compare exact|relaxed|tolerant \
       [--threads N] [--mode relaxed] [--failpoints SCHEDULE]
   socket_client.py --binary ./build/ftbfs --manifest M.json \
       --reload-body NEW.json --reload-tenant NAME [--threads N]
@@ -104,9 +102,7 @@ def normalize(line):
     return line.replace('"cache_hit":true', '"cache_hit":false')
 
 
-def check_exact(got, golden, normalized):
-    if normalized:
-        got, golden = [normalize(l) for l in got], [normalize(l) for l in golden]
+def check_exact(got, golden):
     if got == golden:
         return
     for i, (g, w) in enumerate(zip(golden, got)):
@@ -223,7 +219,7 @@ def main():
     ap.add_argument("--requests")
     ap.add_argument("--golden")
     ap.add_argument("--compare",
-                    choices=["exact", "normalized", "relaxed", "tolerant"])
+                    choices=["exact", "relaxed", "tolerant"])
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--mode", default="ordered")
     ap.add_argument("--failpoints",
@@ -262,9 +258,7 @@ def main():
             got = pipeline(host, port, requests)
             count = len(got)
             if args.compare == "exact":
-                check_exact(got, golden, normalized=False)
-            elif args.compare == "normalized":
-                check_exact(got, golden, normalized=True)
+                check_exact(got, golden)
             elif args.compare == "relaxed":
                 check_relaxed(got, golden)
             else:

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -118,35 +119,91 @@ std::string distance_request(int id, unsigned target,
 
 // --- answer-identity against the in-process pipeline -----------------------
 
+// Reference answers to `stream` (one request per line) from the same
+// pipeline, run sequentially in-process on a fresh registry.
+std::vector<std::string> sequential_answers(const Graph& g,
+                                            const std::string& stream) {
+  TenantRegistry reference;
+  reference.add("default", g);
+  WireCounters counters;
+  std::vector<std::string> out;
+  std::size_t at = 0;
+  while (at < stream.size()) {
+    const std::size_t nl = stream.find('\n', at);
+    const std::string line = stream.substr(at, nl - at);
+    at = nl + 1;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    LineJob job(reference, line, static_cast<std::int64_t>(out.size()), false,
+                counters);
+    job.admit();
+    out.push_back(job.finish());
+  }
+  return out;
+}
+
+// Requests that mix cache misses, cache hits and a lazy build. Fault
+// requests (two targets, so a miss fills a cache line) come in pairs on one
+// scenario, the first padded with an unknown key that is slow to parse: two
+// workers taking a pair at once would admit the second first, and the miss
+// would move to it, unless admissions are ordered.
+std::string mixed_stream() {
+  std::string stream;
+  for (int i = 0; i < 40; ++i) stream += distance_request(i, 1 + (i * 7) % 23);
+  const std::string pad = ",\"pad\":\"" + std::string(20000, 'x') + "\"";
+  for (int i = 0; i < 60; ++i) {
+    const int u = (i / 2) % 23;
+    stream += "{\"id\":" + std::to_string(100 + i) +
+              ",\"source\":0,\"targets\":[6,12],\"fault_edges\":[[" +
+              std::to_string(u) + "," + std::to_string(u + 1) + "]]" +
+              (i % 2 == 0 ? pad : "") + "}\n";
+  }
+  return stream;
+}
+
 TEST(NetServer, OrderedSocketMatchesInProcessServing) {
+  const std::string stream = mixed_stream();
+  const std::vector<std::string> expected =
+      sequential_answers(cycle_graph(24), stream);
+  for (const unsigned threads : {1u, 4u}) {
+    TenantRegistry registry;
+    registry.add("default", cycle_graph(24));
+    NetServerConfig config;
+    config.threads = threads;
+    RunningServer rs(registry, config);
+    const int fd = connect_loopback(rs.server.port());
+    send_all(fd, stream);
+    const std::vector<std::string> got = recv_lines(fd, expected.size());
+    // Byte-identical, cache_hit flags included, at any worker count: the
+    // connection's admissions run in its request order, exactly like the
+    // sequential stdin loop.
+    EXPECT_EQ(got, expected) << threads << " workers";
+    ::close(fd);
+  }
+}
+
+TEST(NetServer, AdoptedConnectionServesUntilItCloses) {
+  const std::string stream =
+      "  \t\n" + mixed_stream() + "\n" + distance_request(500, 7);
+  const std::vector<std::string> expected =
+      sequential_answers(cycle_graph(24), stream);
   TenantRegistry registry;
   registry.add("default", cycle_graph(24));
-  // Reference answers from the exact same pipeline, run in-process.
-  TenantRegistry reference;
-  reference.add("default", cycle_graph(24));
-  WireCounters ref_counters;
-
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
   NetServerConfig config;
-  config.threads = 1;  // single worker: admission order == request order
-  RunningServer rs(registry, config);
-  const int fd = connect_loopback(rs.server.port());
-
-  std::string stream;
-  std::vector<std::string> expected;
-  for (int i = 0; i < 40; ++i) {
-    const std::string line = distance_request(i, 1 + (i * 7) % 23);
-    stream += line;
-    LineJob job(reference, line.substr(0, line.size() - 1),
-                static_cast<std::int64_t>(i), false, ref_counters);
-    job.admit();
-    expected.push_back(job.finish());
-  }
-  send_all(fd, stream);
-  const std::vector<std::string> got = recv_lines(fd, expected.size());
-  // Byte-identical, cache_hit flags included: one worker admits in arrival
-  // order, exactly like the sequential stdin loop.
-  EXPECT_EQ(got, expected);
-  ::close(fd);
+  config.threads = 4;
+  NetServer server(registry, config, pair[1]);
+  // No request_shutdown(): run() returns once the adopted connection closes.
+  std::thread loop([&] { server.run(); });
+  // Without its newline the last request is answered at end of stream.
+  send_all(pair[0], stream.substr(0, stream.size() - 1));
+  ::shutdown(pair[0], SHUT_WR);
+  const std::vector<std::string> got = recv_lines(pair[0], expected.size() + 1);
+  loop.join();
+  EXPECT_EQ(got, expected);  // whitespace-only lines skipped, not answered
+  EXPECT_EQ(server.connections_accepted(), 1u);
+  EXPECT_EQ(server.wire_counters().parse_errors.load(), 0u);
+  ::close(pair[0]);
 }
 
 TEST(NetServer, ByteAtATimeFramingAndHalfCloseDrain) {
@@ -534,43 +591,119 @@ TEST(NetRobustness, EmfileOnAcceptShedsViaSpareFdInsteadOfSpinning) {
 
 TEST(NetRobustness, QueuePressureShedsOverloadedInsteadOfParkingForever) {
   DisarmOnExit guard;
-  // One worker, a 2-slot queue, and a 100 ms execution sleep: pipelining 12
-  // requests parks the backlog on a full admission FIFO past the 50 ms shed
-  // budget. Every line must still be answered — some ok, the parked tail
-  // `overloaded` — and the connection must survive.
-  ASSERT_TRUE(fp::arm("service.execute=sleep(ms=100,count=3)"));
+  for (const bool ordered : {true, false}) {
+    // One worker, a 2-slot queue, and a 100 ms execution sleep: pipelining
+    // 12 requests parks the backlog past the 50 ms shed budget — on the
+    // connection's in-flight cap (ordered) or on the full admission FIFO
+    // (relaxed). Every line must still be answered — some ok, the parked
+    // tail `overloaded` — and the connection must survive.
+    ASSERT_TRUE(fp::arm("service.execute=sleep(ms=100,count=3)"));
 
-  TenantRegistry registry;
-  registry.add("default", cycle_graph(16));
-  NetServerConfig config;
-  config.threads = 1;
-  config.queue_capacity = 2;
-  config.shed_after_ms = 50;
-  RunningServer rs(registry, config);
-  const int fd = connect_loopback(rs.server.port());
+    TenantRegistry registry;
+    registry.add("default", cycle_graph(16));
+    NetServerConfig config;
+    config.threads = 1;
+    config.ordered = ordered;
+    config.queue_capacity = 2;
+    config.shed_after_ms = 50;
+    RunningServer rs(registry, config);
+    const int fd = connect_loopback(rs.server.port());
 
-  std::string stream;
-  for (int i = 0; i < 12; ++i) stream += distance_request(i, 1 + i);
-  send_all(fd, stream);
-  ::shutdown(fd, SHUT_WR);
-  const std::vector<std::string> got = recv_lines(fd, 12);
-  ASSERT_EQ(got.size(), 12u);
-  int ok = 0, overloaded = 0;
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(field(got[i], "id"), std::to_string(i)) << got[i];
-    const std::string status = field(got[i], "status");
-    if (status == "ok") ++ok;
-    else if (status == "overloaded") ++overloaded;
-    else ADD_FAILURE() << "unexpected status: " << got[i];
+    std::string stream;
+    for (int i = 0; i < 12; ++i) stream += distance_request(i, 1 + i);
+    send_all(fd, stream);
+    ::shutdown(fd, SHUT_WR);
+    const std::vector<std::string> got = recv_lines(fd, 12);
+    ASSERT_EQ(got.size(), 12u);
+    int ok = 0, overloaded = 0;
+    std::vector<bool> seen(12, false);
+    for (int i = 0; i < 12; ++i) {
+      const std::string id = field(got[i], "id");
+      if (ordered) {
+        EXPECT_EQ(id, std::to_string(i)) << got[i];
+      }
+      const int k = std::atoi(id.c_str());
+      ASSERT_TRUE(k >= 0 && k < 12 && !seen[k]) << got[i];
+      seen[k] = true;
+      const std::string status = field(got[i], "status");
+      if (status == "ok") ++ok;
+      else if (status == "overloaded") ++overloaded;
+      else ADD_FAILURE() << "unexpected status: " << got[i];
+    }
+    EXPECT_GT(ok, 0) << "ordered=" << ordered;
+    EXPECT_GT(overloaded, 0) << "ordered=" << ordered;
+    EXPECT_EQ(ok + overloaded, 12);
+    EXPECT_TRUE(recv_eof(fd));
+    ::close(fd);
+    rs.shutdown_and_join();
+    EXPECT_EQ(rs.server.wire_counters().overload_sheds.load(),
+              static_cast<std::uint64_t>(overloaded));
+    fp::disarm_all();
   }
-  EXPECT_GT(ok, 0);
-  EXPECT_GT(overloaded, 0);
-  EXPECT_EQ(ok + overloaded, 12);
-  EXPECT_TRUE(recv_eof(fd));
-  ::close(fd);
+}
+
+TEST(NetRobustness, SlowAdmissionHoldsUpOnlyItsOwnConnection) {
+  DisarmOnExit guard;
+  TenantRegistry registry;
+  registry.add("default", cycle_graph(24));
+  NetServerConfig config;
+  config.threads = 4;
+  config.queue_capacity = 8;
+  config.shed_after_ms = 200;
+  RunningServer rs(registry, config);
+
+  // Build source 0's structure first, so that only A's build sleeps.
+  const int b = connect_loopback(rs.server.port());
+  send_all(b, distance_request(0, 5));
+  ASSERT_EQ(recv_lines(b, 1).size(), 1u);
+  ASSERT_TRUE(fp::arm("service.build_alloc=sleep(ms=1500,count=1)"));
+
+  // A's first line starts a lazy build of source 3 (admission sleeps 1.5 s)
+  // and 39 more lines queue behind it. Workers that pop A's later lines set
+  // them aside instead of waiting for A's turn, so A holds one worker, not
+  // the pool.
+  const int a = connect_loopback(rs.server.port());
+  std::string a_stream;
+  for (int i = 0; i < 40; ++i) {
+    a_stream += "{\"id\":" + std::to_string(100 + i) +
+                ",\"source\":3,\"targets\":[" + std::to_string(1 + i % 23) +
+                "]}\n";
+  }
+  send_all(a, a_stream);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // B must be answered by the other workers while A's build runs, not shed.
+  const auto start = std::chrono::steady_clock::now();
+  std::string b_stream;
+  for (int i = 1; i <= 8; ++i) b_stream += distance_request(i, 1 + i);
+  send_all(b, b_stream);
+  const std::vector<std::string> got_b = recv_lines(b, 8);
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_EQ(got_b.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(field(got_b[i], "id"), std::to_string(i + 1));
+    EXPECT_EQ(field(got_b[i], "status"), "ok") << got_b[i];
+  }
+  EXPECT_LT(waited.count(), 1000) << "B waited on A's build";
+
+  // A's later lines waited past the shed budget behind its own build: each
+  // is answered, in order, `ok` or `overloaded`.
+  ::shutdown(a, SHUT_WR);
+  const std::vector<std::string> got_a = recv_lines(a, 40);
+  ASSERT_EQ(got_a.size(), 40u);
+  EXPECT_EQ(field(got_a[0], "status"), "ok") << got_a[0];
+  std::uint64_t overloaded = 0;
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(field(got_a[i], "id"), std::to_string(100 + i));
+    const std::string status = field(got_a[i], "status");
+    if (status == "overloaded") ++overloaded;
+    else EXPECT_EQ(status, "ok") << got_a[i];
+  }
+  ::close(a);
+  ::close(b);
   rs.shutdown_and_join();
-  EXPECT_EQ(rs.server.wire_counters().overload_sheds.load(),
-            static_cast<std::uint64_t>(overloaded));
+  EXPECT_EQ(rs.server.wire_counters().overload_sheds.load(), overloaded);
 }
 
 TEST(NetRobustness, DeadlineExceededIsTypedAndPerRequest) {

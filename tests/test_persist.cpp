@@ -545,15 +545,24 @@ TEST_F(PersistManifest, SchemaTwoMismatchedGraphFailsClosed) {
   EXPECT_EQ(registry.size(), 0u) << "no tenant may exist after a rejection";
 }
 
-TEST_F(PersistManifest, SnapshotKeyNeedsSchemaTwo) {
-  TenantRegistry registry;
-  try {
-    registry.load_manifest(write_manifest(
-        "v1_snap", "{\"tenants\": [{\"name\": \"alpha\", "
-                   "\"snapshot\": \"" + snapshot_path_ + "\"}]}"));
-    FAIL() << "schema-1 manifest with \"snapshot\" loaded";
-  } catch (const GraphIoError& e) {
-    EXPECT_NE(std::string(e.what()).find("schema"), std::string::npos);
+TEST_F(PersistManifest, ManifestsWithoutSchemaTwoAreFatal) {
+  const std::string tenants =
+      "[{\"name\": \"alpha\", \"graph\": \"" + graph_path_ + "\"}]";
+  const std::pair<const char*, std::string> cases[] = {
+      {"bare_array", tenants},
+      {"no_schema", "{\"tenants\": " + tenants + "}"},
+      {"schema_1", "{\"schema\": 1, \"tenants\": " + tenants + "}"},
+  };
+  for (const auto& [name, body] : cases) {
+    TenantRegistry registry;
+    try {
+      registry.load_manifest(write_manifest(name, body));
+      FAIL() << name << ": manifest without \"schema\": 2 loaded";
+    } catch (const GraphIoError& e) {
+      EXPECT_NE(std::string(e.what()).find("schema"), std::string::npos)
+          << name << ": " << e.what();
+    }
+    EXPECT_EQ(registry.size(), 0u) << name;
   }
 }
 
@@ -583,15 +592,6 @@ TEST_F(PersistManifest, SchemaTwoUnknownKeysAreNotFatal) {
                     "\"graph\": \"" + graph_path_ + "\", "
                     "\"color\": \"blue\"}]}"));
   EXPECT_NE(registry.find("alpha"), nullptr);
-}
-
-TEST_F(PersistManifest, SchemaOneUnknownKeysStayFatal) {
-  TenantRegistry registry;
-  EXPECT_THROW(registry.load_manifest(write_manifest(
-                   "v1_unknown", "{\"tenants\": [{\"name\": \"alpha\", "
-                                 "\"graph\": \"" + graph_path_ + "\", "
-                                 "\"color\": \"blue\"}]}")),
-               GraphIoError);
 }
 
 // --- injected I/O faults on the save/load path (docs/robustness.md) ---------

@@ -149,16 +149,23 @@ std::vector<FramedLine> feed_all(LineFramer& framer, const std::string& bytes,
 }
 
 TEST(ProtocolFuzz, FramerReassemblesAcrossArbitraryChunking) {
-  const std::string stream = "{\"a\":1}\r\n\n{\"b\":2}\nxyz";
+  const std::string stream = "{\"a\":1}\r\n\n \t\r\n{\"b\":2}\nxyz";
   for (const std::size_t chunk : {1u, 2u, 3u, 7u, 1024u}) {
     LineFramer framer(64);
-    const auto lines = feed_all(framer, stream, chunk);
-    ASSERT_EQ(lines.size(), 3u) << "chunk " << chunk;
+    auto lines = feed_all(framer, stream, chunk);
+    // Whitespace-only lines are skipped: neither requests nor errors.
+    ASSERT_EQ(lines.size(), 2u) << "chunk " << chunk;
     EXPECT_EQ(lines[0].line, "{\"a\":1}");  // \r stripped
-    EXPECT_EQ(lines[1].line, "");           // blank line surfaces as empty
-    EXPECT_EQ(lines[2].line, "{\"b\":2}");
+    EXPECT_EQ(lines[1].line, "{\"b\":2}");
     for (const FramedLine& l : lines) EXPECT_FALSE(l.oversized);
     EXPECT_TRUE(framer.mid_line());  // "xyz" never got its newline
+    // End of stream delivers the unterminated tail as a line.
+    framer.finish([&](const std::string& line, bool big) {
+      lines.push_back({line, big});
+    });
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[2].line, "xyz");
+    EXPECT_FALSE(framer.mid_line());
   }
 }
 
@@ -181,6 +188,18 @@ TEST(ProtocolFuzz, OversizedLinesAreDiscardedWithBoundedMemoryNotBuffered) {
   EXPECT_FALSE(out[1].oversized);  // the stream recovers on the next line
   EXPECT_EQ(out[1].line, "{\"ok\":1}");
   EXPECT_FALSE(framer.mid_line());
+  // A line of exactly the cap is kept; one byte more is oversized, also when
+  // the stream ends before its newline.
+  const std::string at_cap(16, 'y');
+  framer.feed(at_cap.data(), at_cap.size(), sink);
+  framer.feed("\n", 1, sink);
+  const std::string over_cap(17, 'z');
+  framer.feed(over_cap.data(), over_cap.size(), sink);
+  framer.finish(sink);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_FALSE(out[2].oversized);
+  EXPECT_EQ(out[2].line, at_cap);
+  EXPECT_TRUE(out[3].oversized);
 }
 
 // --- seeded mutation fuzz --------------------------------------------------

@@ -297,8 +297,8 @@ TEST(ConcurrentService, SequencedServeReplaysEvictionsExactly) {
 }
 
 TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
-  // The `serve --mode ordered --batch K` shape: workers pull dense runs of K
-  // consecutive tickets, admit the whole run under one sequencer turn
+  // The batched ordered shape: workers pull dense runs of K consecutive
+  // tickets, admit the whole run under one sequencer turn
   // (wait_for(first) … advance_n(K)), and execute out of order. The formatted
   // lines — cache_hit flags and eviction effects included — must match the
   // sequential replay byte for byte, exactly like the one-ticket-at-a-time

@@ -1,14 +1,12 @@
 // Shared typed flag parser for the ftbfs CLI subcommands.
 //
-// Every subcommand declares its surface once — required flags, optional flags
-// with defaults, and deprecated spellings that forward to a canonical name —
-// and gets for free:
+// Every subcommand declares its surface once — required flags and optional
+// flags with defaults — and gets for free:
 //   * `--flag value` and `--flag=value` parsing with unknown-flag rejection,
 //   * `--help` / `-h` rendering the declared surface (parse() returns false
 //     and the caller exits 0),
 //   * typed getters (get_uint / get_double / get_switch) with strict
-//     validation — "12x" or "-1" is a usage error, not a silent wraparound,
-//   * a one-line stderr deprecation warning when an old spelling is used.
+//     validation — "12x" or "-1" is a usage error, not a silent wraparound.
 //
 // Errors throw UsageError; main() turns those into exit code 2 with a pointer
 // at `ftbfs <command> --help`. Runtime failures (I/O, snapshot rejection) are
@@ -62,14 +60,6 @@ class FlagParser {
     return *this;
   }
 
-  // Old spelling kept working: `--old` parses as `--canonical` plus a
-  // deprecation warning on stderr. Not listed in --help — the help shows the
-  // surface as it should be written today.
-  FlagParser& deprecated(std::string old_name, std::string canonical) {
-    aliases_.emplace(std::move(old_name), std::move(canonical));
-    return *this;
-  }
-
   // Parses argv[start..). Returns false when --help was consumed (help is on
   // stdout; the caller exits 0). Throws UsageError on anything malformed.
   bool parse(int argc, char** argv, int start) {
@@ -90,12 +80,6 @@ class FlagParser {
       } else {
         if (i + 1 >= argc) fail("--" + name + " requires a value");
         value = argv[++i];
-      }
-      if (const auto alias = aliases_.find(name); alias != aliases_.end()) {
-        std::fprintf(stderr,
-                     "ftbfs %s: warning: --%s is deprecated; use --%s\n",
-                     command_.c_str(), name.c_str(), alias->second.c_str());
-        name = alias->second;
       }
       if (find(name) == nullptr) fail("unknown flag --" + name);
       values_[name] = std::move(value);  // repeated flag: last one wins
@@ -220,7 +204,6 @@ class FlagParser {
   std::string command_;
   std::string summary_;
   std::vector<Spec> specs_;
-  std::map<std::string, std::string> aliases_;  // old spelling → canonical
   std::map<std::string, std::string> values_;
   std::vector<std::string> notes_;
 };

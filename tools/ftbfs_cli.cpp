@@ -15,29 +15,29 @@
 //   help     subcommand listing (help <command> = that command's --help)
 //
 // Flags follow one convention (tools/cli_flags.h): `--flag value` or
-// `--flag=value`, strict typed validation, unknown flags rejected. Old
-// spellings from earlier releases (--faults, --cache, --max-lazy) keep
-// working behind a stderr deprecation warning. Exit codes: 0 success,
-// 1 runtime failure (I/O, snapshot rejection, socket setup), 2 usage.
+// `--flag=value`, strict typed validation, unknown flags rejected. Exit
+// codes: 0 success, 1 runtime failure (I/O, snapshot rejection, socket
+// setup), 2 usage.
 //
 // Structure construction is dispatched through the BuilderRegistry — any
 // registered algorithm name (or alias) works with --algo, and unknown names
 // list the registry. One-shot queries are served by a FaultQueryEngine over
 // the built structure; `serve` runs an OracleService over a lazily built
 // structure pool with scenario caching.
+#include <sys/socket.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <atomic>
-#include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
-#include <iostream>
-#include <sstream>
-#include <mutex>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +55,6 @@
 #include "service/oracle_service.h"
 #include "service/protocol.h"
 #include "service/tenant.h"
-#include "service/work_queue.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -143,7 +142,6 @@ FlagParser build_parser() {
              "parallel construction workers; the structure is byte-identical "
              "at any value (0 = auto)",
              "0");
-  p.deprecated("faults", "budget");
   return p;
 }
 
@@ -158,7 +156,6 @@ FlagParser verify_parser() {
              "exhaustive");
   p.optional("samples", "<int>", "fault sets drawn in sampled mode", "1000");
   p.optional("fault-model", "edge|vertex", "fault kind", "edge");
-  p.deprecated("faults", "budget");
   return p;
 }
 
@@ -173,7 +170,6 @@ FlagParser query_parser() {
   p.optional("algo", "<name>", "builder name or alias", "auto");
   p.optional("fault-model", "edge|vertex", "fault kind", "edge");
   p.optional("seed", "<int>", "tie-breaking weight seed", "1");
-  p.deprecated("faults", "budget");
   return p;
 }
 
@@ -210,8 +206,6 @@ FlagParser serve_parser() {
   p.optional("threads", "<n>", "worker threads (1..256)", "1");
   p.optional("mode", "ordered|relaxed",
              "response ordering contract (docs/serving.md)", "ordered");
-  p.optional("batch", "<k>", "admission turns drained per ticket acquisition",
-             "8");
   p.optional("max-requests", "<n>", "default tenant request quota (0 = off)",
              "0");
   p.optional("deadline-ms", "<n>",
@@ -223,17 +217,15 @@ FlagParser serve_parser() {
   p.optional("listen", "<host:port>", "serve over TCP instead of stdin");
   p.optional("shed-after-ms", "<n>",
              "answer `overloaded` after parking this long on a full admission "
-             "queue (--listen; 0 = park forever)",
-             "2000");
+             "queue (0 = park forever)",
+             "2000; 0 on stdin");
   p.optional("write-stall-ms", "<n>",
              "evict a connection whose writes make no progress this long "
-             "(--listen; 0 = never)",
-             "30000");
+             "(0 = never)",
+             "30000; 0 on stdin");
   p.optional("failpoints", "<schedule>",
              "arm fault-injection points (docs/robustness.md grammar; also "
              "read from $FTBFS_FAILPOINTS)");
-  p.deprecated("cache", "cache-capacity");
-  p.deprecated("max-lazy", "max-lazy-budget");
   return p;
 }
 
@@ -651,22 +643,21 @@ int cmd_query(const FlagParser& p) {
 // --- serve -------------------------------------------------------------------
 
 // Stop signal plumbing (docs/serving.md "Graceful shutdown"): SIGINT/SIGTERM
-// set the flag and nudge the socket server's self-pipe. The handlers are
-// installed WITHOUT SA_RESTART so a stdin serve loop blocked in getline fails
-// with EINTR, winds down through the normal close-queue/join-workers path
-// (flushing the resequencer), and prints its summary — instead of dying
+// set the flag and start NetServer's drain through its self-pipe. The
+// handlers are installed WITHOUT SA_RESTART so the inline stdin loop, blocked
+// in read, fails with EINTR and prints its summary instead of dying
 // mid-stream.
-volatile std::sig_atomic_t g_stop = 0;
+std::atomic<bool> g_stop{false};
 NetServer* g_net_server = nullptr;  // set before handlers are installed
 
 void handle_stop_signal(int) {
-  g_stop = 1;
+  g_stop = true;
   if (g_net_server != nullptr) g_net_server->request_shutdown();
 }
 
-// SIGHUP = hot manifest reload (docs/robustness.md "Hot reload"), socket mode
-// only: the stdin loops have no reload hook, so there SIGHUP keeps its
-// default meaning.
+// SIGHUP = hot manifest reload (docs/robustness.md "Hot reload") wherever
+// NetServer serves: --listen, or stdin at --threads > 1. The inline loop has
+// no reload hook, so there SIGHUP keeps its default meaning.
 void handle_reload_signal(int) {
   if (g_net_server != nullptr) g_net_server->request_reload();
 }
@@ -770,6 +761,26 @@ void print_serve_summary(TenantRegistry& registry, const WireCounters& wire) {
   }
 }
 
+// Copies `from` to `to` until EOF or an error on either side. Socket writes
+// use MSG_NOSIGNAL: a server that has hung up ends the copy instead of
+// raising SIGPIPE.
+void copy_stream(int from, int to, bool to_socket) {
+  char buf[1 << 16];
+  while (true) {
+    const ssize_t n = ::read(from, buf, sizeof buf);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    for (ssize_t off = 0; off < n;) {
+      const std::size_t left = static_cast<std::size_t>(n - off);
+      const ssize_t w = to_socket ? ::send(to, buf + off, left, MSG_NOSIGNAL)
+                                  : ::write(to, buf + off, left);
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) return;
+      off += w;
+    }
+  }
+}
+
 // Parses --listen "host:port", ":port", or bare "port" (host defaults to
 // 127.0.0.1; port 0 asks the kernel for an ephemeral port, printed on the
 // "listening on" stderr line).
@@ -789,6 +800,43 @@ void parse_listen(const FlagParser& p, const std::string& spec,
     p.fail("--listen expects host:port (port 0..65535)");
   }
   nc.port = static_cast<std::uint16_t>(std::stoul(port));
+}
+
+// `serve` on stdin at --threads 1: one request per line in, one response per
+// line out, flushed per line so the stream works under a pipe. It frames
+// exactly as NetServer does (same line cap, blank lines skipped). Relaxed
+// mode with one thread is already in order — it differs only in stamping the
+// correlation seq onto id-less lines, exactly as the workers would.
+void serve_stdin_inline(TenantRegistry& registry, bool relaxed,
+                        WireCounters& counters) {
+  LineFramer framer(NetServerConfig{}.max_line_bytes);
+  std::uint64_t seq = 0;
+  const auto serve_line = [&](const std::string& line, bool oversized) {
+    const auto at = static_cast<std::int64_t>(seq++);
+    std::string out;
+    if (oversized) {
+      out = oversized_line_answer(framer.max_line_bytes(), at, relaxed,
+                                  counters);
+    } else {
+      LineJob job(registry, line, at, relaxed, counters);
+      job.admit();
+      out = job.finish();
+    }
+    std::fprintf(stdout, "%s\n", out.c_str());
+    std::fflush(stdout);
+  };
+  char buf[1 << 16];
+  while (!g_stop) {
+    const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
+    if (n > 0) {
+      framer.feed(buf, static_cast<std::size_t>(n), serve_line);
+    } else if (n == 0) {
+      framer.finish(serve_line);
+      return;
+    } else if (errno != EINTR) {
+      return;
+    }
+  }
 }
 
 int cmd_serve(const FlagParser& p) {
@@ -821,10 +869,6 @@ int cmd_serve(const FlagParser& p) {
     p.fail("--mode must be ordered or relaxed");
   }
   const bool relaxed = mode == "relaxed";
-  // Admission turns drained per ticket-lock acquisition in ordered threaded
-  // mode (docs/serving.md "Batched admission"); relaxed workers use the same
-  // value as their queue-drain batch. 1 = the pre-batching behavior.
-  const std::size_t batch_size = p.get_uint("batch", 8, 1, 256);
 
   const bool warm_cache = p.get_switch("warm-cache", false);
   if (p.has("warm-cache") && !p.has("load")) {
@@ -897,20 +941,26 @@ int cmd_serve(const FlagParser& p) {
                      file_size_bytes(p.get("save"))));
   };
 
-  WireCounters counters;
-
-  if (p.has("listen")) {
-    // Socket front-end: same protocol, same LineJob pipeline, one JSONL
-    // stream per connection (src/net/net_server.h). Ordered mode means
-    // per-connection request order; relaxed stamps per-connection seqs.
+  std::optional<NetServer> server;
+  WireCounters inline_counters;
+  bool truncated = false;  // stdin connection evicted: output is incomplete
+  if (threads == 1 && !p.has("listen")) {
+    install_stop_handlers();
+    serve_stdin_inline(registry, relaxed, inline_counters);
+  } else {
+    // Everything else runs on NetServer (src/net/net_server.h): TCP clients
+    // with --listen, otherwise stdin/stdout as its one connection. Ordered
+    // mode means per-connection request order; relaxed stamps
+    // per-connection seqs. On stdin nothing is shed or evicted unless asked
+    // for: a paused stdout consumer must not lose responses.
+    const bool on_stdin = !p.has("listen");
     NetServerConfig nc;
-    parse_listen(p, p.get("listen"), nc);
     nc.threads = threads;
     nc.ordered = !relaxed;
     nc.shed_after_ms = static_cast<std::int64_t>(
-        p.get_uint("shed-after-ms", 2000, 0, 1ull << 40));
+        p.get_uint("shed-after-ms", on_stdin ? 0 : 2000, 0, 1ull << 40));
     nc.write_stall_ms = static_cast<std::int64_t>(
-        p.get_uint("write-stall-ms", 30000, 0, 1ull << 40));
+        p.get_uint("write-stall-ms", on_stdin ? 0 : 30000, 0, 1ull << 40));
     if (p.has("tenants")) {
       // SIGHUP → re-read the manifest the server started with. Captures
       // `registry` by reference (outlives the server) and the path/config by
@@ -925,155 +975,61 @@ int cmd_serve(const FlagParser& p) {
                      rs.reaped);
       };
     }
-    NetServer server(registry, nc);
-    g_net_server = &server;
+    std::thread echo;  // stdin mode: copies the responses to stdout
+    if (!on_stdin) {
+      parse_listen(p, p.get("listen"), nc);
+      server.emplace(registry, nc);
+      std::fprintf(stderr, "listening on %s:%u\n", nc.host.c_str(),
+                   static_cast<unsigned>(server->port()));
+      std::fflush(stderr);
+    } else {
+      // stdin/stdout reach the server through a socketpair: two pumps copy
+      // stdin in and responses out with plain reads and writes, which work
+      // for pipes and regular files alike (epoll rejects regular files with
+      // EPERM, and the goldens replay `< file > file`). The CLI's end stays
+      // open until exit — the stdin pump may still be blocked in a read
+      // after the run.
+      int pair[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+        throw std::runtime_error(std::string("socketpair: ") +
+                                 std::strerror(errno));
+      }
+      server.emplace(registry, nc, pair[1]);
+      const int end = pair[0];
+      std::thread([end] {
+        copy_stream(STDIN_FILENO, end, /*to_socket=*/true);
+        ::shutdown(end, SHUT_WR);  // the connection's EOF
+      }).detach();
+      echo = std::thread([end] { copy_stream(end, STDOUT_FILENO, false); });
+    }
+    g_net_server = &*server;
     install_stop_handlers();
     install_reload_handler();
-    std::fprintf(stderr, "listening on %s:%u\n", nc.host.c_str(),
-                 static_cast<unsigned>(server.port()));
-    std::fflush(stderr);
-    server.run();
+    server->run();
     g_net_server = nullptr;
-    std::fprintf(stderr,
-                 "drained: %llu connections, %llu responses\n",
-                 static_cast<unsigned long long>(server.connections_accepted()),
-                 static_cast<unsigned long long>(server.responses_sent()));
-    save_at_drain();
-    print_serve_summary(registry, server.wire_counters());
-    return 0;
+    if (!on_stdin) {
+      std::fprintf(
+          stderr, "drained: %llu connections, %llu responses\n",
+          static_cast<unsigned long long>(server->connections_accepted()),
+          static_cast<unsigned long long>(server->responses_sent()));
+    } else if (server->connections_evicted_stalled() == 0) {
+      // The server closed its end, so the pump reaches EOF once it has
+      // copied the last response.
+      echo.join();
+    } else {
+      echo.detach();  // evicted: stdout stopped draining, nothing waits on it
+      std::fprintf(stderr, "ftbfs serve: stdout stalled past "
+                           "--write-stall-ms; responses were dropped\n");
+      truncated = true;
+    }
   }
-
-  install_stop_handlers();
-  std::string line;
-  if (threads == 1) {
-    // One request per line in, one response per line out; responses are
-    // flushed per line so the stream works under a pipe. Relaxed mode with
-    // one thread is already in order — it differs only in stamping the
-    // correlation seq onto id-less lines, exactly as the workers would.
-    std::uint64_t seq = 0;
-    while (!g_stop && std::getline(std::cin, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      LineJob job(registry, line, static_cast<std::int64_t>(seq++), relaxed,
-                  counters);
-      job.admit();
-      const std::string out_line = job.finish();
-      std::fprintf(stdout, "%s\n", out_line.c_str());
-      std::fflush(stdout);
-    }
-  } else if (relaxed) {
-    // Relaxed pipeline (docs/serving.md "Ordered vs relaxed"): the reader
-    // feeds a bounded FIFO and workers serve with NO cross-request ordering —
-    // no ticket lock on admission, no reorder buffer on output. Responses are
-    // written as they finish; clients correlate by id (or by the stamped seq
-    // when the request carried none). Per-id response bytes match ordered
-    // mode; only the interleaving differs.
-    struct Item {
-      std::uint64_t seq;
-      std::string line;
-      // Read time: the deadline clock must cover queue wait, not start when a
-      // worker finally picks the line up.
-      std::chrono::steady_clock::time_point arrival;
-    };
-    BoundedQueue<Item> queue(4 * threads);
-    std::mutex out_mutex;
-    auto worker = [&] {
-      std::vector<Item> batch;
-      while (queue.pop_batch(batch, batch_size) > 0) {
-        for (Item& item : batch) {
-          LineJob job(registry, item.line,
-                      static_cast<std::int64_t>(item.seq), /*stamp_seq=*/true,
-                      counters, item.arrival);
-          job.admit();
-          const std::string out_line = job.finish();
-          const std::lock_guard lock(out_mutex);
-          std::fprintf(stdout, "%s\n", out_line.c_str());
-          std::fflush(stdout);
-        }
-      }
-    };
-    std::vector<std::thread> crew;
-    crew.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) crew.emplace_back(worker);
-    std::uint64_t seq = 0;
-    while (!g_stop && std::getline(std::cin, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      queue.push(Item{seq++, std::move(line), std::chrono::steady_clock::now()});
-      line.clear();
-    }
-    queue.close();
-    for (std::thread& t : crew) t.join();
-  } else {
-    // Ordered threaded pipeline (docs/serving.md "Concurrency"): the reader
-    // feeds a bounded FIFO, workers parse and serve concurrently — the
-    // service runs each request's admission in ticket order, so the cache
-    // and pool evolve exactly as they would sequentially — and the
-    // resequencer writes responses back in request order. The stream is
-    // byte-identical to --threads 1.
-    //
-    // Admission is batched: a worker drains up to --batch items in one queue
-    // lock (FIFO ⇒ the batch is a dense run of consecutive tickets), parses
-    // them all OUTSIDE the ordered section, waits for the first ticket,
-    // admits the run back-to-back, and releases all its tickets in one
-    // advance_n — one ticket-lock handoff per batch instead of per request.
-    // Execution (and line formatting) then runs unordered as before.
-    struct Item {
-      std::uint64_t seq;
-      std::string line;
-      std::chrono::steady_clock::time_point arrival;  // read time (see above)
-    };
-    BoundedQueue<Item> queue(4 * threads);
-    RequestSequencer order;
-    // The reorder cap bounds memory when one slow request holds up the
-    // flush; blocked emitters stop popping, which parks the reader too.
-    Resequencer output(
-        [](const std::string& out_line) {
-          std::fprintf(stdout, "%s\n", out_line.c_str());
-          std::fflush(stdout);
-        },
-        64 * threads);
-    auto worker = [&] {
-      std::vector<Item> batch;
-      std::vector<LineJob> jobs;
-      while (queue.pop_batch(batch, batch_size) > 0) {
-        const std::size_t count = batch.size();
-        jobs.clear();
-        jobs.reserve(count);
-        for (const Item& item : batch) {
-          // Parse phase runs OUTSIDE the ordered section.
-          jobs.emplace_back(registry, item.line,
-                            static_cast<std::int64_t>(item.seq),
-                            /*stamp_seq=*/false, counters, item.arrival);
-        }
-        // One ordered section for the whole dense ticket run — admissions
-        // (quota gate included) happen in strict request order; locally
-        // answered lines burn their tickets as part of the same advance.
-        order.wait_for(batch.front().seq);
-        for (LineJob& job : jobs) job.admit();
-        order.advance_n(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          output.emit(batch[i].seq, jobs[i].finish());
-        }
-      }
-    };
-    std::vector<std::thread> crew;
-    crew.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) crew.emplace_back(worker);
-    std::uint64_t seq = 0;
-    while (!g_stop && std::getline(std::cin, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      queue.push(Item{seq++, std::move(line), std::chrono::steady_clock::now()});
-      line.clear();
-    }
-    queue.close();
-    for (std::thread& t : crew) t.join();
-  }
-
-  if (g_stop != 0) {
+  if (g_stop && !p.has("listen")) {
     std::fprintf(stderr, "interrupted: drained in-flight requests\n");
   }
   save_at_drain();
-  print_serve_summary(registry, counters);
-  return 0;
+  print_serve_summary(registry,
+                      server ? server->wire_counters() : inline_counters);
+  return truncated ? 1 : 0;
 }
 
 }  // namespace
