@@ -10,6 +10,7 @@
 #include "core/selector.h"
 #include "structure/newending.h"
 #include "util/concurrency.h"
+#include "util/timer.h"
 
 namespace ftbfs {
 namespace {
@@ -247,19 +248,23 @@ class PerVertexRun {
     return j + 1 <= si.x_pi_index || j >= si.y_pi_index;
   }
 
+  // Only pairs of π edges whose single-fault selections are both connected
+  // are considered: if e_i alone cuts v off (a bridge for v), so does any
+  // pair containing it, and the pair has nothing to keep. On a path this
+  // leaves no pair at all instead of Σ depth².
   void step2() {
-    const std::size_t len = pi_.size() - 1;
-    for (std::size_t i = 0; i < len; ++i) {
-      for (std::size_t j = i + 1; j < len; ++j) {
+    std::vector<std::size_t> connected;
+    for (std::size_t i = 0; i < selections_.size(); ++i) {
+      if (selections_[i].connected()) connected.push_back(i);
+    }
+    for (std::size_t a = 0; a < connected.size(); ++a) {
+      for (std::size_t b = a + 1; b < connected.size(); ++b) {
+        const std::size_t i = connected[a], j = connected[b];
         ++out_.fault_pairs;
         // Cheap satisfiability: if one single-fault path avoids the other
         // fault, it is itself an optimal replacement path for the pair and
         // its last edge is already in H(v).
-        if (selections_[i].connected() &&
-            !pi_edge_on_selection(selections_[i], j)) {
-          continue;
-        }
-        if (selections_[j].connected() &&
+        if (!pi_edge_on_selection(selections_[i], j) ||
             !pi_edge_on_selection(selections_[j], i)) {
           continue;
         }
@@ -275,13 +280,10 @@ class PerVertexRun {
 
     // Preferred candidate: compose the two detours through their last shared
     // vertex (the paper tries this path first).
-    if (selections_[i].connected() && selections_[j].connected()) {
-      if (const std::optional<Path> composed = compose_detours(i, j);
-          composed && composed->size() - 1 == target) {
-        keep_last_edge(*composed, NewEndingRecord::Kind::kPiPi, ei, ej,
-                       nullptr);
-        return;
-      }
+    if (const std::optional<Path> composed = compose_detours(i, j);
+        composed && composed->size() - 1 == target) {
+      keep_last_edge(*composed, NewEndingRecord::Kind::kPiPi, ei, ej, nullptr);
+      return;
     }
     GraphMask& m = sel_.mask();
     m.clear();
@@ -367,12 +369,49 @@ class PerVertexRun {
     FTBFS_ENSURES(added);
   }
 
+  // The least index in [0, hi] whose restricted graph still has dist(s, v) =
+  // target, for graphs nested in the index (so feasibility is monotone);
+  // nullopt if even hi is infeasible. A feasible 0 decides the search alone,
+  // so 0 is probed first (unless `zero_infeasible` already says it fails),
+  // then hi, then the open range between them by bisection.
+  template <class Feasible>
+  [[nodiscard]] static std::optional<std::size_t> least_feasible(
+      std::size_t hi, bool zero_infeasible, Feasible feasible) {
+    if (!zero_infeasible && feasible(0)) return 0;
+    if (hi == 0 || !feasible(hi)) return std::nullopt;
+    std::size_t lo = 0;
+    while (lo + 1 < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      (feasible(mid) ? hi : lo) = mid;
+    }
+    return hi;
+  }
+
   // Selects the new-ending replacement path for F = {e, t}: earliest
   // π-divergence; if that divergence equals x_τ, also earliest D-divergence.
+  //
+  // Both searches run over nested graphs — G(u_k, v) ⊆ G(u_{k+1}, v) and
+  // G_D(w_l) ⊆ G_D(w_{l+1}), all inside G ∖ F — so dist(s, v) there is at
+  // least target and falls with the index: feasible at 0 means feasible
+  // everywhere, and the bound at i (Cl. 3.5) or r (Lemma 3.1) is probed only
+  // when 0 fails. The passes the nesting already decides are skipped:
+  //  - b = π[k0]. Let P be the W-unique shortest path of G(u_k0, v) ∖ F.
+  //    For k0 > 0, P passes u_k0, or it would lie in G(u_{k0−1}, v) ∖ F,
+  //    which is infeasible. A subpath of a W-unique shortest path is the
+  //    W-unique shortest path between its ends. π(s, u_k0), a T0 path, is
+  //    that path in G, and it lies in G(u_k0, v) ∖ F (e sits at or below
+  //    u_k0 on π, t is off π), so P starts with π(s, u_k0). It then leaves
+  //    π: u_{k0+1} is blocked, or it is v and the edge (u_k0, v) is e. So
+  //    no sweep is needed to find b, and G(u_k0, v) is swept only when it
+  //    is the answer (b ≠ x) or the D-search falls back.
+  //  - x = s. Then G_D(w_0) ⊆ G(u_0, v) = G(u_x, v). If G_D(w_0) ∖ F reaches
+  //    v within target, k0 = 0 = x and l0 = 0, and its sweep is exactly the
+  //    path both searches select; otherwise l = 0 is known to fail.
   [[nodiscard]] Path select_new_ending(std::size_t i, std::size_t r, EdgeId e,
                                        EdgeId t, std::uint32_t target) {
     const SelectionSlot& si = selections_[i];
-    const Vertex x = pi_[si.x_pi_index];
+    const std::size_t x_idx = si.x_pi_index;
+    const std::span<const Vertex> d = si.detour();
     GraphMask& m = sel_.mask();
 
     // Masks G(u_k, v) ∖ F: π positions [k+1 .. |π|-2] removed.
@@ -382,72 +421,65 @@ class PerVertexRun {
       m.block_edge(t);
       if (pi_.size() >= 2) block_pi_segment(m, pi_, k, pi_.size() - 2);
     };
-    auto feasible_k = [&](std::size_t k) {
-      apply_gk(k);
-      return sel_.hop_distance(s_, v_) == target;
-    };
-
-    // Minimal divergence index k ∈ [0..i]; feasible at k == i by Cl. 3.5
-    // (the optimal path diverges above e and rejoins π only at v). Keep a
-    // defensive fallback for the (theoretically impossible) infeasible case.
-    if (!feasible_k(i)) {
-      ++out_.fallbacks;
-      m.clear();
-      m.block_edge(e);
-      m.block_edge(t);
-      const std::optional<RPath> rp = sel_.w_path(s_, v_);
-      FTBFS_ENSURES(rp.has_value() && rp->key.hops == target);
-      return rp->verts;
-    }
-    std::size_t lo = 0, hi = i;
-    if (!feasible_k(0)) {
-      while (lo + 1 < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        (feasible_k(mid) ? hi : lo) = mid;
-      }
-    } else {
-      hi = 0;
-    }
-    const std::size_t k0 = hi;
-
-    apply_gk(k0);
-    std::optional<RPath> rp = sel_.w_path(s_, v_);
-    FTBFS_ENSURES(rp.has_value() && rp->key.hops == target);
-    const std::size_t b_idx = first_divergence(rp->verts, pi_);
-    const Vertex b = rp->verts[b_idx];
-    if (b != x) return rp->verts;
-
-    // b == x_τ: refine the divergence from the detour D_τ. G_D(w_l) removes
-    // the detour tail V(D[l+1 .. end]) (v itself is never blocked).
-    const std::span<const Vertex> d = si.detour();
+    // G_D(w_l) ∖ F: G(u_x, v) ∖ F minus the detour tail V(D[l+1 .. end])
+    // (v itself is never blocked).
     auto apply_gd = [&](std::size_t l) {
-      apply_gk(si.x_pi_index);
+      apply_gk(x_idx);
       for (std::size_t pos = l + 1; pos < d.size(); ++pos) {
         if (d[pos] != v_) m.block_vertex(d[pos]);
       }
+    };
+    auto feasible_k = [&](std::size_t k) {
+      apply_gk(k);
+      return sel_.hop_distance(s_, v_) == target;
     };
     auto feasible_l = [&](std::size_t l) {
       apply_gd(l);
       return sel_.hop_distance(s_, v_) == target;
     };
-    if (!feasible_l(r)) {
+    // The W-unique shortest path under the current mask.
+    auto sweep = [&] {
+      std::optional<RPath> rp = sel_.w_path(s_, v_);
+      FTBFS_ENSURES(rp.has_value() && rp->key.hops == target);
+      return std::move(rp->verts);
+    };
+
+    // x = s: one sweep of G_D(w_0) ∖ F may answer both searches.
+    bool l0_infeasible = false;
+    if (x_idx == 0) {
+      apply_gd(0);
+      std::optional<RPath> rp = sel_.w_path(s_, v_);
+      if (rp.has_value() && rp->key.hops == target) return std::move(rp->verts);
+      l0_infeasible = true;
+    }
+
+    // Minimal divergence index k0 ∈ [0..i]; feasible at k == i by Cl. 3.5
+    // (the optimal path diverges above e and rejoins π only at v). Keep a
+    // defensive fallback for the (theoretically impossible) infeasible case.
+    const std::optional<std::size_t> k0 = least_feasible(i, false, feasible_k);
+    if (!k0.has_value()) {
+      ++out_.fallbacks;
+      m.clear();
+      m.block_edge(e);
+      m.block_edge(t);
+      return sweep();
+    }
+    if (*k0 != x_idx) {  // b = π[k0] ≠ x_τ
+      apply_gk(*k0);
+      return sweep();
+    }
+
+    // b == x_τ: refine the divergence from the detour D_τ.
+    const std::optional<std::size_t> l0 =
+        least_feasible(r, l0_infeasible, feasible_l);
+    if (!l0.has_value()) {
       // Theoretically impossible (Lemma 3.1); fall back to the G(u_k0,v) path.
       ++out_.fallbacks;
-      return rp->verts;
+      apply_gk(*k0);
+      return sweep();
     }
-    std::size_t dlo = 0, dhi = r;
-    if (!feasible_l(0)) {
-      while (dlo + 1 < dhi) {
-        const std::size_t mid = dlo + (dhi - dlo) / 2;
-        (feasible_l(mid) ? dhi : dlo) = mid;
-      }
-    } else {
-      dhi = 0;
-    }
-    apply_gd(dhi);
-    rp = sel_.w_path(s_, v_);
-    FTBFS_ENSURES(rp.has_value() && rp->key.hops == target);
-    return rp->verts;
+    apply_gd(*l0);
+    return sweep();
   }
 
   // ---- data ---------------------------------------------------------------
@@ -524,6 +556,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
   }
 
   // Step (1) for every target, one tree edge at a time.
+  const Timer step1_timer;
   SelectionTable table(base.index(), g.num_vertices(), workers);
   for_each_single_fault_batch(
       base, selectors, opt.progress,
@@ -535,6 +568,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
   }
   h.stats.fault_pairs_considered = table.pairs();
   h.stats.selection_table_bytes = table.bytes();
+  h.stats.step1_seconds = step1_timer.seconds();
 
   // Conflict tracking for the speculative schedule: a target is dirty iff a
   // commit since the current block's snapshot added an edge incident to it.
@@ -584,6 +618,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
     }
   };
 
+  const Timer steps23_timer;
   ParallelBuildReport report;
   if (workers <= 1) {
     for (const Vertex v : targets) {
@@ -613,6 +648,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
         },
         &report);
   }
+  h.stats.steps23_seconds = steps23_timer.seconds();
   report.workers = workers;
   if (opt.parallel_report != nullptr) *opt.parallel_report = report;
 

@@ -88,6 +88,10 @@ struct FtBfsStats {
   // which is at most a constant times fault_pairs_considered.
   std::uint64_t selection_table_bytes = 0;
   KernelCounts kernels;  // how the selection kernels answered (no tree SSSP)
+  // Cons2FTBFS: wall seconds of step (1)'s batches and of steps (2)–(3).
+  // Timings, not results: unlike every other field they vary run to run.
+  double step1_seconds = 0.0;
+  double steps23_seconds = 0.0;
   PathClassCounts classes;             // filled when instrumentation is on
   // Per-vertex maxima of each class (the quantities the per-class O(√n) and
   // O(n^{2/3}) lemmas bound); filled when instrumentation is on.

@@ -67,6 +67,8 @@ BuildResult build_cons2(const BuildRequest& req) {
                             out.structure.stats.fault_pairs_considered);
   out.counters.emplace_back("selection_table_bytes",
                             out.structure.stats.selection_table_bytes);
+  out.phase_seconds = {{"step1_s", out.structure.stats.step1_seconds},
+                       {"steps23_s", out.structure.stats.steps23_seconds}};
   if (req.collect_stats) {
     const PathClassCounts& c = out.structure.stats.classes;
     out.counters.emplace_back("class_single", c.single);

@@ -58,6 +58,9 @@ struct BuildResult {
   // Algorithm-specific counters (chains enumerated, BFS runs, ...), uniform
   // enough for the CLI's JSON stats output and the bench tables.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
+  // Wall seconds per construction phase (e.g. "step1_s"); like
+  // build_seconds, they vary run to run.
+  std::vector<std::pair<std::string, double>> phase_seconds;
 };
 
 // Declared capabilities of a registered builder; `build` validates requests

@@ -41,6 +41,18 @@ TEST(Cons2Ftbfs, PathGraphIsItself) {
   EXPECT_EQ(h.edges.size(), g.num_edges());
 }
 
+// Every π edge of a path is a bridge for the targets below it, so step (2)
+// considers no pair and step (3) has no detour: the only fault pairs are
+// step (1)'s, one per (v, e) with e on π(s,v).
+TEST(Cons2Ftbfs, PathConsidersOnlySingleFaults) {
+  const Graph g = path_graph(60);
+  const FtStructure h = build_cons2ftbfs(g, 0);
+  std::uint64_t depth_sum = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) depth_sum += v;
+  EXPECT_EQ(h.stats.fault_pairs_considered, depth_sum);
+  EXPECT_EQ(h.edges.size(), g.num_edges());
+}
+
 TEST(Cons2Ftbfs, GridGraph) {
   const Graph g = grid_graph(4, 4);
   const FtStructure h = build_cons2ftbfs(g, 0);

@@ -25,6 +25,8 @@
 namespace ftbfs {
 namespace {
 
+// Every field but the phase timings (step1_seconds, steps23_seconds), which
+// like BuildResult::build_seconds vary run to run.
 void expect_same_stats(const FtBfsStats& a, const FtBfsStats& b,
                        const std::string& label) {
   EXPECT_EQ(a.tree_edges, b.tree_edges) << label;

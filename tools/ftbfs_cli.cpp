@@ -348,6 +348,9 @@ void print_stats_json(const Graph& g, const BuildResult& r) {
     std::printf(",\"%s\":%llu", key.c_str(),
                 static_cast<unsigned long long>(value));
   }
+  for (const auto& [key, value] : r.phase_seconds) {
+    std::printf(",\"%s\":%.6f", key.c_str(), value);
+  }
   std::printf("}\n");
 }
 
