@@ -1,21 +1,26 @@
 #include "core/build_parallel.h"
 
-#include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <queue>
 #include <thread>
-#include <vector>
 
 #include "util/assert.h"
 
 namespace ftbfs {
+namespace {
 
-std::size_t speculative_block_size(unsigned workers) {
-  // Large enough to amortize the per-block crew spawn and keep every worker
-  // fed, small enough to keep the conflict tax (~ additions * block / m) and
-  // the in-flight outcome memory bounded.
-  return std::min<std::size_t>(
-      1024, std::max<std::size_t>(64, std::size_t{workers} * 32));
+// Runs body(worker) on `workers` threads, the caller's as worker 0.
+void run_crew(unsigned workers, const std::function<void(unsigned)>& body) {
+  std::vector<std::thread> crew;
+  crew.reserve(workers > 0 ? workers - 1 : 0);
+  for (unsigned t = 1; t < workers; ++t) crew.emplace_back(body, t);
+  body(0);
+  for (std::thread& th : crew) th.join();
 }
+
+}  // namespace
 
 void run_claimed(
     std::size_t count, unsigned workers,
@@ -25,42 +30,58 @@ void run_claimed(
     return;
   }
   std::atomic<std::size_t> cursor{0};
-  auto claim = [&](unsigned worker) {
+  run_crew(workers, [&](unsigned worker) {
     for (;;) {
       const std::size_t idx = cursor.fetch_add(1, std::memory_order_relaxed);
       if (idx >= count) break;
       work(worker, idx);
     }
-  };
-  std::vector<std::thread> crew;
-  crew.reserve(workers - 1);
-  for (unsigned t = 1; t < workers; ++t) crew.emplace_back(claim, t);
-  claim(0);
-  for (std::thread& th : crew) th.join();
+  });
 }
 
-void run_speculate_commit(
-    std::size_t count, unsigned workers,
-    const std::function<void()>& on_block_start,
+void run_in_dependency_order(
+    std::vector<std::uint32_t> pending, unsigned workers,
+    const std::function<void(unsigned worker, std::size_t idx)>& run,
     const std::function<void(unsigned worker, std::size_t idx,
-                             std::size_t slot)>& speculate,
-    const std::function<void(std::size_t idx, std::size_t slot)>& commit,
-    ParallelBuildReport* report) {
-  FTBFS_EXPECTS(workers >= 2);
-  const std::size_t block = speculative_block_size(workers);
-  for (std::size_t b0 = 0; b0 < count; b0 += block) {
-    const std::size_t b1 = std::min(count, b0 + block);
-    on_block_start();
-    run_claimed(b1 - b0, workers, [&](unsigned worker, std::size_t slot) {
-      speculate(worker, b0 + slot, slot);
-    });
-    for (std::size_t idx = b0; idx < b1; ++idx) commit(idx, idx - b0);
-    if (report != nullptr) {
-      ++report->blocks;
-      report->speculated += b1 - b0;
-    }
+                             const ReleaseFn& release)>& commit) {
+  const std::size_t count = pending.size();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>>
+      ready;  // guarded by mu, as are pending, running and committed
+  std::size_t running = 0;
+  std::size_t committed = 0;
+  for (std::size_t idx = 0; idx < count; ++idx) {
+    if (pending[idx] == 0) ready.push(idx);
   }
-  if (report != nullptr) report->workers = workers;
+  const ReleaseFn release = [&](std::size_t j) {
+    FTBFS_ENSURES(j < count && pending[j] > 0);
+    if (--pending[j] == 0) {
+      ready.push(j);
+      cv.notify_one();
+    }
+  };
+  run_crew(workers, [&](unsigned worker) {
+    std::unique_lock lock(mu);
+    for (;;) {
+      cv.wait(lock, [&] { return !ready.empty() || running == 0; });
+      if (ready.empty()) {
+        // Nothing runs, so nothing can become ready: every index must have
+        // committed, or some pending count was never released.
+        FTBFS_ENSURES(committed == count);
+        break;
+      }
+      const std::size_t idx = ready.top();
+      ready.pop();
+      ++running;
+      lock.unlock();
+      run(worker, idx);
+      lock.lock();
+      commit(worker, idx, release);
+      ++committed;
+      if (--running == 0) cv.notify_all();
+    }
+  });
 }
 
 }  // namespace ftbfs

@@ -1,50 +1,32 @@
 // Deterministic parallel executors for construction: run_claimed hands out
 // independent work items (the tree edges of the batched single-fault phase,
-// core/selector.h), and the speculate-and-commit schedule below runs the
-// per-target steps (2) and (3) of Cons2FTBFS.
+// core/selector.h), and run_in_dependency_order runs the per-target steps (2)
+// and (3) of Cons2FTBFS.
 //
-// The per-target work of the FT-BFS constructions is almost independent: the
-// only cross-target coupling is through the shared kept-edge set H, and every
-// read or write a target v performs on H touches only edges *incident to v*
-// (the candidate last edges of replacement paths ending at v, and v's kept
-// edges E_τ(v)). That locality makes the following schedule
-// produce output bit-identical to the sequential target loop at any worker
-// count (the determinism invariant the property tests enforce):
-//
-//   for each block of targets, in order:
-//     1. speculate — workers run the per-target body in parallel against the
-//        committed state frozen at block start (thread-local scratch, no
-//        writes to shared state; work is claimed from an atomic cursor since
-//        per-target cost varies by orders of magnitude);
-//     2. commit — the main thread replays the recorded outcomes strictly in
-//        target order. A target is *conflicted* iff an earlier commit in the
-//        same block added an edge incident to it; conflicted targets discard
-//        the speculative outcome and re-run against the true state, which is
-//        exactly the sequential semantics. Non-conflicted speculative runs
-//        saw a state identical (on every edge they can observe) to the
-//        sequential state, so their outcomes are already exact.
-//
-// Conflicts are rare — additions per block are few and each hits a later
-// in-block target with probability ~ block/m — so the re-run tax is a few
-// percent while the expensive speculation scales with cores. Blocks are a
-// barrier: speculation never overlaps a commit, so the committed state needs
-// no synchronization at all. docs/perf.md § "Parallel construction" has the
-// full argument and measured speedups.
+// The per-target work of Cons2FTBFS is almost independent: the only
+// cross-target coupling is through the shared kept-edge set H, and target v
+// reads or writes only edges *incident to v* (the last edges of replacement
+// paths ending at v, and v's kept edges E_τ(v)). An edge (u, v) of H outside
+// the tree T0 is written only by u's run or v's run, so v can observe another
+// target's work only through a non-tree edge to a lower-numbered target u.
+// Running v once every such u has committed, and before any such higher
+// neighbour starts, gives v exactly the H-view of the sequential target loop:
+// the output is bit-identical at any worker count (the determinism invariant
+// the property tests enforce).
+// docs/perf.md § "Parallel construction" has the argument and measurements.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace ftbfs {
 
-// Filled by the parallel constructions; surfaced as registry counters so the
-// CLI and benches can report the schedule (workers, conflict tax).
+// Filled by the parallel constructions; surfaced as a registry counter so the
+// CLI and benches can report the crew a build actually used.
 struct ParallelBuildReport {
-  unsigned workers = 1;          // effective worker count after clamping
-  std::uint64_t blocks = 0;      // speculation blocks executed
-  std::uint64_t speculated = 0;  // targets run in a speculation phase
-  std::uint64_t conflicts = 0;   // speculative outcomes discarded and re-run
+  unsigned workers = 1;  // effective worker count after clamping
 };
 
 // Runs work(worker, idx) once for every idx < count on `workers` threads, the
@@ -54,26 +36,20 @@ void run_claimed(
     std::size_t count, unsigned workers,
     const std::function<void(unsigned worker, std::size_t idx)>& work);
 
-// Targets speculated per block before the ordered commit barrier. Callers
-// size their outcome slot arrays with this; `slot` arguments below are always
-// < speculative_block_size(workers).
-[[nodiscard]] std::size_t speculative_block_size(unsigned workers);
+// Called by a commit once per (predecessor, successor) relation it ends.
+using ReleaseFn = std::function<void(std::size_t successor)>;
 
-// Runs the schedule above over `count` targets with `workers` >= 2 threads
-// (callers keep the plain sequential loop for workers <= 1).
-//   on_block_start()            — before each block's speculation phase (the
-//                                 constructions bump their conflict epoch);
-//   speculate(worker, idx, slot) — thread `worker` runs target `idx` against
-//                                 the frozen state, recording into `slot`;
-//   commit(idx, slot)           — main thread, ascending idx; detects
-//                                 conflicts, re-runs if needed, applies.
-// Fills report->{workers, blocks, speculated}; the caller owns `conflicts`.
-void run_speculate_commit(
-    std::size_t count, unsigned workers,
-    const std::function<void()>& on_block_start,
+// Runs every idx < pending.size() once on `workers` threads, the caller's
+// among them (worker 0). Index idx is ready once pending[idx] predecessors
+// have committed, and every predecessor of idx must be lower than idx. A
+// worker takes the lowest ready index, runs run(worker, idx) outside any
+// lock, then commit(worker, idx, release) under the one commit mutex; the
+// commit calls release(j) once for each successor j of idx. With one worker
+// the indices run in ascending order.
+void run_in_dependency_order(
+    std::vector<std::uint32_t> pending, unsigned workers,
+    const std::function<void(unsigned worker, std::size_t idx)>& run,
     const std::function<void(unsigned worker, std::size_t idx,
-                             std::size_t slot)>& speculate,
-    const std::function<void(std::size_t idx, std::size_t slot)>& commit,
-    ParallelBuildReport* report);
+                             const ReleaseFn& release)>& commit);
 
 }  // namespace ftbfs

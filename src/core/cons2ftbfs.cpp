@@ -57,9 +57,8 @@ struct SelectionSlot {
 };
 
 // Step (1) for every target, filled tree edge by tree edge before the
-// per-target loop and read-only afterwards: by the speculative runs and the
-// conflict re-runs alike, since selections never read H. One slot per
-// (v, i), row v holding π(s,v)'s depth(v) edges.
+// per-target runs and read-only afterwards, since selections never read H.
+// One slot per (v, i), row v holding π(s,v)'s depth(v) edges.
 class SelectionTable {
  public:
   SelectionTable(const TreeIndex& idx, Vertex n, unsigned workers)
@@ -106,10 +105,9 @@ class SelectionTable {
   std::vector<DetourArena> arenas_;
 };
 
-// Everything one target contributes, recorded against a frozen H and applied
-// to the shared state by the ordered commit (build_parallel.h). Every edge in
-// `added` is incident to the target — the locality the conflict check relies
-// on.
+// Everything one target contributes, applied to the shared state by its
+// commit (build_parallel.h). Every edge in `added` is incident to the target
+// and outside T0 — the locality the dependency order relies on.
 struct VertexOutcome {
   std::vector<EdgeId> added;  // kept last edges, in keep order
   std::vector<NewEndingRecord> records;
@@ -121,14 +119,14 @@ struct VertexOutcome {
 };
 
 // All state for constructing H(v) for one target vertex v. Reads the shared
-// kept-edge set through a const snapshot plus its own additions; never writes
-// shared state — the commit step replays the outcome in target order.
+// kept-edge set, only on v's edges, plus its own additions; never writes
+// shared state — the target's commit applies the outcome.
 class PerVertexRun {
  public:
   PerVertexRun(const Graph& g, const SelectorBaseline& base, PathSelector& sel,
                VertexIndexMap& pi_pos, VertexIndexMap& aux_pos, Vertex s,
                Vertex v, Path pi, std::span<const SelectionSlot> selections,
-               const std::vector<bool>& in_h, bool classify)
+               const std::vector<std::uint8_t>& in_h, bool classify)
       : g_(g),
         base_(base),
         sel_(sel),
@@ -141,8 +139,8 @@ class PerVertexRun {
         classify_(classify),
         selections_(selections) {
     pi_pos_.bind(pi_);
-    // E_0(v) starts as every v-incident edge already in H (= E(v,T0) here,
-    // since steps run before any other edge of v can exist).
+    // E_0(v) starts as every v-incident edge already in H: v's T0 edges and
+    // the edges lower-numbered targets kept, all committed before v runs.
     for (const Arc& arc : g_.neighbors(v_)) {
       if (in_h_[arc.id]) allowed_v_edges_.push_back(arc.id);
     }
@@ -170,7 +168,7 @@ class PerVertexRun {
     return e;
   }
 
-  // Whether `le` is already kept, in the snapshot or by this run. Every
+  // Whether `le` is already kept, in H or by this run. Every
   // queried edge is v-incident, and this run's additions are few, so the
   // linear scan of `added` stays cheap.
   [[nodiscard]] bool kept(EdgeId le) const {
@@ -492,7 +490,7 @@ class PerVertexRun {
   Vertex s_;
   Vertex v_;
   Path pi_;
-  const std::vector<bool>& in_h_;
+  const std::vector<std::uint8_t>& in_h_;
   bool classify_;
 
   std::span<const SelectionSlot> selections_;  // step (1), from the table
@@ -531,28 +529,26 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
   const SpResult& tree = base.tree();
 
   FtStructure h;
-  std::vector<bool> in_h(g.num_edges(), false);
+  // One byte per edge: runs read their own edges while a commit writes
+  // others, so edges must not share a word.
+  std::vector<std::uint8_t> in_h(g.num_edges(), 0);
   std::vector<Vertex> targets;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (v != s && tree.reached(v)) {
       targets.push_back(v);
       if (!in_h[tree.parent_edge[v]]) {
-        in_h[tree.parent_edge[v]] = true;
+        in_h[tree.parent_edge[v]] = 1;
         ++h.stats.tree_edges;
       }
     }
   }
 
   const unsigned workers = resolve_jobs(opt.jobs, targets.size());
-  Cons2Workspace main_ws{g, w, base};
   std::vector<std::unique_ptr<Cons2Workspace>> pool;
-  std::vector<PathSelector*> selectors{&main_ws.sel};
-  if (workers > 1) {
-    selectors.clear();
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.push_back(std::make_unique<Cons2Workspace>(g, w, base));
-      selectors.push_back(&pool.back()->sel);
-    }
+  std::vector<PathSelector*> selectors;
+  for (unsigned t = 0; t < workers; ++t) {
+    pool.push_back(std::make_unique<Cons2Workspace>(g, w, base));
+    selectors.push_back(&pool.back()->sel);
   }
 
   // Step (1) for every target, one tree edge at a time.
@@ -570,25 +566,33 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
   h.stats.selection_table_bytes = table.bytes();
   h.stats.step1_seconds = step1_timer.seconds();
 
-  // Conflict tracking for the speculative schedule: a target is dirty iff a
-  // commit since the current block's snapshot added an edge incident to it.
-  std::vector<std::uint32_t> dirty(g.num_vertices(), 0);
-  std::uint32_t dirty_epoch = 0;
-
-  auto run_target = [&](Cons2Workspace& ws, Vertex v) {
-    PerVertexRun run(g, base, ws.sel, ws.pi_pos, ws.aux_pos, s, v,
-                     extract_path(tree, v), table.row(v), in_h,
-                     opt.classify_paths);
-    return run.run();
+  // Steps (2) and (3), per target in dependency order (build_parallel.h):
+  // target v reads and writes H only on its own edges, T0's are never
+  // written, and a non-tree edge (u, v) is written only by u's or v's run.
+  // So v waits for its lower-numbered targets across non-tree edges, and
+  // every run sees exactly the H of the sequential target loop.
+  constexpr std::uint32_t kNoTarget = ~std::uint32_t{0};
+  std::vector<std::uint32_t> target_pos(g.num_vertices(), kNoTarget);
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    target_pos[targets[k]] = static_cast<std::uint32_t>(k);
+  }
+  auto for_each_non_tree_target = [&](Vertex v, auto&& fn) {
+    for (const Arc& arc : g.neighbors(v)) {
+      const std::uint32_t u = target_pos[arc.to];
+      if (u != kNoTarget && base.edge_child(arc.id) == kInvalidVertex) fn(u);
+    }
   };
+  std::vector<std::uint32_t> pending(targets.size(), 0);
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    for_each_non_tree_target(targets[k], [&](std::uint32_t u) {
+      if (u < k) ++pending[k];
+    });
+  }
 
   auto commit_outcome = [&](Vertex v, VertexOutcome&& out) {
     for (const EdgeId e : out.added) {
       FTBFS_ENSURES(!in_h[e]);
-      in_h[e] = true;
-      const Edge& ed = g.edge(e);
-      dirty[ed.u] = dirty_epoch;
-      dirty[ed.v] = dirty_epoch;
+      in_h[e] = 1;
     }
     h.stats.new_edges += out.added.size();
     h.stats.max_new_per_vertex =
@@ -597,6 +601,9 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
     h.stats.fault_pairs_considered += out.fault_pairs;
     h.stats.divergence_fallbacks += out.fallbacks;
     h.stats.kernels += out.kernels;
+    if (opt.progress != nullptr) {
+      opt.progress->fetch_add(out.fault_pairs, std::memory_order_relaxed);
+    }
     if (opt.classify_paths) {
       h.stats.classes.single += out.classes.single;
       h.stats.classes.a_pi_pi += out.classes.a_pi_pi;
@@ -608,49 +615,28 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
       if (opt.record_sink) opt.record_sink(v, out.pi, out.records);
     }
   };
-  // Progress counts fault pairs as their work finishes: step (1)'s per batch
-  // above, steps (2) and (3) per target here — at speculation, not commit,
-  // since block commits land together and would quantize the sampled rate
-  // the bench_e13 windowed sweep reads from outside the process.
-  auto bump_progress = [&](const VertexOutcome& out) {
-    if (opt.progress != nullptr) {
-      opt.progress->fetch_add(out.fault_pairs, std::memory_order_relaxed);
-    }
-  };
 
   const Timer steps23_timer;
-  ParallelBuildReport report;
-  if (workers <= 1) {
-    for (const Vertex v : targets) {
-      VertexOutcome out = run_target(main_ws, v);
-      bump_progress(out);
-      commit_outcome(v, std::move(out));
-    }
-  } else {
-    std::vector<VertexOutcome> slots(speculative_block_size(workers));
-    run_speculate_commit(
-        targets.size(), workers, /*on_block_start=*/[&] { ++dirty_epoch; },
-        [&](unsigned worker, std::size_t idx, std::size_t slot) {
-          slots[slot] = run_target(*pool[worker], targets[idx]);
-          bump_progress(slots[slot]);
-        },
-        [&](std::size_t idx, std::size_t slot) {
-          const Vertex v = targets[idx];
-          VertexOutcome out = std::move(slots[slot]);
-          if (dirty[v] == dirty_epoch) {
-            // An earlier commit in this block touched a v-incident edge: the
-            // speculative run may have seen a stale E(v,H). Re-run against
-            // the true state — the sequential semantics, exactly.
-            ++report.conflicts;
-            out = run_target(main_ws, v);
-          }
-          commit_outcome(v, std::move(out));
-        },
-        &report);
-  }
+  std::vector<VertexOutcome> outcomes(workers);  // each awaiting its commit
+  run_in_dependency_order(
+      std::move(pending), workers,
+      [&](unsigned worker, std::size_t k) {
+        Cons2Workspace& ws = *pool[worker];
+        const Vertex v = targets[k];
+        outcomes[worker] =
+            PerVertexRun(g, base, ws.sel, ws.pi_pos, ws.aux_pos, s, v,
+                         extract_path(tree, v), table.row(v), in_h,
+                         opt.classify_paths)
+                .run();
+      },
+      [&](unsigned worker, std::size_t k, const ReleaseFn& release) {
+        commit_outcome(targets[k], std::move(outcomes[worker]));
+        for_each_non_tree_target(targets[k], [&](std::uint32_t u) {
+          if (u > k) release(u);
+        });
+      });
   h.stats.steps23_seconds = steps23_timer.seconds();
-  report.workers = workers;
-  if (opt.parallel_report != nullptr) *opt.parallel_report = report;
+  if (opt.parallel_report != nullptr) opt.parallel_report->workers = workers;
 
   h.stats.dijkstra_runs = 1 + h.stats.kernels.sweeps();  // + the tree
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

@@ -39,24 +39,23 @@ struct Cons2Options {
   // π(s,v) and the new-ending records of that vertex (valid only during the
   // call). Requires classify_paths. Used by the property tests and the
   // structural experiments; has no effect on the constructed structure.
-  // Always invoked in ascending target order, at any job count.
+  // Invoked in ascending target order at jobs 1; at higher job counts in
+  // commit order, one call at a time (no caller uses it there).
   std::function<void(Vertex v, const Path& pi,
                      const std::vector<NewEndingRecord>& records)>
       record_sink;
   // Worker threads; 0 = auto (hardware), 1 = sequential. Step (1) runs
   // first, one tree edge at a time for every target below it, into a table
-  // (selections never read H). Steps (2) and (3) are then speculated per
-  // target in parallel against a frozen H and committed in target order,
-  // with conflicted targets (an earlier commit added an edge incident to
-  // them — the only state a target can observe) re-run sequentially, so the
+  // (selections never read H). Steps (2) and (3) then run per target, each
+  // once every lower-numbered target joined to it by a non-tree edge has
+  // committed — the only targets whose work it can observe — so the
   // structure and every stats field are byte-identical at any value
   // (build_parallel.h).
   unsigned jobs = 1;
   // Optional: grows by fault pairs as their work finishes — step (1)'s per
-  // tree edge, steps (2) and (3)'s per target at speculation — so its final
-  // value is stats.fault_pairs_considered. Lets long builds report
-  // throughput without block-commit quantization (the bench_e13 n=10^5 jobs
-  // sweep samples it from a forked child).
+  // tree edge, steps (2) and (3)'s per target at commit — so its final value
+  // is stats.fault_pairs_considered. Lets long builds report throughput (the
+  // bench_e13 n=10^5 jobs sweep samples it from a forked child).
   std::atomic<std::uint64_t>* progress = nullptr;
   // Optional: filled with the parallel schedule actually used.
   ParallelBuildReport* parallel_report = nullptr;

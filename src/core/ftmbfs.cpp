@@ -38,15 +38,6 @@ FtMbfsResult build_union(const Graph& g, std::span<const Vertex> sources,
   return out;
 }
 
-// Folds one per-source schedule into the union's aggregate: workers is the
-// largest crew any source used, the work counters sum.
-void merge_report(ParallelBuildReport& agg, const ParallelBuildReport& one) {
-  agg.workers = std::max(agg.workers, one.workers);
-  agg.blocks += one.blocks;
-  agg.speculated += one.speculated;
-  agg.conflicts += one.conflicts;
-}
-
 }  // namespace
 
 FtMbfsResult build_cons2ftmbfs(const Graph& g,
@@ -62,7 +53,7 @@ FtMbfsResult build_cons2ftmbfs(const Graph& g,
   one.parallel_report = &inner;
   FtMbfsResult out = build_union(g, sources, [&](Vertex s) {
     FtStructure h = build_cons2ftbfs(g, s, one);
-    merge_report(agg, inner);
+    agg.workers = std::max(agg.workers, inner.workers);
     return h;
   });
   if (opt.parallel_report != nullptr) *opt.parallel_report = agg;
@@ -81,7 +72,7 @@ FtMbfsResult build_single_ftmbfs(const Graph& g,
   one.parallel_report = &inner;
   FtMbfsResult out = build_union(g, sources, [&](Vertex s) {
     FtStructure h = build_single_ftbfs(g, s, one);
-    merge_report(agg, inner);
+    agg.workers = std::max(agg.workers, inner.workers);
     return h;
   });
   if (opt.parallel_report != nullptr) *opt.parallel_report = agg;

@@ -26,7 +26,7 @@ struct FtMbfsOptions {
   // (single_ftbfs.h / cons2ftbfs.h semantics).
   std::atomic<std::uint64_t>* progress = nullptr;
   // Optional: the schedules of the per-source builds, aggregated — workers is
-  // the maximum crew used, blocks/speculated/conflicts are summed.
+  // the largest crew any source used.
   ParallelBuildReport* parallel_report = nullptr;
 };
 

@@ -14,18 +14,6 @@
 namespace ftbfs {
 namespace {
 
-// Registry counters describing the parallel schedule a builder actually ran
-// (worker count after clamping, speculation conflicts re-run sequentially).
-// Builds that speculate nothing — single_ftbfs, whose workers share no
-// state — report no spec_* counters.
-void add_parallel_counters(BuildResult& out, const ParallelBuildReport& r) {
-  out.counters.emplace_back("build_workers", r.workers);
-  if (r.blocks > 0) {
-    out.counters.emplace_back("spec_blocks", r.blocks);
-    out.counters.emplace_back("spec_conflicts", r.conflicts);
-  }
-}
-
 // How the selection kernels answered (core/selector.h): read off the
 // fault-free baseline, repaired over the cut region, or searched from the
 // source. Identical at every job count.
@@ -47,7 +35,7 @@ BuildResult build_single(const BuildRequest& req) {
   opt.parallel_report = &report;
   BuildResult out;
   out.structure = build_single_ftbfs(*req.graph, req.sources[0], opt);
-  add_parallel_counters(out, report);
+  out.counters.emplace_back("build_workers", report.workers);
   add_kernel_counters(out);
   return out;
 }
@@ -61,7 +49,7 @@ BuildResult build_cons2(const BuildRequest& req) {
   opt.parallel_report = &report;
   BuildResult out;
   out.structure = build_cons2ftbfs(*req.graph, req.sources[0], opt);
-  add_parallel_counters(out, report);
+  out.counters.emplace_back("build_workers", report.workers);
   add_kernel_counters(out);
   out.counters.emplace_back("fault_pairs_considered",
                             out.structure.stats.fault_pairs_considered);
@@ -112,7 +100,7 @@ BuildResult build_ftmbfs(const BuildRequest& req) {
   std::uint64_t before_union = 0;
   for (const std::uint64_t s : r.per_source_size) before_union += s;
   out.counters.emplace_back("edges_before_union", before_union);
-  add_parallel_counters(out, report);
+  out.counters.emplace_back("build_workers", report.workers);
   add_kernel_counters(out);
   return out;
 }

@@ -78,8 +78,9 @@ struct BuilderTraits {
   // enumeration); benches and sweeps should use reduced instance sizes.
   bool heavy_construction = false;
   // Honors BuildOptions::jobs with byte-identical output at any job count
-  // (the speculate-and-commit schedule of core/build_parallel.h). Builders
-  // without it ignore jobs and build sequentially.
+  // (core/build_parallel.h: tree edges claimed in any order, and cons2's
+  // targets each run after the lower-numbered targets it depends on).
+  // Builders without it ignore jobs and build sequentially.
   bool parallel_build = false;
 };
 

@@ -63,7 +63,7 @@ const std::vector<Pinned>& pinned() {
 TEST(KeptEdgeDigest, Cons2MatchesPinnedAtEveryJobCount) {
   for (const Pinned& p : pinned()) {
     const Graph g = p.make();
-    for (const unsigned jobs : {1u, 4u}) {
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
       Cons2Options opt;
       opt.jobs = jobs;
       opt.classify_paths = false;

@@ -7,9 +7,12 @@
 // own jobs>1 crew.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/build_parallel.h"
@@ -21,6 +24,7 @@
 #include "service/protocol.h"
 #include "spath/bfs.h"
 #include "util/concurrency.h"
+#include "util/rng.h"
 
 namespace ftbfs {
 namespace {
@@ -71,11 +75,17 @@ TEST(ParallelBuild, ByteIdenticalAcrossJobCounts) {
     const unsigned f =
         std::max(t.min_fault_budget, std::min(2u, t.max_fault_budget));
     if (f > t.max_fault_budget || f == 0) continue;
-    // Heavy constructions (m^f fault-set enumeration) get a smaller graph;
-    // everything else a size where the parallel schedule spans many blocks.
+    // Heavy constructions (m^f fault-set enumeration) get smaller graphs;
+    // everything else a size where many targets run concurrently. The grid
+    // is where most targets wait on a lower neighbour across a non-tree edge.
     const Vertex n = t.heavy_construction ? 40u : 120u;
-    for (const std::uint64_t seed : {7ull, 23ull}) {
-      const Graph g = random_connected(n, 3 * n, seed);
+    const Vertex side = t.heavy_construction ? 6u : 11u;
+    const std::vector<std::pair<std::string, Graph>> inputs = {
+        {"connected seed=7", random_connected(n, 3 * n, 7)},
+        {"connected seed=23", random_connected(n, 3 * n, 23)},
+        {"grid " + std::to_string(side), grid_graph(side, side)},
+    };
+    for (const auto& [input, g] : inputs) {
       BuildRequest req;
       req.graph = &g;
       req.sources = {0};
@@ -87,8 +97,7 @@ TEST(ParallelBuild, ByteIdenticalAcrossJobCounts) {
         req.options.jobs = jobs;
         const BuildResult r = reg.build(t.name, req);
         const std::string label =
-            t.name + " seed=" + std::to_string(seed) +
-            " jobs=" + std::to_string(jobs);
+            t.name + " " + input + " jobs=" + std::to_string(jobs);
         EXPECT_EQ(base.structure.edges, r.structure.edges) << label;
         expect_same_stats(base.structure.stats, r.structure.stats, label);
         for (const char* key :
@@ -138,7 +147,8 @@ TEST(ParallelBuild, KernelCountersAreReported) {
 // Cons2FTBFS reports its step-(1) table: one 24-byte slot per fault pair
 // (v, e) of step (1) plus 4 bytes per stored detour vertex, so it lies
 // between the slots alone and a constant times fault_pairs_considered.
-// Single-source single_ftbfs keeps no table and runs no speculation.
+// Single-source single_ftbfs keeps no table. Neither build reports the
+// counters of the retired speculative schedule.
 TEST(ParallelBuild, SelectionTableBytesAreReported) {
   const Graph g = random_connected(120, 360, 3);
   const BuilderRegistry& reg = BuilderRegistry::instance();
@@ -154,6 +164,8 @@ TEST(ParallelBuild, SelectionTableBytesAreReported) {
   }
   EXPECT_EQ(counter_value(cons2, "selection_table_bytes"),
             st.selection_table_bytes);
+  EXPECT_FALSE(has_counter(cons2, "spec_blocks"));
+  EXPECT_FALSE(has_counter(cons2, "spec_conflicts"));
   EXPECT_GT(st.selection_table_bytes, 24 * step1_pairs);
   EXPECT_LE(st.selection_table_bytes, 28 * st.fault_pairs_considered);
 
@@ -287,27 +299,62 @@ TEST(ParallelBuild, ConcurrentPoolBuildsWithParallelJobs) {
 
 // --- the schedule helper itself --------------------------------------------
 
-TEST(ParallelBuild, RunSpeculateCommitCoversEveryIndexInOrder) {
-  constexpr std::size_t kCount = 1000;
-  const unsigned workers = 3;
-  const std::size_t block = speculative_block_size(workers);
-  std::vector<int> speculated(kCount, 0);
-  std::vector<std::size_t> committed;
-  ParallelBuildReport report;
-  run_speculate_commit(
-      kCount, workers, /*on_block_start=*/[] {},
-      [&](unsigned, std::size_t idx, std::size_t slot) {
-        ASSERT_LT(slot, block);
-        speculated[idx]++;
-      },
-      [&](std::size_t idx, std::size_t) { committed.push_back(idx); },
-      &report);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(speculated[i], 1) << i;           // exactly once
-    EXPECT_EQ(committed[i], i);                 // in order
+// Random DAGs whose edges run from lower to higher indices, at every worker
+// count: each index runs exactly once, never before all its predecessors have
+// committed, and one worker runs them in ascending order.
+TEST(ParallelBuild, DependencyOrderRespectsPredecessors) {
+  constexpr std::size_t kCount = 400;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    Rng rng(seed);
+    std::vector<std::vector<std::size_t>> preds(kCount), succs(kCount);
+    std::vector<std::uint32_t> pending(kCount, 0);
+    for (std::size_t j = 1; j < kCount; ++j) {
+      // A few nearby predecessors, so that chains and fan-in both occur.
+      const std::size_t k = rng.next_below(4);
+      for (std::size_t c = 0; c < k; ++c) {
+        const std::size_t i =
+            j - 1 - rng.next_below(std::min<std::size_t>(j, 8));
+        if (std::find(preds[j].begin(), preds[j].end(), i) != preds[j].end()) {
+          continue;
+        }
+        preds[j].push_back(i);
+        succs[i].push_back(j);
+        ++pending[j];
+      }
+    }
+    for (const unsigned workers : {1u, 2u, 4u, 8u}) {
+      const std::string label =
+          "seed=" + std::to_string(seed) + " workers=" + std::to_string(workers);
+      std::vector<std::atomic<int>> runs(kCount);
+      std::vector<std::atomic<bool>> committed(kCount);
+      std::vector<std::size_t> order;  // commit order, under the commit mutex
+      std::atomic<std::size_t> early{0};
+      run_in_dependency_order(
+          pending, workers,
+          [&](unsigned worker, std::size_t idx) {
+            EXPECT_LT(worker, workers);
+            runs[idx].fetch_add(1);
+            for (const std::size_t p : preds[idx]) {
+              if (!committed[p].load()) early.fetch_add(1);
+            }
+            // Hold the index long enough for others to start alongside it.
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+          },
+          [&](unsigned, std::size_t idx, const ReleaseFn& release) {
+            committed[idx].store(true);
+            order.push_back(idx);
+            for (const std::size_t j : succs[idx]) release(j);
+          });
+      EXPECT_EQ(early.load(), 0u) << label;
+      ASSERT_EQ(order.size(), kCount) << label;
+      for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << label << " idx=" << i;
+        if (workers == 1) {
+          EXPECT_EQ(order[i], i) << label;
+        }
+      }
+    }
   }
-  EXPECT_EQ(report.speculated, kCount);
-  EXPECT_GE(report.blocks, kCount / block);
 }
 
 TEST(ParallelBuild, ResolveJobsPolicy) {
