@@ -9,7 +9,7 @@
 // validate the snapshot, restore the pool, answer the same query. Both
 // columns end on byte-identical response lines (checked).
 //
-// Three rows per run:
+// Four rows per run:
 //   * "pool" at n = 10^5 — the bench_e8 scale-sweep serving state (one
 //     all-edges entry + baselines). No construction to skip, so the cold
 //     side is text parsing + baseline BFS: this row is the *floor* of the
@@ -19,11 +19,13 @@
 //     m = 3n), so this is where the >= 10x gate is enforced: the recorded
 //     row keeps n where one cold build is feasible, making the ratio a
 //     measurement, not an extrapolation.
-//   * the same real build at n = 10^5, cold side run under a timeout
-//     (fork + alarm). If construction does not finish in time, the
-//     elapsed time at the kill is recorded as a measured *lower bound*, and
-//     the speedup against the measured n = 10^5 load time is reported as
-//     ">= bound / load". Skipped under --small (CI smoke budget).
+//   * the same real build at n = 10^5, and Cons2FTBFS (budget 2) at
+//     n = 10^5, each cold side run under a timeout (fork + alarm). If
+//     construction does not finish in time, the elapsed time at the kill is
+//     recorded as a measured *lower bound*, and the speedup against the
+//     measured n = 10^5 load time is reported as ">= bound / load". A build
+//     that finishes also reports the wall seconds of its phases (cons2:
+//     step1_s, steps23_s). Skipped under --small (CI smoke budget).
 //
 // Gates (checked by CI on --small, recorded in bench/BENCH_persist.json):
 //   * construction rows: load-to-first-response at least 10x faster than
@@ -37,6 +39,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -58,6 +61,7 @@ using namespace ftbfs::bench;
 
 struct Row {
   std::string algo;
+  unsigned budget = 1;
   Vertex n = 0;
   EdgeId m = 0;
   double cold_s = 0.0;
@@ -74,6 +78,9 @@ struct Row {
   // False when the cold build hit the timeout: cold_s and speedup are then
   // measured lower bounds, not totals.
   bool cold_completed = true;
+  // Wall seconds per construction phase, from the registry (full-scale rows
+  // whose build completed).
+  std::vector<std::pair<std::string, double>> phases;
 };
 
 std::string temp_file(const char* name) {
@@ -106,6 +113,7 @@ std::uint64_t file_bytes(const std::string& path) {
 Row measure(const std::string& algo, Vertex n, std::uint64_t seed) {
   Row row;
   row.algo = algo;
+  row.budget = algo == "pool" ? 2u : 1u;
   row.n = n;
 
   const Graph generated = make_sparse_er(n, seed);
@@ -116,7 +124,7 @@ Row measure(const std::string& algo, Vertex n, std::uint64_t seed) {
   ServiceConfig config;
   config.lazy_build = false;
   config.cache_capacity = 256;
-  config.default_budget = algo == "pool" ? 2u : 1u;
+  config.default_budget = row.budget;
 
   // --- cold: text file -> first response ------------------------------------
   Timer cold;
@@ -164,36 +172,76 @@ Row measure(const std::string& algo, Vertex n, std::uint64_t seed) {
   return row;
 }
 
-// The full-scale construction row: runs the registry build in a forked child
-// under alarm(timeout). When construction does not finish, the elapsed time
-// at the SIGALRM is a measured lower bound on the cold build, reported against
-// `load_s`, the measured load-to-first-response at the same n (taken from
-// the pool row, whose all-edges snapshot is a superset of — so no smaller
-// than — any structure snapshot at that n).
-Row measure_cold_bound(const std::string& algo, Vertex n, std::uint64_t seed,
-                       unsigned timeout_s, double load_s) {
+// The full-scale construction row: runs the registry build of `algo` at
+// `budget` in a forked child under alarm(timeout), the way build_structure
+// would, and reads its phase seconds back over a pipe. When construction
+// does not finish, the elapsed time at the SIGALRM is a measured lower bound
+// on the cold build, reported against `load_s`, the measured
+// load-to-first-response at the same n (taken from the pool row, whose
+// all-edges snapshot is a superset of — so no smaller than — any structure
+// snapshot at that n).
+Row measure_cold_bound(const std::string& algo, unsigned budget, Vertex n,
+                       std::uint64_t seed, unsigned timeout_s, double load_s) {
   Row row;
   row.algo = algo;
+  row.budget = budget;
   row.n = n;
   row.construction = true;
   row.load_s = load_s;
 
   const Graph g = make_sparse_er(n, seed);
   row.m = g.num_edges();
+  int fds[2] = {-1, -1};
+  if (::pipe(fds) != 0) {
+    std::perror("pipe");
+    std::exit(1);
+  }
   Timer cold;
   const pid_t child = fork();
   if (child == 0) {
+    ::close(fds[0]);
     ::alarm(timeout_s);
-    OracleService service(g, ServiceConfig{.lazy_build = false});
-    service.build_structure(algo + "@s0f1", 0, 1, FaultModel::kEdge, algo);
+    const ServiceConfig config{.lazy_build = false};
+    OracleService service(g, config);
+    BuildRequest req;
+    req.graph = &g;
+    req.sources = {0};
+    req.fault_budget = budget;
+    req.weight_seed = config.weight_seed;
+    req.options.jobs = config.build_jobs;
+    const BuildResult built = BuilderRegistry::instance().build(algo, req);
+    service.add_structure(algo + "@s0f" + std::to_string(budget), 0, budget,
+                          FaultModel::kEdge, built.structure.edges);
     (void)service.serve(first_request(g));
+    std::string phases;
+    for (const auto& [name, seconds] : built.phase_seconds) {
+      phases += name + " " + std::to_string(seconds) + "\n";
+    }
+    if (::write(fds[1], phases.data(), phases.size()) !=
+        static_cast<ssize_t>(phases.size())) {
+      _exit(1);
+    }
     _exit(0);
   }
+  ::close(fds[1]);
   int status = 0;
   ::waitpid(child, &status, 0);
   row.cold_s = cold.seconds();
   row.cold_completed = WIFEXITED(status) && WEXITSTATUS(status) == 0;
   row.speedup = row.load_s == 0.0 ? 0.0 : row.cold_s / row.load_s;
+  // The child exited, so its few lines sit in the pipe whole.
+  std::FILE* in = ::fdopen(fds[0], "r");
+  if (in == nullptr) {
+    ::close(fds[0]);
+    return row;
+  }
+  char name[64] = {};
+  double seconds = 0.0;
+  while (row.cold_completed &&
+         std::fscanf(in, "%63s %lf", name, &seconds) == 2) {
+    row.phases.emplace_back(name, seconds);
+  }
+  std::fclose(in);
   return row;
 }
 
@@ -237,8 +285,10 @@ int main(int argc, char** argv) {
   rows.push_back(measure("pool", pool_n, seed));
   rows.push_back(measure(real_algo, real_n, seed));
   if (!small) {
-    rows.push_back(measure_cold_bound(real_algo, pool_n, seed, cold_timeout,
-                                      rows[0].load_s));
+    rows.push_back(measure_cold_bound(real_algo, 1, pool_n, seed,
+                                      cold_timeout, rows[0].load_s));
+    rows.push_back(measure_cold_bound("cons2ftbfs", 2, pool_n, seed,
+                                      cold_timeout, rows[0].load_s));
   }
 
   bool ok = true;
@@ -254,18 +304,24 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       std::printf(
-          "%s{\"algo\":\"%s\",\"n\":%u,\"m\":%u,\"%s\":%.4f,"
+          "%s{\"algo\":\"%s\",\"budget\":%u,\"n\":%u,\"m\":%u,"
+          "\"%s\":%.4f,"
           "\"save_s\":%.4f,\"load_first_response_s\":%.4f,\"%s\":%.1f,"
           "\"snapshot_bytes\":%" PRIu64 ",\"resident_bytes\":%" PRIu64
           ",\"bytes_ratio\":%.3f,\"cold_completed\":%s,\"construction\":%s,"
-          "\"mismatches\":%" PRIu64 "}",
-          i == 0 ? "" : ",", row.algo.c_str(), row.n, row.m,
+          "\"mismatches\":%" PRIu64 ",\"phase_s\":{",
+          i == 0 ? "" : ",", row.algo.c_str(), row.budget, row.n, row.m,
           row.cold_completed ? "cold_build_s" : "cold_build_lower_bound_s",
           row.cold_s, row.save_s, row.load_s,
           row.cold_completed ? "speedup" : "speedup_lower_bound", row.speedup,
           row.snapshot_bytes, row.resident_bytes, row.bytes_ratio,
           row.cold_completed ? "true" : "false",
           row.construction ? "true" : "false", row.mismatches);
+      for (std::size_t p = 0; p < row.phases.size(); ++p) {
+        std::printf("%s\"%s\":%.4f", p == 0 ? "" : ",",
+                    row.phases[p].first.c_str(), row.phases[p].second);
+      }
+      std::printf("}}");
     }
     std::printf("],\"gate\":{\"min_speedup\":10.0,\"max_bytes_ratio\":2.0},"
                 "\"pass\":%s}\n",
@@ -273,15 +329,21 @@ int main(int argc, char** argv) {
   } else {
     std::printf("persistence: cold build vs snapshot load "
                 "(time to first response)\n");
-    std::printf("%-14s %8s %8s %10s %10s %10s %10s %8s %7s\n", "algo", "n",
-                "m", "cold s", "save s", "load s", "speedup", "MiB", "ratio");
+    std::printf("%-14s %2s %8s %8s %10s %10s %10s %10s %8s %7s\n", "algo",
+                "f", "n", "m", "cold s", "save s", "load s", "speedup", "MiB",
+                "ratio");
     for (const Row& row : rows) {
       const char* bound = row.cold_completed ? " " : ">";
-      std::printf("%-14s %8u %8u %s%9.3f %10.3f %10.3f %s%8.1fx %8.2f %7.3f%s\n",
-                  row.algo.c_str(), row.n, row.m, bound, row.cold_s, row.save_s,
-                  row.load_s, bound, row.speedup,
-                  static_cast<double>(row.snapshot_bytes) / (1024.0 * 1024.0),
-                  row.bytes_ratio, row.mismatches == 0 ? "" : "  MISMATCH");
+      std::printf(
+          "%-14s %2u %8u %8u %s%9.3f %10.3f %10.3f %s%8.1fx %8.2f %7.3f%s",
+          row.algo.c_str(), row.budget, row.n, row.m, bound, row.cold_s,
+          row.save_s, row.load_s, bound, row.speedup,
+          static_cast<double>(row.snapshot_bytes) / (1024.0 * 1024.0),
+          row.bytes_ratio, row.mismatches == 0 ? "" : "  MISMATCH");
+      for (const auto& [name, seconds] : row.phases) {
+        std::printf("  %s %.3f", name.c_str(), seconds);
+      }
+      std::printf("\n");
     }
     std::printf("gates: construction speedup >= 10x, snapshot < 2x resident "
                 "bytes: %s\n",

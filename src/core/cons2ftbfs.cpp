@@ -207,12 +207,13 @@ class PerVertexRun {
     return true;
   }
 
-  // Hop distance s→v in G ∖ faults.
-  std::uint32_t target_distance(std::initializer_list<EdgeId> faults) {
+  // Hop distance s→v in G ∖ faults, given what is known of it.
+  std::uint32_t target_distance(std::initializer_list<EdgeId> faults,
+                                HopBounds bounds = {}) {
     GraphMask& m = sel_.mask();
     m.clear();
     for (const EdgeId e : faults) m.block_edge(e);
-    return sel_.hop_distance(s_, v_);
+    return sel_.hop_distance(s_, v_, bounds);
   }
 
   // ---- step (1): single faults on π ---------------------------------------
@@ -349,12 +350,15 @@ class PerVertexRun {
       return;  // not new-ending
     }
 
-    const std::uint32_t target = target_distance({e, t});
+    // G ∖ F ⊆ G ∖ {e}, so the probe's answer is at least single_hops.
+    const std::uint32_t target = target_distance(
+        {e, t}, {.at_least = static_cast<std::uint32_t>(single_hops)});
     if (target == kInfHops) return;
 
     // Satisfiability in G_{τ−1}(v) ∖ F (v's edges restricted to E_{τ−1}(v)),
     // decided from the probe above: v lies below e in T0, so that probe
-    // searched and left every distance below `target` exact.
+    // searched and left the distance of each of v's neighbours below
+    // `target` exact.
     if (reaches_through_kept_edge(sel_, v_, allowed_v_edges_, target)) {
       return;  // not new-ending
     }
@@ -405,12 +409,16 @@ class PerVertexRun {
   //  - x = s. Then G_D(w_0) ⊆ G(u_0, v) = G(u_x, v). If G_D(w_0) ∖ F reaches
   //    v within target, k0 = 0 = x and l0 = 0, and its sweep is exactly the
   //    path both searches select; otherwise l = 0 is known to fail.
+  // Every probe and sweep here asks about a graph inside G ∖ F, and only
+  // whether v is reached within target, so each passes target as both
+  // bounds: a pass stops once the distance is certain to exceed it.
   [[nodiscard]] Path select_new_ending(std::size_t i, std::size_t r, EdgeId e,
                                        EdgeId t, std::uint32_t target) {
     const SelectionSlot& si = selections_[i];
     const std::size_t x_idx = si.x_pi_index;
     const std::span<const Vertex> d = si.detour();
     GraphMask& m = sel_.mask();
+    const HopBounds within{.at_least = target, .at_most = target};
 
     // Masks G(u_k, v) ∖ F: π positions [k+1 .. |π|-2] removed.
     auto apply_gk = [&](std::size_t k) {
@@ -429,15 +437,15 @@ class PerVertexRun {
     };
     auto feasible_k = [&](std::size_t k) {
       apply_gk(k);
-      return sel_.hop_distance(s_, v_) == target;
+      return sel_.hop_distance(s_, v_, within) == target;
     };
     auto feasible_l = [&](std::size_t l) {
       apply_gd(l);
-      return sel_.hop_distance(s_, v_) == target;
+      return sel_.hop_distance(s_, v_, within) == target;
     };
     // The W-unique shortest path under the current mask.
     auto sweep = [&] {
-      std::optional<RPath> rp = sel_.w_path(s_, v_);
+      std::optional<RPath> rp = sel_.w_path(s_, v_, within);
       FTBFS_ENSURES(rp.has_value() && rp->key.hops == target);
       return std::move(rp->verts);
     };
@@ -446,7 +454,7 @@ class PerVertexRun {
     bool l0_infeasible = false;
     if (x_idx == 0) {
       apply_gd(0);
-      std::optional<RPath> rp = sel_.w_path(s_, v_);
+      std::optional<RPath> rp = sel_.w_path(s_, v_, within);
       if (rp.has_value() && rp->key.hops == target) return std::move(rp->verts);
       l0_infeasible = true;
     }

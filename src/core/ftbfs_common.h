@@ -40,37 +40,52 @@ struct PathClassCounts {
 
 // How the construction kernels (core/selector.h) answered their calls: hop
 // probes and W-sweeps, each either read off the fault-free baseline (target
-// outside the cut region, or cut off outright), repaired over the cut region
-// only, or searched from the source with an early exit.
+// outside the cut region, or cut off outright), searched backward from the
+// target through the cut region, repaired over the cut region, or searched
+// from the source with an early exit. A backward pass that gives up is
+// counted in backward_abandoned and again by the route that then answered;
+// backward_vertices counts the cut vertices every backward pass expanded.
 struct KernelCounts {
   std::uint64_t probe_baseline = 0;
+  std::uint64_t probe_backward = 0;
   std::uint64_t probe_repair = 0;
   std::uint64_t probe_search = 0;
   std::uint64_t sweep_baseline = 0;
+  std::uint64_t sweep_backward = 0;
   std::uint64_t sweep_repair = 0;
   std::uint64_t sweep_search = 0;
+  std::uint64_t backward_abandoned = 0;
+  std::uint64_t backward_vertices = 0;
 
   [[nodiscard]] std::uint64_t sweeps() const {
-    return sweep_baseline + sweep_repair + sweep_search;
+    return sweep_baseline + sweep_backward + sweep_repair + sweep_search;
   }
 
   KernelCounts& operator+=(const KernelCounts& o) {
     probe_baseline += o.probe_baseline;
+    probe_backward += o.probe_backward;
     probe_repair += o.probe_repair;
     probe_search += o.probe_search;
     sweep_baseline += o.sweep_baseline;
+    sweep_backward += o.sweep_backward;
     sweep_repair += o.sweep_repair;
     sweep_search += o.sweep_search;
+    backward_abandoned += o.backward_abandoned;
+    backward_vertices += o.backward_vertices;
     return *this;
   }
   [[nodiscard]] KernelCounts operator-(const KernelCounts& o) const {
     KernelCounts d;
     d.probe_baseline = probe_baseline - o.probe_baseline;
+    d.probe_backward = probe_backward - o.probe_backward;
     d.probe_repair = probe_repair - o.probe_repair;
     d.probe_search = probe_search - o.probe_search;
     d.sweep_baseline = sweep_baseline - o.sweep_baseline;
+    d.sweep_backward = sweep_backward - o.sweep_backward;
     d.sweep_repair = sweep_repair - o.sweep_repair;
     d.sweep_search = sweep_search - o.sweep_search;
+    d.backward_abandoned = backward_abandoned - o.backward_abandoned;
+    d.backward_vertices = backward_vertices - o.backward_vertices;
     return d;
   }
   friend bool operator==(const KernelCounts&, const KernelCounts&) = default;

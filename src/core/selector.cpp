@@ -5,6 +5,18 @@
 #include "core/build_parallel.h"
 
 namespace ftbfs {
+namespace {
+
+// The backward pass's gate (docs/perf.md, "Goal-directed single-target
+// passes"): it runs when the caller's bound is at most kBackwardSlack hops
+// above the target's T0 depth, unless it gave up kBackwardStreak times in a
+// row for the same target below the same cut subtree; it gives up once it
+// has expanded |A| / kBackwardShare vertices of the cut region A.
+constexpr std::uint32_t kBackwardSlack = 2;
+constexpr std::uint64_t kBackwardShare = 16;
+constexpr std::uint32_t kBackwardStreak = 4;
+
+}  // namespace
 
 SelectorBaseline::SelectorBaseline(const Graph& g, const WeightAssignment& w,
                                    Vertex source)
@@ -63,6 +75,7 @@ PathSelector::PathSelector(const Graph& g, const WeightAssignment& w,
       bfs_(g),
       dijkstra_(g, w),
       region_stamp_(g.num_vertices(), 0),
+      to_target_(g.num_vertices(), kInfHops),
       key_(g.num_vertices(), kUnreachable),
       parent_(g.num_vertices(), kInvalidVertex),
       parent_edge_(g.num_vertices(), kInvalidEdge) {}
@@ -115,25 +128,60 @@ PathSelector::Route PathSelector::route(const SelectorBaseline& b, Vertex t) {
     return Route::kCutOff;
   }
   find_region(b);
-  const std::uint32_t t_pre = idx.preorder_index(t);
-  const bool cut = std::any_of(roots_.begin(), roots_.end(), [&](Vertex r) {
-    const std::uint32_t pre = idx.preorder_index(r);
-    return pre <= t_pre && t_pre < pre + idx.subtree_size(r);
-  });
-  return cut ? Route::kCut : Route::kBaseline;
+  return cut_root(idx, t) != kInvalidVertex ? Route::kCut : Route::kBaseline;
 }
 
-std::uint32_t PathSelector::begin_region(const SelectorBaseline& b) {
+Vertex PathSelector::cut_root(const TreeIndex& idx, Vertex x) const {
+  // The maximal roots are disjoint preorder slices in order: only the last
+  // one starting at or before x can hold it. Unreached vertices have the
+  // largest preorder index and lie past every slice.
+  const std::uint32_t pre = idx.preorder_index(x);
+  const auto after = std::upper_bound(
+      roots_.begin(), roots_.end(), pre,
+      [&idx](std::uint32_t p, Vertex r) { return p < idx.preorder_index(r); });
+  if (after == roots_.begin()) return kInvalidVertex;
+  const Vertex r = *(after - 1);
+  return pre < idx.preorder_index(r) + idx.subtree_size(r) ? r
+                                                           : kInvalidVertex;
+}
+
+void PathSelector::fresh_stamps() {
   if (++region_epoch_ == 0) {
     std::fill(region_stamp_.begin(), region_stamp_.end(), 0);
     region_epoch_ = 1;
   }
+}
+
+std::uint32_t PathSelector::begin_region(const SelectorBaseline& b) {
+  fresh_stamps();
   for (std::vector<Vertex>& bucket : buckets_) bucket.clear();
   next_level_.clear();
+  last_level_ = region_height_;
   std::uint32_t first = kInfHops;
   for (const Vertex r : roots_) first = std::min(first, b.index().depth(r));
   stamp_level(b, first);
   return first;
+}
+
+std::uint32_t PathSelector::begin_explored(const SelectorBaseline& b) {
+  const TreeIndex& idx = b.index();
+  std::sort(explored_.begin(), explored_.end(), [&idx](Vertex x, Vertex y) {
+    return idx.depth(x) < idx.depth(y);
+  });
+  for (std::vector<Vertex>& bucket : buckets_) bucket.clear();
+  explored_next_ = 0;
+  last_level_ = idx.depth(explored_.back());
+  return idx.depth(explored_.front());
+}
+
+void PathSelector::advance_explored(const SelectorBaseline& b,
+                                    std::uint32_t d) {
+  level_.clear();
+  for (; explored_next_ < explored_.size() &&
+         b.index().depth(explored_[explored_next_]) == d;
+       ++explored_next_) {
+    level_.push_back(explored_[explored_next_]);
+  }
 }
 
 void PathSelector::advance_level(const SelectorBaseline& b, std::uint32_t d) {
@@ -157,17 +205,31 @@ void PathSelector::stamp_level(const SelectorBaseline& b, std::uint32_t level) {
 // never closer than its T0 depth; so the seeds of level d are due when bucket
 // d is reached and not before, and every neighbor of level d is stamped by
 // then. Buckets d, d + 1 and d + 2 are the only live ones: a ring of three.
+//
+// Over the explored set of a backward pass the same holds level by level:
+// its vertices are stamped up front, a neighbour outside it seeds only when
+// it lies outside A, and a seed or relaxation never goes below T0 depth.
+template <bool kExplored>
 void PathSelector::repair_hops(const SelectorBaseline& b, Vertex t,
                                std::uint32_t stop) {
   const Graph& g = *graph_;
   const SpResult& t0 = b.tree();
-  for (std::uint32_t d = begin_region(b);; ++d) {
-    advance_level(b, d);
+  const auto outside = [&](Vertex u) {
+    return !in_region(u) &&
+           (!kExplored || cut_root(b.index(), u) == kInvalidVertex);
+  };
+  for (std::uint32_t d = kExplored ? begin_explored(b) : begin_region(b);;
+       ++d) {
+    if constexpr (kExplored) {
+      advance_explored(b, d);
+    } else {
+      advance_level(b, d);
+    }
     for (const Vertex x : level_) {
       if (mask_.vertex_blocked(x)) continue;
       std::uint32_t best = key_[x].hops;
       for (const Arc& arc : g.neighbors(x)) {
-        if (in_region(arc.to)) continue;
+        if (!outside(arc.to)) continue;
         const std::uint32_t du = t0.dist[arc.to].hops;
         if (du == kInfHops || du + 1 >= best || mask_.edge_blocked(arc.id)) {
           continue;
@@ -201,7 +263,7 @@ void PathSelector::repair_hops(const SelectorBaseline& b, Vertex t,
       }
     }
     bucket.clear();
-    if (d >= region_height_ && buckets_[(d + 1) % 3].empty() &&
+    if (d >= last_level_ && buckets_[(d + 1) % 3].empty() &&
         buckets_[(d + 2) % 3].empty()) {
       return;
     }
@@ -213,6 +275,7 @@ void PathSelector::repair_hops(const SelectorBaseline& b, Vertex t,
 // of Dijkstra::run — so every parent inside A is the one a full sweep of the
 // masked graph picks, and outside A the T0 parent already is. A key and its
 // parent are final once the seeds of its level are in.
+template <bool kExplored>
 void PathSelector::repair_sweep(const SelectorBaseline& b, Vertex t,
                                 std::uint32_t stop) {
   const Graph& g = *graph_;
@@ -221,15 +284,24 @@ void PathSelector::repair_sweep(const SelectorBaseline& b, Vertex t,
   const auto pert_of = [&](Vertex p) {
     return in_region(p) ? key_[p].pert : t0.dist[p].pert;
   };
-  for (std::uint32_t d = begin_region(b);; ++d) {
-    advance_level(b, d);
+  const auto outside = [&](Vertex u) {
+    return !in_region(u) &&
+           (!kExplored || cut_root(b.index(), u) == kInvalidVertex);
+  };
+  for (std::uint32_t d = kExplored ? begin_explored(b) : begin_region(b);;
+       ++d) {
+    if constexpr (kExplored) {
+      advance_explored(b, d);
+    } else {
+      advance_level(b, d);
+    }
     for (const Vertex x : level_) {
       if (mask_.vertex_blocked(x)) continue;
       DistKey& kx = key_[x];
       const std::uint32_t hops_before = kx.hops;
       for (const Arc& arc : g.neighbors(x)) {
         const Vertex u = arc.to;
-        if (in_region(u)) continue;
+        if (!outside(u)) continue;
         const DistKey& du = t0.dist[u];
         if (du.hops == kInfHops || du.hops + 1 > kx.hops ||
             mask_.edge_blocked(arc.id)) {
@@ -272,14 +344,15 @@ void PathSelector::repair_sweep(const SelectorBaseline& b, Vertex t,
       }
     }
     bucket.clear();
-    if (d >= region_height_ && buckets_[(d + 1) % 3].empty() &&
+    if (d >= last_level_ && buckets_[(d + 1) % 3].empty() &&
         buckets_[(d + 2) % 3].empty()) {
       return;
     }
   }
 }
 
-std::uint32_t PathSelector::hop_distance(Vertex s, Vertex t) {
+std::uint32_t PathSelector::hop_distance(Vertex s, Vertex t,
+                                         HopBounds bounds) {
   const SelectorBaseline& b = baseline(s);
   probe_ = Probe::kNone;
   switch (route(b, t)) {
@@ -287,26 +360,33 @@ std::uint32_t PathSelector::hop_distance(Vertex s, Vertex t) {
       ++bfs_runs_;
       ++kernels_.probe_baseline;
       return kInfHops;
-    case Route::kBaseline:
+    case Route::kBaseline: {
       ++bfs_runs_;
       ++kernels_.probe_baseline;
-      return b.tree().dist[t].hops;
+      const std::uint32_t d = b.tree().dist[t].hops;
+      return d <= bounds.at_most ? d : kInfHops;
+    }
     case Route::kCut:
       break;
   }
-  probe_region(b, std::span<const Vertex>(&t, 1), kInfHops);
-  return probed_hops(t);
+  if (!search_back(b, t, bounds, false)) {
+    probe_region(b, std::span<const Vertex>(&t, 1), bounds.at_most);
+  }
+  const std::uint32_t d = probed_hops(t);
+  return d <= bounds.at_most ? d : kInfHops;
 }
 
 std::uint32_t PathSelector::probed_hops(Vertex u) const {
   FTBFS_EXPECTS(probe_ != Probe::kNone);
   if (probe_ == Probe::kSearch) return bfs_.result().hops[u];
-  // Unstamped vertices of A lie at least two levels below where the pass
-  // stopped, so their T0 depth already exceeds the probed distance.
+  // A repair leaves unstamped only the vertices of A at least two levels
+  // below where it stopped, whose T0 depth already exceeds the probed
+  // distance; a backward pass stamps every such neighbour of its target.
   return in_region(u) ? key_[u].hops : pass_base_->tree().dist[u].hops;
 }
 
-std::optional<RPath> PathSelector::w_path(Vertex s, Vertex t) {
+std::optional<RPath> PathSelector::w_path(Vertex s, Vertex t,
+                                          HopBounds bounds) {
   const SelectorBaseline& b = baseline(s);
   probe_ = Probe::kNone;
   switch (route(b, t)) {
@@ -317,19 +397,125 @@ std::optional<RPath> PathSelector::w_path(Vertex s, Vertex t) {
     case Route::kBaseline:
       ++dijkstra_runs_;
       ++kernels_.sweep_baseline;
+      if (b.tree().dist[t].hops > bounds.at_most) return std::nullopt;
       return RPath{extract_path(b.tree(), t), b.tree().dist[t]};
     case Route::kCut:
       break;
   }
-  sweep_region(b, std::span<const Vertex>(&t, 1), t, kInfHops);
-  if (swept_key(t) == kUnreachable) return std::nullopt;
+  if (!search_back(b, t, bounds, true)) {
+    sweep_region(b, std::span<const Vertex>(&t, 1), t, bounds.at_most);
+  }
   RPath out;
   out.key = swept_key(t);
+  if (out.key == kUnreachable || out.key.hops > bounds.at_most) {
+    return std::nullopt;
+  }
   for (Vertex cur = t; cur != kInvalidVertex; cur = swept_parent(cur)) {
     out.verts.push_back(cur);
   }
   std::reverse(out.verts.begin(), out.verts.end());
   return out;
+}
+
+// Every s→t path of G ∖ mask that is shortest has a shortest twin that
+// follows T0 to the last vertex u outside A — u's root path survives the
+// mask and is W-minimal in G — and then runs inside A. T0 depth is a lower
+// bound on the distance to s that changes by at most one across an edge and
+// is exact outside A, so f(x) = depth(x) + hops(x, t), expanded in buckets of
+// f, is a consistent A* order from t toward s: a vertex is expanded with its
+// least hops to t, and every vertex of A on such a twin has f <= dist(s, t).
+// Each uncut neighbour u of an expanded x closes a path of depth(u) + 1 +
+// hops(x, t); once f passes the shortest of them, every vertex of A on a
+// shortest path is explored, and the forward pass seeded from the uncut
+// neighbours settles it — and, by induction on hops, the W key and parent of
+// each such vertex, whose every shortest-path predecessor is explored or
+// keeps its T0 key.
+bool PathSelector::search_back(const SelectorBaseline& b, Vertex t,
+                               HopBounds bounds, bool weighted) {
+  const TreeIndex& idx = b.index();
+  const std::uint32_t bound =
+      bounds.at_most != kInfHops ? bounds.at_most : bounds.at_least;
+  const std::uint64_t cap = region_size_ / kBackwardShare;
+  if (bound == 0 || bound > idx.depth(t) + kBackwardSlack || cap == 0) {
+    return false;
+  }
+  // Where the cut region's shape makes the pass give up (a grid, whose T0
+  // depth is tight across the whole rectangle from s to t), it does so for
+  // every fault the caller tries below the same subtree: a run of give-ups
+  // for this target and subtree stops the tries until either changes.
+  const Vertex t_root = cut_root(idx, t);
+  if (t != streak_target_ || t_root != streak_root_) {
+    streak_target_ = t;
+    streak_root_ = t_root;
+    streak_ = 0;
+  }
+  if (streak_ >= kBackwardStreak) return false;
+  fresh_stamps();
+  for (std::vector<Vertex>& bucket : buckets_) bucket.clear();
+  explored_.clear();
+  // A reached vertex of A is stamped, with its hops to t so far.
+  const auto reach = [&](Vertex x, std::uint32_t hops) {
+    region_stamp_[x] = region_epoch_;
+    key_[x] = kUnreachable;
+    to_target_[x] = hops;
+    buckets_[(idx.depth(x) + hops) % 3].push_back(x);
+  };
+  const Graph& g = *graph_;
+  reach(t, 0);
+  std::uint32_t best = kInfHops;  // the shortest path closed so far
+  for (std::uint32_t f = idx.depth(t); f <= std::min(best, bounds.at_most);
+       ++f) {
+    std::vector<Vertex>& bucket = buckets_[f % 3];
+    // Indexed: a neighbour reached at equal f joins this bucket.
+    for (std::size_t k = 0; k < bucket.size(); ++k) {
+      const Vertex x = bucket[k];
+      const std::uint32_t hx = to_target_[x];
+      if (idx.depth(x) + hx != f) continue;  // superseded by fewer hops
+      if (explored_.size() >= cap) {
+        ++streak_;
+        ++kernels_.backward_abandoned;
+        kernels_.backward_vertices += explored_.size();
+        return false;
+      }
+      explored_.push_back(x);
+      for (const Arc& arc : g.neighbors(x)) {
+        const Vertex y = arc.to;
+        if (mask_.edge_blocked(arc.id)) continue;
+        if (in_region(y)) {
+          if (to_target_[y] > hx + 1) {
+            to_target_[y] = hx + 1;
+            buckets_[(idx.depth(y) + hx + 1) % 3].push_back(y);
+          }
+        } else if (cut_root(idx, y) != kInvalidVertex) {
+          if (!mask_.vertex_blocked(y)) reach(y, hx + 1);
+        } else if (idx.reached(y)) {
+          best = std::min(best, idx.depth(y) + 1 + hx);
+        }
+      }
+    }
+    bucket.clear();
+    if (buckets_[(f + 1) % 3].empty() && buckets_[(f + 2) % 3].empty()) break;
+  }
+  streak_ = 0;
+  kernels_.backward_vertices += explored_.size();
+  pass_base_ = &b;
+  if (weighted) {
+    ++dijkstra_runs_;
+    ++kernels_.sweep_backward;
+    swept_by_search_ = false;
+  } else {
+    ++bfs_runs_;
+    ++kernels_.probe_backward;
+    probe_ = Probe::kStamped;
+  }
+  // Beyond at_most (or cut off): t keeps the unreachable key it was given.
+  if (best > bounds.at_most) return true;
+  if (weighted) {
+    repair_sweep<true>(b, t, best);
+  } else {
+    repair_hops<true>(b, t, best);
+  }
+  return true;
 }
 
 bool PathSelector::search_cheaper(const SelectorBaseline& b,
@@ -354,9 +540,9 @@ void PathSelector::probe_region(const SelectorBaseline& b,
     return;
   }
   ++kernels_.probe_repair;
-  probe_ = Probe::kRepair;
-  repair_hops(b, targets.size() == 1 ? targets.front() : kInvalidVertex,
-              stop);
+  probe_ = Probe::kStamped;
+  repair_hops<false>(
+      b, targets.size() == 1 ? targets.front() : kInvalidVertex, stop);
 }
 
 void PathSelector::sweep_region(const SelectorBaseline& b,
@@ -373,8 +559,8 @@ void PathSelector::sweep_region(const SelectorBaseline& b,
     return;
   }
   ++kernels_.sweep_repair;
-  repair_sweep(b, targets.size() == 1 ? targets.front() : kInvalidVertex,
-               stop);
+  repair_sweep<false>(
+      b, targets.size() == 1 ? targets.front() : kInvalidVertex, stop);
 }
 
 // Inside A the repaired keys and parents; outside A, T0's.

@@ -22,9 +22,18 @@
 // blocked vertices. A target outside the region keeps its T0 distance and
 // root path; otherwise a Dial pass over the region repairs it, unless the
 // region is larger than the BFS ball an early-exit search from the source
-// would cover, in which case that search runs instead. All answers are exact,
-// so the choice never shows in a structure. Scratch is O(n + m) per selector,
-// plus the last batch's results; the baseline is shared.
+// would cover, in which case that search runs instead.
+//
+// A single-target call whose caller bounds the answer (HopBounds) close to
+// the target's T0 depth first tries a goal-directed pass: a search backward
+// from the target through the cut region only, ordered by T0 depth plus hops
+// to the target, which ends at the first vertices that keep their T0 root
+// path; a forward pass over what it explored then gives the exact hops or W
+// keys. It gives up, for the forward passes above, once it has explored a
+// fixed share of the region, and after a run of give-ups for one target
+// below one cut subtree it is not tried there. All answers are exact, so the
+// choice never shows in a structure. Scratch is O(n + m) per selector, plus the last
+// batch's results; the baseline is shared.
 #pragma once
 
 #include <algorithm>
@@ -144,6 +153,16 @@ struct SingleFaultBatch {
 
 struct SingleFaultSelection;
 
+// What a caller already knows of dist(s, t) under the current mask: it is at
+// least `at_least`, and any distance above `at_most` is reported as
+// unreachable. Either one, when close to t's T0 depth, lets a single-target
+// call search backward from t (see the header comment); neither changes an
+// answer within [at_least, at_most].
+struct HopBounds {
+  std::uint32_t at_least = 0;
+  std::uint32_t at_most = kInfHops;
+};
+
 // Owns the scratch state (mask + region repair + fallback searches) for path
 // selection.
 class PathSelector {
@@ -162,17 +181,22 @@ class PathSelector {
   // The fault-free baseline of source s (shared or built on first use).
   [[nodiscard]] const SelectorBaseline& baseline(Vertex s);
 
-  // Hop distance s→t under the current mask; kInfHops if cut off.
-  [[nodiscard]] std::uint32_t hop_distance(Vertex s, Vertex t);
+  // Hop distance s→t under the current mask; kInfHops if cut off or beyond
+  // bounds.at_most.
+  [[nodiscard]] std::uint32_t hop_distance(Vertex s, Vertex t,
+                                           HopBounds bounds = {});
 
-  // After a hop_distance(s, t) that searched (repair or early-exit search —
-  // always the case when t lies below a blocked tree edge or vertex), and
-  // under the same mask: dist(s, u) exactly for every u closer to s than t,
-  // and some value >= dist(s, t) for every other u.
+  // After a hop_distance(s, t) that returned a finite distance and searched
+  // (always the case when t lies below a blocked tree edge or vertex), and
+  // under the same mask, for every unblocked neighbour u of t across an
+  // unblocked edge: dist(s, u) exactly if u is closer to s than t, and some
+  // value >= dist(s, t) otherwise.
   [[nodiscard]] std::uint32_t probed_hops(Vertex u) const;
 
-  // W-unique shortest path s→t under the current mask.
-  [[nodiscard]] std::optional<RPath> w_path(Vertex s, Vertex t);
+  // W-unique shortest path s→t under the current mask; nullopt if cut off or
+  // longer than bounds.at_most hops.
+  [[nodiscard]] std::optional<RPath> w_path(Vertex s, Vertex t,
+                                            HopBounds bounds = {});
 
   // Full W-SSSP under the current mask; result borrowed until next call.
   [[nodiscard]] const SpResult& w_sssp(Vertex s) {
@@ -193,7 +217,9 @@ class PathSelector {
       std::size_t i);
 
   enum class Route { kCutOff, kBaseline, kCut };
-  enum class Probe { kNone, kRepair, kSearch };
+  // Where the last probe's distances are: key_ over the stamped vertices and
+  // T0 elsewhere (a repair or backward pass), or the early-exit search.
+  enum class Probe { kNone, kStamped, kSearch };
 
   // Finds the cut region A of the current mask in b: its maximal subtree
   // roots in preorder, |A| and A's deepest level.
@@ -203,6 +229,8 @@ class PathSelector {
   [[nodiscard]] bool in_region(Vertex x) const {
     return region_stamp_[x] == region_epoch_;
   }
+  // Invalidates every region stamp.
+  void fresh_stamps();
   // Starts a region pass: fresh stamps, empty buckets, and the first level of
   // A stamped. Returns that level.
   std::uint32_t begin_region(const SelectorBaseline& b);
@@ -216,8 +244,36 @@ class PathSelector {
   // The Dial passes over A. Each stops once the seeds of level `stop` are in
   // (every vertex at distance <= stop is then final), once its one target t
   // is final (t == kInvalidVertex: no such target), or when A is exhausted.
+  // With kExplored, the same passes over the vertices the last backward
+  // pass explored instead of over A: its levels come from explored_, and a
+  // neighbour outside it seeds only if it is outside A as well.
+  template <bool kExplored>
   void repair_hops(const SelectorBaseline& b, Vertex t, std::uint32_t stop);
+  template <bool kExplored>
   void repair_sweep(const SelectorBaseline& b, Vertex t, std::uint32_t stop);
+  // Starts a pass over explored_: sorted by depth, fresh buckets. Returns its
+  // first level; advance_explored(d) then lists level d in level_.
+  std::uint32_t begin_explored(const SelectorBaseline& b);
+  void advance_explored(const SelectorBaseline& b, std::uint32_t d);
+
+  // The goal-directed pass for one target t in A, tried first by
+  // hop_distance and w_path. If `bounds` put the answer within
+  // kBackwardSlack of t's T0 depth, searches backward from t through A,
+  // bucketed by T0 depth + hops to t (a consistent lower bound on the
+  // distance of an s→t path through the vertex), to the vertices outside A,
+  // whose T0 depth is exact; it stops once that bound passes the best path
+  // found or bounds.at_most. The explored set then holds every vertex of A
+  // on a shortest s→t path, and a forward pass over it (`weighted`: with W
+  // keys) leaves the same answers a repair would, in the same form: a probe
+  // or sweep whose answers the accessors below read. Returns false, having
+  // answered nothing, when the gate says no (too much slack, |A| below
+  // kBackwardShare, or kBackwardStreak give-ups in a row for t below the
+  // same root) or once it has expanded |A| / kBackwardShare vertices.
+  bool search_back(const SelectorBaseline& b, Vertex t, HopBounds bounds,
+                   bool weighted);
+  // The root in roots_ of the cut subtree that holds x, by x's preorder
+  // index; kInvalidVertex if x is outside A.
+  [[nodiscard]] Vertex cut_root(const TreeIndex& idx, Vertex x) const;
 
   // One probe or one sweep of the region found last, serving `targets` — all
   // reached in T0, unblocked and inside A — up to level `stop`; a single
@@ -256,9 +312,20 @@ class PathSelector {
   std::uint64_t region_size_ = 0;    // |A|
   std::uint32_t region_height_ = 0;  // deepest level of A
   std::uint32_t region_epoch_ = 0;
-  std::vector<std::uint32_t> region_stamp_;  // == epoch: in A, level stamped
+  // == epoch: in A and level stamped, or explored by the backward pass.
+  std::vector<std::uint32_t> region_stamp_;
+  std::uint32_t last_level_ = 0;  // deepest level of the current pass
   std::vector<Vertex> level_;                // A's vertices on the level d
   std::vector<Vertex> next_level_;           // ... and on level d + 1
+  // The backward pass: the vertices it expanded, in order, and their hops
+  // to its target (what it reached is stamped as the region).
+  std::vector<Vertex> explored_;
+  std::size_t explored_next_ = 0;  // the explored level pass's cursor
+  std::vector<std::uint32_t> to_target_;
+  // Consecutive give-ups of the backward pass for one target below one root.
+  Vertex streak_target_ = kInvalidVertex;
+  Vertex streak_root_ = kInvalidVertex;
+  std::uint32_t streak_ = 0;
   std::array<std::vector<Vertex>, 3> buckets_;  // Dial buckets, hops mod 3
   std::vector<DistKey> key_;                 // tentative keys inside A
   std::vector<Vertex> parent_;

@@ -15,16 +15,21 @@ namespace ftbfs {
 namespace {
 
 // How the selection kernels answered (core/selector.h): read off the
-// fault-free baseline, repaired over the cut region, or searched from the
-// source. Identical at every job count.
+// fault-free baseline, searched backward from the target, repaired over the
+// cut region, or searched from the source; and how much the backward passes
+// explored or gave up. Identical at every job count.
 void add_kernel_counters(BuildResult& out) {
   const KernelCounts& k = out.structure.stats.kernels;
   out.counters.emplace_back("probe_baseline", k.probe_baseline);
+  out.counters.emplace_back("probe_backward", k.probe_backward);
   out.counters.emplace_back("probe_repair", k.probe_repair);
   out.counters.emplace_back("probe_search", k.probe_search);
   out.counters.emplace_back("sweep_baseline", k.sweep_baseline);
+  out.counters.emplace_back("sweep_backward", k.sweep_backward);
   out.counters.emplace_back("sweep_repair", k.sweep_repair);
   out.counters.emplace_back("sweep_search", k.sweep_search);
+  out.counters.emplace_back("backward_abandoned", k.backward_abandoned);
+  out.counters.emplace_back("backward_vertices", k.backward_vertices);
 }
 
 BuildResult build_single(const BuildRequest& req) {

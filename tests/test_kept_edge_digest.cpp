@@ -1,5 +1,7 @@
 // Pins the kept edges of Cons2FTBFS, one graph per family, to constants
-// recorded before the step-2/3 selection shortcuts (docs/perf.md) went in.
+// recorded before the step-2/3 selection shortcuts (docs/perf.md) went in;
+// er1000, a sparse graph where many step-2/3 calls take the backward pass,
+// was recorded before the goal-directed single-target passes went in.
 // A construction change that is meant to be invisible — a pass skipped
 // because nesting already decides it, a probe reordered, a pair loop
 // narrowed — must leave these digests alone, at every job count. The graphs
@@ -54,6 +56,8 @@ const std::vector<Pinned>& pinned() {
        0xbf12bdef3ae6f6a6ull},
       {"hypercube7", [] { return hypercube_graph(7); }, 346,
        0x4973f96abf5ceff6ull},
+      {"er1000", [] { return erdos_renyi(1000, 8.0 / 1000, 13); }, 2654,
+       0x05d86165da44bf69ull},
       {"chords150", [] { return path_with_chords(150, 30, 5); }, 179,
        0x4d51ddb72586c386ull},
   };

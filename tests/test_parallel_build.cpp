@@ -101,9 +101,10 @@ TEST(ParallelBuild, ByteIdenticalAcrossJobCounts) {
         EXPECT_EQ(base.structure.edges, r.structure.edges) << label;
         expect_same_stats(base.structure.stats, r.structure.stats, label);
         for (const char* key :
-             {"probe_baseline", "probe_repair", "probe_search",
-              "sweep_baseline", "sweep_repair", "sweep_search",
-              "selection_table_bytes"}) {
+             {"probe_baseline", "probe_backward", "probe_repair",
+              "probe_search", "sweep_baseline", "sweep_backward",
+              "sweep_repair", "sweep_search", "backward_abandoned",
+              "backward_vertices", "selection_table_bytes"}) {
           EXPECT_EQ(has_counter(base, key), has_counter(r, key)) << label;
           EXPECT_EQ(counter_value(base, key), counter_value(r, key))
               << label << " " << key;
@@ -139,8 +140,19 @@ TEST(ParallelBuild, KernelCountersAreReported) {
     EXPECT_GT(k.sweep_repair, 0u) << algo;
     EXPECT_EQ(counter_value(r, "probe_repair"), k.probe_repair) << algo;
     EXPECT_EQ(counter_value(r, "sweep_search"), k.sweep_search) << algo;
+    EXPECT_EQ(counter_value(r, "probe_backward"), k.probe_backward) << algo;
+    EXPECT_EQ(counter_value(r, "sweep_backward"), k.sweep_backward) << algo;
+    EXPECT_EQ(counter_value(r, "backward_abandoned"), k.backward_abandoned)
+        << algo;
+    EXPECT_EQ(counter_value(r, "backward_vertices"), k.backward_vertices)
+        << algo;
     // One W-sweep per counted kernel call, plus the tree.
     EXPECT_EQ(k.sweeps() + 1, r.structure.stats.dijkstra_runs) << algo;
+    if (std::string(algo) != "single_ftbfs") {
+      // Steps 2–3 bound their single-target calls: some search backward.
+      EXPECT_GT(k.probe_backward, 0u) << algo;
+      EXPECT_GT(k.backward_vertices, k.probe_backward) << algo;
+    }
   }
 }
 

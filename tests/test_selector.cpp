@@ -433,6 +433,93 @@ std::vector<MaskKind> kernel_masks(const Graph& g, const WeightAssignment& w,
   };
 }
 
+// Host graphs for the bounded calls of step 3: sparse ER (shallow T0, few
+// shortest paths), a grid (T0 depth tight across whole rectangles) and a
+// cycle (one long detour).
+std::vector<std::pair<std::string, Graph>> step3_graphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("er", erdos_renyi(60, 0.08, 12));
+  graphs.emplace_back("grid", grid_graph(7, 8));
+  graphs.emplace_back("cycle", cycle_graph(24));
+  return graphs;
+}
+
+// The masks step 3 of Cons2FTBFS builds for F = {e_i, t}, t an edge of the
+// detour D_i that the single-fault selection of e_i took: the two edges
+// alone; π(s, v)'s interior below u_k removed as well (G(u_k, v) ∖ F); and
+// G(u_x, v) ∖ F minus the detour tail D[l+1 ..] (G_D(w_l) ∖ F).
+std::vector<MaskKind> step3_masks(const Graph& g, const WeightAssignment& w,
+                                  Vertex s) {
+  const SelectorBaseline base(g, w, s);
+  PathSelector sel(g, w, &base);
+  VertexIndexMap pos(g.num_vertices());
+  std::vector<MaskKind> masks;
+  for (Vertex v = 0; v < g.num_vertices(); v += 3) {
+    if (v == s || !base.tree().reached(v)) continue;
+    const Path pi = extract_path(base.tree(), v);
+    pos.bind(pi);
+    for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
+      const auto d = select_single_fault(sel, pi, pos, i);
+      if (!d) continue;
+      const EdgeId e = g.find_edge(pi[i], pi[i + 1]);
+      for (std::size_t r = 0; r + 1 < d->detour.size(); r += 2) {
+        const EdgeId t = g.find_edge(d->detour[r], d->detour[r + 1]);
+        const std::size_t x = d->x_pi_index;
+        const std::size_t k = i / 2;
+        const std::string at = " v=" + std::to_string(v) +
+                               " i=" + std::to_string(i) +
+                               " r=" + std::to_string(r);
+        masks.push_back({"two_edges" + at, [=](GraphMask& m) {
+                           m.block_edge(e);
+                           m.block_edge(t);
+                         }});
+        masks.push_back({"pi_interior" + at, [=](GraphMask& m) {
+                           m.block_edge(e);
+                           m.block_edge(t);
+                           block_pi_segment(m, pi, k, pi.size() - 2);
+                         }});
+        const Path detour = d->detour;
+        masks.push_back({"detour_tail" + at, [=](GraphMask& m) {
+                           m.block_edge(e);
+                           m.block_edge(t);
+                           block_pi_segment(m, pi, x, pi.size() - 2);
+                           for (std::size_t l = r + 1; l < detour.size(); ++l) {
+                             if (detour[l] != v) m.block_vertex(detour[l]);
+                           }
+                         }});
+      }
+    }
+  }
+  return masks;
+}
+
+// Whether the mask cuts t's T0 root path: the case in which hop_distance
+// searches and probed_hops may be read.
+bool cut_by(const SelectorBaseline& base, const GraphMask& m, Vertex t) {
+  const TreeIndex& idx = base.index();
+  for (Vertex x = t; idx.reached(x); x = idx.parent(x)) {
+    if (m.vertex_blocked(x)) return true;
+    if (x == idx.root()) return false;
+    if (m.edge_blocked(idx.parent_edge(x))) return true;
+  }
+  return false;
+}
+
+// Bounds a caller may pass for a target at distance `want` (kInfHops: cut
+// off) and T0 depth `depth`: each at_least is at most the distance, and the
+// at_most values fall on both sides of it.
+std::vector<HopBounds> bounds_for(std::uint32_t want, std::uint32_t depth) {
+  std::vector<HopBounds> out = {{.at_least = depth},
+                                {.at_most = depth + 1},
+                                {.at_least = depth, .at_most = depth + 6}};
+  if (want != kInfHops) {
+    out.push_back({.at_least = want});
+    out.push_back({.at_least = want, .at_most = want});
+    out.push_back({.at_least = depth, .at_most = want - 1});
+  }
+  return out;
+}
+
 // The hop probe returns exactly the full BFS's hop count, kInfHops included,
 // under every mask kind — whether it answers from the baseline, repairs the
 // cut region, or searches.
@@ -465,6 +552,54 @@ TEST(PathSelector, HopProbeMatchesFullBfs) {
     EXPECT_GT(k.probe_repair, 0u);
     EXPECT_GT(k.probe_search, 0u);
   }
+
+  // Bounded probes on step 3's masks: the answer is the BFS distance, or
+  // kInfHops beyond at_most, whichever pass gave it — the backward one, a
+  // forward one it gave up for, or a forward one the gate chose. After a
+  // finite answer, every neighbour of t across an unblocked edge reads its
+  // exact distance if it is closer than t, and at least t's distance if not.
+  KernelCounts bounded;
+  std::size_t beyond = 0;
+  for (const auto& [name, g] : step3_graphs()) {
+    SCOPED_TRACE(name);
+    const WeightAssignment w(g, 5);
+    const SelectorBaseline base(g, w, 0);
+    PathSelector sel(g, w, &base);
+    Bfs bfs(g);
+    GraphMask& m = sel.mask();
+    for (const auto& [kind, apply] : step3_masks(g, w, 0)) {
+      SCOPED_TRACE(kind);
+      m.clear();
+      apply(m);
+      const std::vector<std::uint32_t> want = bfs.run(0, &m).hops;
+      for (Vertex t = 0; t < g.num_vertices(); ++t) {
+        if (!base.index().reached(t)) continue;  // no depth to bound
+        for (const HopBounds& hb :
+             bounds_for(want[t], base.index().depth(t))) {
+          const std::uint32_t got = sel.hop_distance(0, t, hb);
+          ASSERT_EQ(got, want[t] <= hb.at_most ? want[t] : kInfHops)
+              << "t " << t << " bounds " << hb.at_least << ".."
+              << hb.at_most;
+          beyond += want[t] != kInfHops && want[t] > hb.at_most ? 1 : 0;
+          if (got == kInfHops || !cut_by(base, m, t)) continue;
+          for (const Arc& arc : g.neighbors(t)) {
+            if (m.edge_blocked(arc.id) || m.vertex_blocked(arc.to)) continue;
+            if (want[arc.to] < got) {
+              EXPECT_EQ(sel.probed_hops(arc.to), want[arc.to]) << arc.to;
+            } else {
+              EXPECT_GE(sel.probed_hops(arc.to), got) << arc.to;
+            }
+          }
+        }
+      }
+    }
+    bounded += sel.kernel_counts();
+  }
+  EXPECT_GT(beyond, 0u);
+  EXPECT_GT(bounded.probe_backward, 0u);
+  EXPECT_GT(bounded.probe_repair, 0u);
+  EXPECT_GT(bounded.probe_search, 0u);
+  EXPECT_GT(bounded.backward_abandoned, 0u);
 }
 
 // The W-sweep returns the path and key of a full sweep of the masked graph —
@@ -503,17 +638,61 @@ TEST(PathSelector, WPathMatchesFullSweep) {
     EXPECT_GT(k.sweep_repair, 0u);
     EXPECT_GT(k.sweep_search, 0u);
   }
+
+  // Bounded sweeps on step 3's masks: the heap reference's path and key, or
+  // nullopt beyond at_most, whichever pass gave them.
+  KernelCounts bounded;
+  for (const auto& [name, g] : step3_graphs()) {
+    SCOPED_TRACE(name);
+    const WeightAssignment w(g, 9);
+    const SelectorBaseline base(g, w, 0);
+    PathSelector sel(g, w, &base);
+    GraphMask& m = sel.mask();
+    for (const auto& [kind, apply] : step3_masks(g, w, 0)) {
+      SCOPED_TRACE(kind);
+      m.clear();
+      apply(m);
+      const SpResult want = reference_dijkstra(g, w, 0, &m);
+      for (Vertex t = 0; t < g.num_vertices(); ++t) {
+        if (!base.index().reached(t)) continue;  // no depth to bound
+        const std::uint32_t hops = want.reached(t) ? want.dist[t].hops
+                                                   : kInfHops;
+        for (const HopBounds& hb : bounds_for(hops, base.index().depth(t))) {
+          const std::optional<RPath> got = sel.w_path(0, t, hb);
+          ASSERT_EQ(got.has_value(), want.reached(t) && hops <= hb.at_most)
+              << "t " << t << " bounds " << hb.at_least << ".."
+              << hb.at_most;
+          if (!got) continue;
+          EXPECT_EQ(got->key, want.dist[t]) << "t " << t;
+          EXPECT_EQ(got->verts, extract_path(want, t)) << "t " << t;
+        }
+      }
+    }
+    bounded += sel.kernel_counts();
+  }
+  EXPECT_GT(bounded.sweep_backward, 0u);
+  EXPECT_GT(bounded.sweep_repair, 0u);
+  EXPECT_GT(bounded.sweep_search, 0u);
 }
 
 // Step 3's one-probe rule against a full BFS over an explicitly built
 // G_{τ−1}(v) ∖ F: v's edges cut down to a kept subset, F = {e_i, t} removed.
+// The rule reads the probe step 3 makes — unbounded, and bounded below by
+// |P_i| = dist(s, v, G ∖ {e_i}) — on ER graphs, a grid and a cycle.
 TEST(PathSelector, KeptEdgeRuleMatchesRestrictedGraph) {
   std::size_t satisfied = 0, new_ending = 0;
+  std::vector<std::pair<std::uint64_t, Graph>> graphs;
   for (const std::uint64_t seed : {31ull, 32ull, 33ull, 34ull}) {
-    const Graph g = erdos_renyi(45, 0.09, seed);
+    graphs.emplace_back(seed, erdos_renyi(45, 0.09, seed));
+  }
+  graphs.emplace_back(35, grid_graph(6, 7));
+  graphs.emplace_back(36, cycle_graph(20));
+  KernelCounts bounded;
+  for (const auto& [seed, g] : graphs) {
     const WeightAssignment w(g, seed);
     const SelectorBaseline base(g, w, 0);
     PathSelector sel(g, w, &base);
+    PathSelector bounded_sel(g, w, &base);
     VertexIndexMap pos(g.num_vertices());
     Rng rng(seed);
     for (Vertex v = 1; v < g.num_vertices(); ++v) {
@@ -538,6 +717,17 @@ TEST(PathSelector, KeptEdgeRuleMatchesRestrictedGraph) {
           const std::uint32_t target = sel.hop_distance(0, v);
           if (target == kInfHops) continue;
           const bool got = reaches_through_kept_edge(sel, v, kept, target);
+          const KernelCounts before = bounded_sel.kernel_counts();
+          bounded_sel.mask().clear();
+          bounded_sel.mask().block_edge(e_i);
+          bounded_sel.mask().block_edge(t);
+          const auto single_hops =
+              static_cast<std::uint32_t>(sel_i->path.size() - 1);
+          EXPECT_EQ(bounded_sel.hop_distance(0, v, {.at_least = single_hops}),
+                    target);
+          EXPECT_EQ(reaches_through_kept_edge(bounded_sel, v, kept, target),
+                    got);
+          bounded += bounded_sel.kernel_counts() - before;
 
           std::vector<EdgeId> restricted;
           for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -560,6 +750,8 @@ TEST(PathSelector, KeptEdgeRuleMatchesRestrictedGraph) {
   }
   EXPECT_GT(satisfied, 0u);
   EXPECT_GT(new_ending, 0u);
+  EXPECT_GT(bounded.probe_backward, 0u);
+  EXPECT_GT(bounded.probe_repair + bounded.probe_search, 0u);
 }
 
 // Step 3's probe-free rule: whenever it fires, the probe of G ∖ F finds
@@ -629,9 +821,56 @@ TEST(PathSelector, CountersAdvance) {
   EXPECT_EQ(sel.bfs_runs(), 3u);
   // Every call lands in exactly one kernel route.
   const KernelCounts& k = sel.kernel_counts();
-  EXPECT_EQ(k.probe_baseline + k.probe_repair + k.probe_search, 3u);
-  EXPECT_EQ(k.sweep_baseline + k.sweep_repair + k.sweep_search, 1u);
+  EXPECT_EQ(k.probe_baseline + k.probe_backward + k.probe_repair +
+                k.probe_search,
+            3u);
+  EXPECT_EQ(k.sweeps(), 1u);
   EXPECT_GE(k.probe_baseline, 1u);  // the unmasked probe
+  // Unbounded calls never search backward.
+  EXPECT_EQ(k.probe_backward + k.sweep_backward + k.backward_abandoned, 0u);
+}
+
+// A broom: the path 0-1-2 with 48 leaves 3..50 below 2, and a second route
+// 0-51-52-53-3 to leaf 3. Cutting (0, 1) cuts {1, 2, leaves}, 50 vertices,
+// so the backward pass may expand 3 of them. Bounded near its target's
+// depth it answers alone, and it gives up (for a forward pass with the same
+// answer) once it would expand more.
+TEST(PathSelector, BackwardPassAnswersNearItsTarget) {
+  GraphBuilder gb(54);
+  gb.add_edge(0, 1);
+  gb.add_edge(1, 2);
+  for (Vertex leaf = 3; leaf <= 50; ++leaf) gb.add_edge(2, leaf);
+  gb.add_edge(0, 51);
+  gb.add_edge(51, 52);
+  gb.add_edge(52, 53);
+  gb.add_edge(53, 3);
+  const Graph g = std::move(gb).build();
+  const WeightAssignment w(g, 2);
+  PathSelector sel(g, w);
+  sel.mask().block_edge(g.find_edge(0, 1));
+  const KernelCounts& k = sel.kernel_counts();
+  // Leaf 3 (depth 3): expands 3, 2 and 1, and closes 0-51-52-53-3.
+  EXPECT_EQ(sel.hop_distance(0, 3, {.at_least = 3}), 4u);
+  EXPECT_EQ(sel.probed_hops(53), 3u);  // a neighbour outside the cut
+  EXPECT_GE(sel.probed_hops(2), 4u);   // a farther neighbour inside it
+  EXPECT_EQ(sel.w_path(0, 3, {.at_most = 4})->verts,
+            (Path{0, 51, 52, 53, 3}));
+  // Vertex 1 (depth 1) is 6 hops away: beyond at_most = 3 after two
+  // expansions, and beyond the slack of the bound 4 without any.
+  EXPECT_EQ(sel.hop_distance(0, 1, {.at_most = 3}), kInfHops);
+  EXPECT_EQ(k.probe_backward, 2u);
+  EXPECT_EQ(k.sweep_backward, 1u);
+  EXPECT_EQ(k.backward_vertices, 3u + 3u + 2u);
+  EXPECT_EQ(sel.hop_distance(0, 1, {.at_most = 4}), kInfHops);
+  EXPECT_EQ(k.probe_backward, 2u);
+  EXPECT_EQ(k.probe_repair + k.probe_search, 1u);
+  // Leaf 4 (depth 3) is 6 hops away too, through 3: the pass expands 4, 2,
+  // 1 and would expand the other leaves, so it gives up.
+  EXPECT_EQ(sel.hop_distance(0, 4, {.at_least = 3}), 6u);
+  EXPECT_EQ(k.backward_abandoned, 1u);
+  EXPECT_EQ(k.probe_repair + k.probe_search, 2u);
+  EXPECT_EQ(sel.bfs_runs(), 4u);
+  EXPECT_EQ(sel.dijkstra_runs(), 1u);
 }
 
 }  // namespace
