@@ -11,7 +11,7 @@
 #include <map>
 
 #include "bench_util.h"
-#include "spath/replacement.h"
+#include "core/selector.h"
 
 namespace {
 
@@ -31,21 +31,25 @@ char segment_of(const Graph& g, EdgeId e, const Path& pi, const Path& p1) {
   return '2';
 }
 
-void enumerate_target(const Graph& g, ReplacementOracle& oracle, Vertex s,
-                      Vertex v, Census& census,
-                      std::vector<bool>& in_h) {
-  const auto p0 = oracle.replacement_path(s, v, {});
+void enumerate_target(const Graph& g, PathSelector& sel, Vertex s, Vertex v,
+                      Census& census, std::vector<bool>& in_h) {
+  GraphMask& mask = sel.mask();
+  mask.clear();
+  const auto p0 = sel.w_path(s, v);
   if (!p0) return;
   const Path pi = p0->verts;
   const std::vector<EdgeId> pi_edges = edges_of(g, pi);
   for (const EdgeId e1 : pi_edges) {
-    std::vector<EdgeId> f1 = {e1};
-    const auto p1 = oracle.replacement_path(s, v, f1);
+    mask.clear();
+    mask.block_edge(e1);
+    const auto p1 = sel.w_path(s, v);
     if (!p1) continue;
     for (const EdgeId e2 : edges_of(g, p1->verts)) {
       const char c2 = segment_of(g, e2, pi, {});
-      std::vector<EdgeId> f2 = {e1, e2};
-      const auto p2 = oracle.replacement_path(s, v, f2);
+      mask.clear();
+      mask.block_edge(e1);
+      mask.block_edge(e2);
+      const auto p2 = sel.w_path(s, v);
       if (!p2) continue;
       for (const EdgeId e3 : edges_of(g, p2->verts)) {
         const char c3 = segment_of(g, e3, pi, p1->verts);
@@ -63,8 +67,11 @@ void enumerate_target(const Graph& g, ReplacementOracle& oracle, Vertex s,
         }
         type += ")";
         ++census.chains[type];
-        std::vector<EdgeId> f3 = {e1, e2, e3};
-        const auto p3 = oracle.replacement_path(s, v, f3);
+        mask.clear();
+        mask.block_edge(e1);
+        mask.block_edge(e2);
+        mask.block_edge(e3);
+        const auto p3 = sel.w_path(s, v);
         if (!p3) continue;
         const EdgeId le = last_edge(g, p3->verts);
         if (!in_h[le]) {
@@ -89,17 +96,16 @@ int main() {
     const Vertex n = 96;
     const Graph g = family.make(n, 41);
     const WeightAssignment w(g, 41);
-    ReplacementOracle oracle(g, w);
+    PathSelector sel(g, w);
     Census census;
     std::vector<bool> in_h(g.num_edges(), false);
     // Seed H with the BFS tree so "new edge" matches the construction view.
-    oracle.mask().clear();
-    const SpResult tree = oracle.query_sssp(0);
+    const SpResult& tree = sel.baseline(0).tree();
     for (Vertex v = 1; v < n; ++v) {
       if (tree.reached(v)) in_h[tree.parent_edge[v]] = true;
     }
     for (Vertex v = 1; v < n; v += 7) {  // sample of targets
-      enumerate_target(g, oracle, 0, v, census, in_h);
+      enumerate_target(g, sel, 0, v, census, in_h);
     }
     std::uint64_t total = 0;
     for (const auto& [type, count] : census.chains) total += count;

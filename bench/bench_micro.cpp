@@ -8,6 +8,7 @@
 
 #include "core/cons2ftbfs.h"
 #include "core/oracle.h"
+#include "core/selector.h"
 #include "core/sensitivity_oracle.h"
 #include "core/single_ftbfs.h"
 #include "core/swap_ftbfs.h"
@@ -18,7 +19,6 @@
 #include "service/shard.h"
 #include "spath/bfs.h"
 #include "spath/dijkstra.h"
-#include "spath/replacement.h"
 #include "spath/tree_index.h"
 #include "util/rng.h"
 
@@ -65,11 +65,11 @@ void BM_ReplacementPath(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = random_connected(n, 3 * n, 1);
   const WeightAssignment w(g, 1);
-  ReplacementOracle oracle(g, w);
-  const std::vector<EdgeId> faults = {0, 5};
+  PathSelector sel(g, w);
+  sel.mask().block_edge(0);
+  sel.mask().block_edge(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        oracle.replacement_path(0, n - 1, faults));
+    benchmark::DoNotOptimize(sel.w_path(0, n - 1));
   }
 }
 BENCHMARK(BM_ReplacementPath)->Arg(256)->Arg(1024);

@@ -4,33 +4,39 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/selector.h"
 #include "spath/path.h"
-#include "spath/replacement.h"
 #include "spath/weights.h"
 
 namespace ftbfs {
 namespace {
 
+// A fault set: edge ids or vertex ids, by the fault model.
+using FaultSet = std::vector<std::uint32_t>;
+
 // Order-insensitive hash of a small sorted fault set.
 struct FaultSetHash {
-  std::size_t operator()(const std::vector<EdgeId>& f) const {
+  std::size_t operator()(const FaultSet& f) const {
     std::size_t h = 0x9e3779b97f4a7c15ULL;
-    for (const EdgeId e : f) {
+    for (const std::uint32_t x : f) {
       h ^= (h << 13);
-      h += 0x100000001b3ULL * (e + 1);
+      h += 0x100000001b3ULL * (x + 1);
     }
     return h;
   }
 };
 
+// The chains of one target v. Each successive fault is an element of the
+// current replacement path: one of its edges, or, for vertex faults, one of
+// its *interior* vertices (s and the target are never faulted — the FT
+// property is vacuous when the target itself fails).
 class ChainEnumerator {
  public:
-  ChainEnumerator(const Graph& g, ReplacementOracle& oracle, Vertex s,
-                  Vertex v, unsigned f, std::uint64_t cap,
-                  std::vector<bool>& in_h, FtBfsStats& stats,
-                  KFailStats& kstats)
-      : g_(g),
-        oracle_(oracle),
+  ChainEnumerator(PathSelector& sel, FaultModel model, Vertex s, Vertex v,
+                  unsigned f, std::uint64_t cap, std::vector<bool>& in_h,
+                  FtBfsStats& stats, KFailStats& kstats)
+      : sel_(sel),
+        model_(model),
         s_(s),
         v_(v),
         f_(f),
@@ -40,14 +46,14 @@ class ChainEnumerator {
         kstats_(kstats) {}
 
   std::uint64_t run() {
-    std::vector<EdgeId> empty;
+    FaultSet empty;
     recurse(empty, 0);
     if (truncated_) ++kstats_.chain_cap_hits;
     return new_edges_;
   }
 
  private:
-  void recurse(std::vector<EdgeId>& faults, unsigned depth) {
+  void recurse(FaultSet& faults, unsigned depth) {
     if (truncated_) return;
     if (budget_used_ >= cap_) {
       truncated_ = true;
@@ -58,91 +64,23 @@ class ChainEnumerator {
     ++stats_.fault_pairs_considered;
 
     // Deduplicate fault sets reachable through different chain orders.
-    std::vector<EdgeId> key = faults;
+    FaultSet key = faults;
     std::sort(key.begin(), key.end());
     if (!seen_.insert(std::move(key)).second) return;
 
-    const auto rp = oracle_.replacement_path(s_, v_, faults);
-    if (!rp) return;  // v disconnected under these faults: nothing to keep
-    const EdgeId le = last_edge(g_, rp->verts);
-    if (!in_h_[le]) {
-      in_h_[le] = true;
-      ++stats_.new_edges;
-      ++new_edges_;
-    }
-    if (depth == f_) return;
-
-    const std::vector<EdgeId> path_edges = edges_of(g_, rp->verts);
-    for (const EdgeId e : path_edges) {
-      faults.push_back(e);
-      recurse(faults, depth + 1);
-      faults.pop_back();
-    }
-  }
-
-  const Graph& g_;
-  ReplacementOracle& oracle_;
-  Vertex s_;
-  Vertex v_;
-  unsigned f_;
-  std::uint64_t cap_;
-  std::vector<bool>& in_h_;
-  FtBfsStats& stats_;
-  KFailStats& kstats_;
-
-  std::unordered_set<std::vector<EdgeId>, FaultSetHash> seen_;
-  std::uint64_t budget_used_ = 0;
-  std::uint64_t new_edges_ = 0;
-  bool truncated_ = false;
-};
-
-// Vertex-fault chain enumeration: each successive fault is an *interior*
-// vertex of the current replacement path (s and the target are never faulted
-// — the FT property is vacuous when the target itself fails).
-class VertexChainEnumerator {
- public:
-  VertexChainEnumerator(const Graph& g, ReplacementOracle& oracle, Vertex s,
-                        Vertex v, unsigned f, std::uint64_t cap,
-                        std::vector<bool>& in_h, FtBfsStats& stats,
-                        KFailStats& kstats)
-      : g_(g),
-        oracle_(oracle),
-        s_(s),
-        v_(v),
-        f_(f),
-        cap_(cap),
-        in_h_(in_h),
-        stats_(stats),
-        kstats_(kstats) {}
-
-  std::uint64_t run() {
-    std::vector<Vertex> empty;
-    recurse(empty, 0);
-    if (truncated_) ++kstats_.chain_cap_hits;
-    return new_edges_;
-  }
-
- private:
-  void recurse(std::vector<Vertex>& faults, unsigned depth) {
-    if (truncated_) return;
-    if (budget_used_ >= cap_) {
-      truncated_ = true;
-      return;
-    }
-    ++budget_used_;
-    ++kstats_.chains_enumerated;
-    ++stats_.fault_pairs_considered;
-
-    std::vector<Vertex> key = faults;
-    std::sort(key.begin(), key.end());
-    if (!seen_.insert(std::move(key)).second) return;
-
-    GraphMask& mask = oracle_.mask();
+    GraphMask& mask = sel_.mask();
     mask.clear();
-    for (const Vertex u : faults) mask.block_vertex(u);
-    const auto rp = oracle_.query(s_, v_);
-    if (!rp) return;
-    const EdgeId le = last_edge(g_, rp->verts);
+    for (const std::uint32_t x : faults) {
+      if (model_ == FaultModel::kVertex) {
+        mask.block_vertex(x);
+      } else {
+        mask.block_edge(x);
+      }
+    }
+    const auto rp = sel_.w_path(s_, v_);
+    if (!rp) return;  // v disconnected under these faults: nothing to keep
+    const Graph& g = sel_.graph();
+    const EdgeId le = last_edge(g, rp->verts);
     if (!in_h_[le]) {
       in_h_[le] = true;
       ++stats_.new_edges;
@@ -150,16 +88,19 @@ class VertexChainEnumerator {
     }
     if (depth == f_) return;
 
-    const Path path = rp->verts;
-    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
-      faults.push_back(path[i]);
+    const FaultSet next = model_ == FaultModel::kVertex
+                              ? FaultSet(rp->verts.begin() + 1,
+                                         rp->verts.end() - 1)
+                              : edges_of(g, rp->verts);
+    for (const std::uint32_t x : next) {
+      faults.push_back(x);
       recurse(faults, depth + 1);
       faults.pop_back();
     }
   }
 
-  const Graph& g_;
-  ReplacementOracle& oracle_;
+  PathSelector& sel_;
+  FaultModel model_;
   Vertex s_;
   Vertex v_;
   unsigned f_;
@@ -168,24 +109,22 @@ class VertexChainEnumerator {
   FtBfsStats& stats_;
   KFailStats& kstats_;
 
-  std::unordered_set<std::vector<Vertex>, FaultSetHash> seen_;
+  std::unordered_set<FaultSet, FaultSetHash> seen_;
   std::uint64_t budget_used_ = 0;
   std::uint64_t new_edges_ = 0;
   bool truncated_ = false;
 };
 
-template <typename Enumerator>
-KFailResult build_kfail_generic(const Graph& g, Vertex s, unsigned f,
-                                const KFailOptions& opt) {
+KFailResult build_kfail(const Graph& g, Vertex s, unsigned f,
+                        FaultModel model, const KFailOptions& opt) {
   FTBFS_EXPECTS(s < g.num_vertices());
   const WeightAssignment w(g, opt.weight_seed);
-  ReplacementOracle oracle(g, w);
+  PathSelector sel(g, w);
 
   KFailResult out;
   std::vector<bool> in_h(g.num_edges(), false);
 
-  oracle.mask().clear();
-  const SpResult tree = oracle.query_sssp(s);
+  const SpResult& tree = sel.baseline(s).tree();
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (v != s && tree.reached(v) && !in_h[tree.parent_edge[v]]) {
       in_h[tree.parent_edge[v]] = true;
@@ -195,8 +134,8 @@ KFailResult build_kfail_generic(const Graph& g, Vertex s, unsigned f,
 
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (v == s || !tree.reached(v)) continue;
-    Enumerator chain(g, oracle, s, v, f, opt.max_chains_per_vertex, in_h,
-                     out.structure.stats, out.kstats);
+    ChainEnumerator chain(sel, model, s, v, f, opt.max_chains_per_vertex,
+                          in_h, out.structure.stats, out.kstats);
     const std::uint64_t new_here = chain.run();
     out.structure.stats.max_new_per_vertex =
         std::max(out.structure.stats.max_new_per_vertex, new_here);
@@ -205,7 +144,7 @@ KFailResult build_kfail_generic(const Graph& g, Vertex s, unsigned f,
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (in_h[e]) out.structure.edges.push_back(e);
   }
-  out.structure.stats.dijkstra_runs = oracle.queries_issued();
+  out.structure.stats.dijkstra_runs = 1 + sel.dijkstra_runs();  // + the tree
   return out;
 }
 
@@ -213,12 +152,12 @@ KFailResult build_kfail_generic(const Graph& g, Vertex s, unsigned f,
 
 KFailResult build_kfail_ftbfs_vertex(const Graph& g, Vertex s, unsigned f,
                                      const KFailOptions& opt) {
-  return build_kfail_generic<VertexChainEnumerator>(g, s, f, opt);
+  return build_kfail(g, s, f, FaultModel::kVertex, opt);
 }
 
 KFailResult build_kfail_ftbfs(const Graph& g, Vertex s, unsigned f,
                               const KFailOptions& opt) {
-  return build_kfail_generic<ChainEnumerator>(g, s, f, opt);
+  return build_kfail(g, s, f, FaultModel::kEdge, opt);
 }
 
 }  // namespace ftbfs

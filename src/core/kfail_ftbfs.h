@@ -7,6 +7,11 @@
 // the previous fault set (a fault set that misses the current path does not
 // change the replacement path, so only chains matter). The structure keeps the
 // last edge of the W-unique replacement path of every chain of length <= f.
+// One enumerator serves both fault models: a fault set blocks edges or
+// vertices on a PathSelector's mask (core/selector.h), whose w_path gives the
+// replacement path, and the next fault is one of that path's edges or one of
+// its interior vertices. Fault sets reached through different chain orders
+// are visited once.
 //
 // For f = 1 this coincides with the last-edge single-failure structure except
 // for the divergence-point preference; for f = 2 it is an ablation baseline

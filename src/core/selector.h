@@ -1,5 +1,7 @@
 // Replacement-path *selection* building blocks shared by the construction
-// algorithms (single-failure FT-BFS and Cons2FTBFS).
+// algorithms (single-failure FT-BFS and Cons2FTBFS), and the replacement-path
+// engine of the f-failure chain construction (kfail_ftbfs), which blocks each
+// fault set on the mask and asks w_path for P_{s,v,F} = SP(s, v, G∖F, W).
 //
 // The paper's algorithms do not take an arbitrary shortest path in G∖F: they
 // take the W-unique shortest path in a carefully restricted graph that forces
@@ -51,7 +53,6 @@
 #include "spath/bfs.h"
 #include "spath/dijkstra.h"
 #include "spath/path.h"
-#include "spath/replacement.h"
 #include "spath/tree_index.h"
 #include "spath/weights.h"
 
@@ -161,6 +162,12 @@ struct SingleFaultSelection;
 struct HopBounds {
   std::uint32_t at_least = 0;
   std::uint32_t at_most = kInfHops;
+};
+
+// A selected replacement path and its W-key.
+struct RPath {
+  Path verts;
+  DistKey key;
 };
 
 // Owns the scratch state (mask + region repair + fallback searches) for path

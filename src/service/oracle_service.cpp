@@ -58,8 +58,8 @@ OracleService::OracleService(const Graph& g, ServiceConfig config)
 // The one place an entry's engine picks up the service-level query-path
 // config; every Entry must pass through here before it is published.
 void OracleService::configure_engine(Entry& entry) const {
-  entry.engine.set_delta_options(FaultQueryEngine::DeltaOptions{
-      config_.delta_queries, config_.delta_max_affected_fraction});
+  entry.engine.set_delta_options(
+      FaultQueryEngine::DeltaOptions{.enabled = config_.delta_queries});
 }
 
 std::size_t OracleService::publish_entry(Entry entry) {

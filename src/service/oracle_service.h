@@ -89,8 +89,6 @@ struct ServiceConfig {
   // the damaged subtrees otherwise. Off = every cache miss pays a full
   // masked BFS (the pre-delta behavior; kept as the property-test oracle).
   bool delta_queries = true;
-  // Fallback threshold forwarded to FaultQueryEngine::DeltaOptions.
-  double delta_max_affected_fraction = 0.5;
   // Delta-compressed scenario cache (docs/perf.md "Delta cache"): store a
   // cache line as a baseline reference plus a sorted (vertex, hop) diff when
   // the diff covers at most this fraction of the vertices, shrinking a warm

@@ -6,7 +6,9 @@
 // because nesting already decides it, a probe reordered, a pair loop
 // narrowed — must leave these digests alone, at every job count. The graphs
 // reach every branch of the new-ending selection: the x = s one-sweep answer,
-// its miss, and a π-divergence k0 other than x.
+// its miss, and a π-divergence k0 other than x. The kfail_ftbfs digests were
+// recorded while it still ran a full Dijkstra per chain, before it moved onto
+// the selector's fault-local kernels.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "core/cons2ftbfs.h"
+#include "core/kfail_ftbfs.h"
 #include "graph/generators.h"
 
 namespace ftbfs {
@@ -77,6 +80,27 @@ TEST(KeptEdgeDigest, Cons2MatchesPinnedAtEveryJobCount) {
           << p.name << " jobs=" << jobs << " digest 0x" << std::hex
           << digest(h.edges);
     }
+  }
+}
+
+TEST(KeptEdgeDigest, KFailMatchesPinned) {
+  struct KFailPinned {
+    bool vertex_faults;
+    unsigned f;
+    std::size_t kept;
+    std::uint64_t digest;
+  };
+  const Graph g = erdos_renyi(200, 6.0 / 200, 17);
+  for (const KFailPinned& p : {KFailPinned{false, 2, 554, 0xc2b707169fadc2e4ull},
+                               KFailPinned{false, 3, 672, 0x90a2ac0f3c4044d1ull},
+                               KFailPinned{true, 2, 550, 0x2185a0d34fa2cf38ull}}) {
+    const KFailResult r = p.vertex_faults ? build_kfail_ftbfs_vertex(g, 0, p.f)
+                                          : build_kfail_ftbfs(g, 0, p.f);
+    const char* model = p.vertex_faults ? "vertex" : "edge";
+    EXPECT_EQ(r.structure.edges.size(), p.kept) << model << " f=" << p.f;
+    EXPECT_EQ(digest(r.structure.edges), p.digest)
+        << model << " f=" << p.f << " digest 0x" << std::hex
+        << digest(r.structure.edges);
   }
 }
 
