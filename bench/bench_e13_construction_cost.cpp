@@ -14,9 +14,9 @@
 //     completion at a fixed n across the jobs list, checking the structure
 //     and stats against the jobs=1 build (the byte-identity contract of
 //     core/build_parallel.h) and reporting wall-clock speedup.
-//   * E13c — windowed throughput at n = 10^5: a full single_ftbfs build at
-//     that scale runs for upwards of half an hour (bench_persist measures
-//     the lower bound), so each (family, jobs) cell forks a child that
+//   * E13c — windowed throughput at n = 10^5: a full cons2ftbfs build at
+//     that scale outlasts the window (bench_persist measures whole builds),
+//     so each (family, jobs) cell forks a child that
 //     builds with a progress counter in a MAP_SHARED page; the parent reads
 //     the counter when the window closes and SIGKILLs the child. The counter
 //     counts finished fault pairs (v, e) — the unit of fault_pairs_considered

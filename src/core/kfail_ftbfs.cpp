@@ -47,13 +47,15 @@ class ChainEnumerator {
 
   std::uint64_t run() {
     FaultSet empty;
-    recurse(empty, 0);
+    recurse(empty, 0, 0);
     if (truncated_) ++kstats_.chain_cap_hits;
     return new_edges_;
   }
 
  private:
-  void recurse(FaultSet& faults, unsigned depth) {
+  // `at_least` is the hops of the path whose element was faulted last:
+  // adding a fault never shortens the replacement path.
+  void recurse(FaultSet& faults, unsigned depth, std::uint32_t at_least) {
     if (truncated_) return;
     if (budget_used_ >= cap_) {
       truncated_ = true;
@@ -77,7 +79,7 @@ class ChainEnumerator {
         mask.block_edge(x);
       }
     }
-    const auto rp = sel_.w_path(s_, v_);
+    const auto rp = sel_.w_path(s_, v_, {.at_least = at_least});
     if (!rp) return;  // v disconnected under these faults: nothing to keep
     const Graph& g = sel_.graph();
     const EdgeId le = last_edge(g, rp->verts);
@@ -92,9 +94,10 @@ class ChainEnumerator {
                               ? FaultSet(rp->verts.begin() + 1,
                                          rp->verts.end() - 1)
                               : edges_of(g, rp->verts);
+    const auto hops = static_cast<std::uint32_t>(rp->verts.size() - 1);
     for (const std::uint32_t x : next) {
       faults.push_back(x);
-      recurse(faults, depth + 1);
+      recurse(faults, depth + 1, hops);
       faults.pop_back();
     }
   }

@@ -8,10 +8,11 @@ namespace ftbfs {
 namespace {
 
 // The backward pass's gate (docs/perf.md, "Goal-directed single-target
-// passes"): it runs when the caller's bound is at most kBackwardSlack hops
-// above the target's T0 depth, unless it gave up kBackwardStreak times in a
-// row for the same target below the same cut subtree; it gives up once it
-// has expanded |A| / kBackwardShare vertices of the cut region A.
+// passes" and "Goal-directed step-1 batches"): a single-target call runs it
+// when the caller's bound is at most kBackwardSlack hops above the target's
+// T0 depth, unless it gave up kBackwardStreak times in a row for the same
+// target below the same cut subtree; every pass gives up once it has
+// expanded |A| / kBackwardShare vertices of the cut region A.
 constexpr std::uint32_t kBackwardSlack = 2;
 constexpr std::uint64_t kBackwardShare = 16;
 constexpr std::uint32_t kBackwardStreak = 4;
@@ -369,7 +370,7 @@ std::uint32_t PathSelector::hop_distance(Vertex s, Vertex t,
     case Route::kCut:
       break;
   }
-  if (!search_back(b, t, bounds, false)) {
+  if (!search_back_one(b, t, bounds, false)) {
     probe_region(b, std::span<const Vertex>(&t, 1), bounds.at_most);
   }
   const std::uint32_t d = probed_hops(t);
@@ -402,7 +403,7 @@ std::optional<RPath> PathSelector::w_path(Vertex s, Vertex t,
     case Route::kCut:
       break;
   }
-  if (!search_back(b, t, bounds, true)) {
+  if (!search_back_one(b, t, bounds, true)) {
     sweep_region(b, std::span<const Vertex>(&t, 1), t, bounds.at_most);
   }
   RPath out;
@@ -417,62 +418,97 @@ std::optional<RPath> PathSelector::w_path(Vertex s, Vertex t,
   return out;
 }
 
-// Every s→t path of G ∖ mask that is shortest has a shortest twin that
-// follows T0 to the last vertex u outside A — u's root path survives the
-// mask and is W-minimal in G — and then runs inside A. T0 depth is a lower
-// bound on the distance to s that changes by at most one across an edge and
-// is exact outside A, so f(x) = depth(x) + hops(x, t), expanded in buckets of
-// f, is a consistent A* order from t toward s: a vertex is expanded with its
-// least hops to t, and every vertex of A on such a twin has f <= dist(s, t).
-// Each uncut neighbour u of an expanded x closes a path of depth(u) + 1 +
-// hops(x, t); once f passes the shortest of them, every vertex of A on a
-// shortest path is explored, and the forward pass seeded from the uncut
-// neighbours settles it — and, by induction on hops, the W key and parent of
-// each such vertex, whose every shortest-path predecessor is explored or
-// keeps its T0 key.
-bool PathSelector::search_back(const SelectorBaseline& b, Vertex t,
-                               HopBounds bounds, bool weighted) {
-  const TreeIndex& idx = b.index();
+bool PathSelector::search_back_one(const SelectorBaseline& b, Vertex t,
+                                   HopBounds bounds, bool weighted) {
   const std::uint32_t bound =
       bounds.at_most != kInfHops ? bounds.at_most : bounds.at_least;
-  const std::uint64_t cap = region_size_ / kBackwardShare;
-  if (bound == 0 || bound > idx.depth(t) + kBackwardSlack || cap == 0) {
+  if (bound == 0 || bound > b.index().depth(t) + kBackwardSlack ||
+      region_size_ < kBackwardShare) {
     return false;
   }
   // Where the cut region's shape makes the pass give up (a grid, whose T0
   // depth is tight across the whole rectangle from s to t), it does so for
   // every fault the caller tries below the same subtree: a run of give-ups
   // for this target and subtree stops the tries until either changes.
-  const Vertex t_root = cut_root(idx, t);
+  const Vertex t_root = cut_root(b.index(), t);
   if (t != streak_target_ || t_root != streak_root_) {
     streak_target_ = t;
     streak_root_ = t_root;
     streak_ = 0;
   }
   if (streak_ >= kBackwardStreak) return false;
+  if (!search_back(b, std::span<const Vertex>(&t, 1),
+                   std::span<const std::uint32_t>(&bounds.at_most, 1),
+                   weighted)) {
+    ++streak_;
+    return false;
+  }
+  streak_ = 0;
+  return true;
+}
+
+// Every s→v path of G ∖ mask that is shortest has a shortest twin that
+// follows T0 to the last vertex u outside A — u's root path survives the
+// mask and is W-minimal in G — and then runs inside A. T0 depth is a lower
+// bound on the distance to s that changes by at most one across an edge and
+// is exact outside A. With top the largest budget, h(x) = min over targets
+// v of hops(x, v) + top − budget(v) is a multi-source distance whose source
+// v starts at top − budget(v), so f(x) = depth(x) + h(x), expanded in
+// buckets of f with each target let in when f reaches its own key, is a
+// consistent A* order toward s: a vertex is expanded with its least h, and
+// every vertex of A on a twin for v within budget(v) has f <= top. Each
+// uncut neighbour u of an expanded x closes a path, depth(u) + 1 + h(x) on
+// the same scale; for one target (whose shift is 0) the least of them is
+// its distance, and for several, whose budgets are at most their distances,
+// none is below top. Once f passes both, every vertex of A on such a
+// shortest path is explored, and the forward pass seeded from the uncut
+// neighbours settles it — and, by induction on hops, the W key and parent
+// of each such vertex, whose every shortest-path predecessor is explored or
+// keeps its T0 key.
+bool PathSelector::search_back(const SelectorBaseline& b,
+                               std::span<const Vertex> targets,
+                               std::span<const std::uint32_t> budgets,
+                               bool weighted) {
+  FTBFS_EXPECTS(!targets.empty() && targets.size() == budgets.size());
+  // Every target within its budget is expanded: a batch larger than the
+  // give-up point would only reach it.
+  const std::uint64_t cap = region_size_ / kBackwardShare;
+  if (targets.size() > cap) return false;
+  const TreeIndex& idx = b.index();
+  const std::uint32_t top = *std::max_element(budgets.begin(), budgets.end());
   fresh_stamps();
   for (std::vector<Vertex>& bucket : buckets_) bucket.clear();
   explored_.clear();
-  // A reached vertex of A is stamped, with its hops to t so far.
-  const auto reach = [&](Vertex x, std::uint32_t hops) {
+  // A reached vertex of A is stamped, with its shifted hops h so far. The
+  // targets are stamped up front, so one never let in reads as unreachable.
+  const auto reach = [&](Vertex x, std::uint32_t h) {
     region_stamp_[x] = region_epoch_;
     key_[x] = kUnreachable;
-    to_target_[x] = hops;
-    buckets_[(idx.depth(x) + hops) % 3].push_back(x);
+    to_target_[x] = h;
   };
+  seeds_.clear();
+  for (std::size_t j = 0; j < targets.size(); ++j) {
+    const std::uint32_t shift = top - budgets[j];
+    reach(targets[j], shift);
+    seeds_.emplace_back(idx.depth(targets[j]) + shift, targets[j]);
+  }
+  std::sort(seeds_.begin(), seeds_.end());
   const Graph& g = *graph_;
-  reach(t, 0);
   std::uint32_t best = kInfHops;  // the shortest path closed so far
-  for (std::uint32_t f = idx.depth(t); f <= std::min(best, bounds.at_most);
+  std::size_t next_seed = 0;
+  for (std::uint32_t f = seeds_.front().first; f <= std::min(best, top);
        ++f) {
     std::vector<Vertex>& bucket = buckets_[f % 3];
+    for (; next_seed < seeds_.size() && seeds_[next_seed].first == f;
+         ++next_seed) {
+      bucket.push_back(seeds_[next_seed].second);
+    }
     // Indexed: a neighbour reached at equal f joins this bucket.
     for (std::size_t k = 0; k < bucket.size(); ++k) {
       const Vertex x = bucket[k];
       const std::uint32_t hx = to_target_[x];
       if (idx.depth(x) + hx != f) continue;  // superseded by fewer hops
       if (explored_.size() >= cap) {
-        ++streak_;
         ++kernels_.backward_abandoned;
         kernels_.backward_vertices += explored_.size();
         return false;
@@ -487,29 +523,36 @@ bool PathSelector::search_back(const SelectorBaseline& b, Vertex t,
             buckets_[(idx.depth(y) + hx + 1) % 3].push_back(y);
           }
         } else if (cut_root(idx, y) != kInvalidVertex) {
-          if (!mask_.vertex_blocked(y)) reach(y, hx + 1);
+          if (!mask_.vertex_blocked(y)) {
+            reach(y, hx + 1);
+            buckets_[(idx.depth(y) + hx + 1) % 3].push_back(y);
+          }
         } else if (idx.reached(y)) {
           best = std::min(best, idx.depth(y) + 1 + hx);
         }
       }
     }
     bucket.clear();
-    if (buckets_[(f + 1) % 3].empty() && buckets_[(f + 2) % 3].empty()) break;
+    if (next_seed == seeds_.size() && buckets_[(f + 1) % 3].empty() &&
+        buckets_[(f + 2) % 3].empty()) {
+      break;
+    }
   }
-  streak_ = 0;
   kernels_.backward_vertices += explored_.size();
   pass_base_ = &b;
   if (weighted) {
     ++dijkstra_runs_;
     ++kernels_.sweep_backward;
+    probe_ = Probe::kNone;
     swept_by_search_ = false;
   } else {
     ++bfs_runs_;
     ++kernels_.probe_backward;
     probe_ = Probe::kStamped;
   }
-  // Beyond at_most (or cut off): t keeps the unreachable key it was given.
-  if (best > bounds.at_most) return true;
+  // No target within its budget: each keeps the unreachable key it was given.
+  if (best > top) return true;
+  const Vertex t = targets.size() == 1 ? targets.front() : kInvalidVertex;
   if (weighted) {
     repair_sweep<true>(b, t, best);
   } else {
@@ -664,21 +707,33 @@ const SingleFaultBatch& PathSelector::select_below(
     if (target != kInfHops) items.push_back({v, choice, target, 0, i});
   }
 
-  // A pass serves a run [first, last) of items: group lists their targets,
-  // `stop` is the farthest target distance among them, `deepest` a target
-  // at that distance.
+  // A pass serves a run [first, last) of items: group lists their targets
+  // and `budgets` their distances, `stop` is the farthest of them, `deepest`
+  // a target at that distance. Every graph a pass asks about lies inside
+  // G ∖ {e}, so no target is closer than its distance there, and the pass
+  // asks only whether it is still at it: it searches backward from the
+  // targets first, and repairs (or searches from the source) if that gives
+  // up.
   std::vector<Vertex> group;
-  std::uint32_t stop = 0;
-  Vertex deepest = kInvalidVertex;
-  const auto serve = [&](auto first, auto last) {
+  std::vector<std::uint32_t> budgets;
+  const auto serve = [&](auto first, auto last, bool weighted) {
     group.clear();
-    stop = 0;
+    budgets.clear();
+    std::uint32_t stop = 0;
+    Vertex deepest = kInvalidVertex;
     for (auto it = first; it != last; ++it) {
       group.push_back(it->v);
+      budgets.push_back(it->target);
       if (it->target >= stop) {
         stop = it->target;
         deepest = it->v;
       }
+    }
+    if (search_back(b, group, budgets, weighted)) return;
+    if (weighted) {
+      sweep_region(b, group, deepest, stop);
+    } else {
+      probe_region(b, group, stop);
     }
   };
   // The selected path of `it` is the W-unique shortest path in
@@ -718,9 +773,8 @@ const SingleFaultBatch& PathSelector::select_below(
   // the common case, and always when i == 0 — it is k0 and the path is read
   // off that same sweep. The others bisect (0, i] with hop probes.
   if (!items.empty()) {
-    serve(items.begin(), items.end());
     restrict_to(0);
-    sweep_region(b, group, deepest, stop);
+    serve(items.begin(), items.end(), true);
     for (BatchItem& it : items) {
       if (swept_key(it.v).hops != it.target) continue;
       read_path(it, 0);
@@ -747,9 +801,8 @@ const SingleFaultBatch& PathSelector::select_below(
       const std::uint32_t k = mid(*first);
       auto last = first;
       while (last != open && mid(*last) == k) ++last;
-      serve(first, last);
       restrict_to(k);
-      probe_region(b, group, stop);
+      serve(first, last, false);
       for (auto it = first; it != last; ++it) {
         (probed_hops(it->v) == it->target ? it->hi : it->lo) = k;
       }
@@ -767,9 +820,8 @@ const SingleFaultBatch& PathSelector::select_below(
     const std::uint32_t k0 = first->hi;
     auto last = first;
     while (last != items.end() && last->hi == k0) ++last;
-    serve(first, last);
     restrict_to(k0);
-    sweep_region(b, group, deepest, stop);
+    serve(first, last, true);
     for (auto it = first; it != last; ++it) read_path(*it, k0);
     first = last;
   }

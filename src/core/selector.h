@@ -26,16 +26,19 @@
 // region is larger than the BFS ball an early-exit search from the source
 // would cover, in which case that search runs instead.
 //
-// A single-target call whose caller bounds the answer (HopBounds) close to
-// the target's T0 depth first tries a goal-directed pass: a search backward
-// from the target through the cut region only, ordered by T0 depth plus hops
-// to the target, which ends at the first vertices that keep their T0 root
-// path; a forward pass over what it explored then gives the exact hops or W
-// keys. It gives up, for the forward passes above, once it has explored a
-// fixed share of the region, and after a run of give-ups for one target
-// below one cut subtree it is not tried there. All answers are exact, so the
-// choice never shows in a structure. Scratch is O(n + m) per selector, plus the last
-// batch's results; the baseline is shared.
+// A pass whose answers the caller already bounds first tries a goal-directed
+// pass: a search backward from its targets through the cut region only,
+// ordered by T0 depth plus hops to a target, which ends at the first
+// vertices that keep their T0 root path; a forward pass over what it
+// explored then gives the exact hops or W keys. A single-target call tries
+// it when its HopBounds are close to the target's T0 depth, and step (1)'s
+// batches for every pass after the first, which learns the targets'
+// distances. It gives up, for the forward passes above, once it has
+// explored a fixed share of the region; after a run of give-ups for one
+// target below one cut subtree, single-target calls stop trying it there.
+// All answers are exact, so the choice never shows in a structure. Scratch
+// is O(n + m) per selector, plus the last batch's results; the baseline is
+// shared.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +49,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "core/ftbfs_common.h"
 #include "graph/graph.h"
@@ -263,21 +267,30 @@ class PathSelector {
   std::uint32_t begin_explored(const SelectorBaseline& b);
   void advance_explored(const SelectorBaseline& b, std::uint32_t d);
 
-  // The goal-directed pass for one target t in A, tried first by
-  // hop_distance and w_path. If `bounds` put the answer within
-  // kBackwardSlack of t's T0 depth, searches backward from t through A,
-  // bucketed by T0 depth + hops to t (a consistent lower bound on the
-  // distance of an s→t path through the vertex), to the vertices outside A,
-  // whose T0 depth is exact; it stops once that bound passes the best path
-  // found or bounds.at_most. The explored set then holds every vertex of A
-  // on a shortest s→t path, and a forward pass over it (`weighted`: with W
-  // keys) leaves the same answers a repair would, in the same form: a probe
-  // or sweep whose answers the accessors below read. Returns false, having
-  // answered nothing, when the gate says no (too much slack, |A| below
-  // kBackwardShare, or kBackwardStreak give-ups in a row for t below the
-  // same root) or once it has expanded |A| / kBackwardShare vertices.
-  bool search_back(const SelectorBaseline& b, Vertex t, HopBounds bounds,
-                   bool weighted);
+  // The goal-directed pass: searches backward from `targets` — all in A
+  // and unblocked — through A, bucketed by T0 depth + hops to a target (a
+  // consistent lower bound on the distance of an s→target path through the
+  // vertex; hops to target v count from top − budget(v), with top the
+  // largest budget, so v joins at key depth(v) + top − budget(v)), to the
+  // vertices outside A, whose T0 depth is exact. It stops once that bound passes top or, for one target, the
+  // best path found. The explored set then holds every vertex of A on a
+  // shortest s→v path of length <= budget(v), and a forward pass over it
+  // (`weighted`: with W keys) leaves the same answers a repair would, in the
+  // same form: a probe or sweep whose answers the accessors below read. With
+  // several targets each budget must be at most that target's distance —
+  // its distance in a graph that contains this one — so each answer is
+  // exact where it equals the budget, and larger (or unreachable) where it
+  // does not. Returns false, having answered nothing, when the targets
+  // outnumber |A| / kBackwardShare or once it has expanded that many
+  // vertices.
+  bool search_back(const SelectorBaseline& b, std::span<const Vertex> targets,
+                   std::span<const std::uint32_t> budgets, bool weighted);
+  // search_back for one target t in A with budget bounds.at_most, tried
+  // first by hop_distance and w_path: only if `bounds` put the answer within
+  // kBackwardSlack of t's T0 depth, and not after kBackwardStreak give-ups
+  // in a row for t below the same root.
+  bool search_back_one(const SelectorBaseline& b, Vertex t, HopBounds bounds,
+                       bool weighted);
   // The root in roots_ of the cut subtree that holds x, by x's preorder
   // index; kInvalidVertex if x is outside A.
   [[nodiscard]] Vertex cut_root(const TreeIndex& idx, Vertex x) const;
@@ -325,10 +338,12 @@ class PathSelector {
   std::vector<Vertex> level_;                // A's vertices on the level d
   std::vector<Vertex> next_level_;           // ... and on level d + 1
   // The backward pass: the vertices it expanded, in order, and their hops
-  // to its target (what it reached is stamped as the region).
+  // to its targets, shifted by budget (what it reached is stamped as the
+  // region); its targets by the key at which each is let in.
   std::vector<Vertex> explored_;
   std::size_t explored_next_ = 0;  // the explored level pass's cursor
   std::vector<std::uint32_t> to_target_;
+  std::vector<std::pair<std::uint32_t, Vertex>> seeds_;  // (key, target)
   // Consecutive give-ups of the backward pass for one target below one root.
   Vertex streak_target_ = kInvalidVertex;
   Vertex streak_root_ = kInvalidVertex;
@@ -397,8 +412,11 @@ struct SingleFaultSelection {
 // passes: one probe of G ∖ {e} for every target distance, one W-sweep of
 // k = 0 (which is k0 for most targets), at most one probe per other k for
 // all the binary searches together, and one W-sweep per distinct k0 > 0.
-// Each pass stops once the farthest target it serves is final. The result
-// lives in `sel` until its next call.
+// Only the first probe repairs the whole cut region (or searches from the
+// source); every later pass asks whether its targets are still at those
+// distances, so it searches backward from them first and falls back to the
+// same forward passes when that gives up. Each pass stops once the farthest
+// target it serves is final. The result lives in `sel` until its next call.
 [[nodiscard]] const SingleFaultBatch& select_single_faults_below(
     PathSelector& sel, Vertex s, EdgeId e);
 

@@ -8,9 +8,11 @@
 // reach every branch of the new-ending selection: the x = s one-sweep answer,
 // its miss, and a π-divergence k0 other than x. The kfail_ftbfs digests were
 // recorded while it still ran a full Dijkstra per chain, before it moved onto
-// the selector's fault-local kernels.
+// the selector's fault-local kernels. The single_ftbfs digests were recorded
+// before step (1)'s batches searched backward from their targets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "core/cons2ftbfs.h"
 #include "core/kfail_ftbfs.h"
+#include "core/single_ftbfs.h"
 #include "graph/generators.h"
 
 namespace ftbfs {
@@ -75,6 +78,36 @@ TEST(KeptEdgeDigest, Cons2MatchesPinnedAtEveryJobCount) {
       opt.jobs = jobs;
       opt.classify_paths = false;
       const FtStructure h = build_cons2ftbfs(g, 0, opt);
+      EXPECT_EQ(h.edges.size(), p.kept) << p.name << " jobs=" << jobs;
+      EXPECT_EQ(digest(h.edges), p.digest)
+          << p.name << " jobs=" << jobs << " digest 0x" << std::hex
+          << digest(h.edges);
+    }
+  }
+}
+
+TEST(KeptEdgeDigest, SingleMatchesPinnedAtEveryJobCount) {
+  struct SinglePinned {
+    const char* name;
+    std::size_t kept;
+    std::uint64_t digest;
+  };
+  const std::vector<SinglePinned> want = {
+      {"er1000", 1930, 0x20ff4b3b97fabbabull},
+      {"grid12x12", 264, 0x0fe6ee467389752dull},
+      {"hypercube7", 247, 0x944028067264f7c3ull},
+      {"chords150", 179, 0x4d51ddb72586c386ull},
+  };
+  for (const SinglePinned& p : want) {
+    const auto it =
+        std::find_if(pinned().begin(), pinned().end(),
+                     [&p](const Pinned& q) { return q.name == p.name; });
+    ASSERT_NE(it, pinned().end()) << p.name;
+    const Graph g = it->make();
+    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+      SingleFtbfsOptions opt;
+      opt.jobs = jobs;
+      const FtStructure h = build_single_ftbfs(g, 0, opt);
       EXPECT_EQ(h.edges.size(), p.kept) << p.name << " jobs=" << jobs;
       EXPECT_EQ(digest(h.edges), p.digest)
           << p.name << " jobs=" << jobs << " digest 0x" << std::hex

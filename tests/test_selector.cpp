@@ -245,11 +245,54 @@ std::vector<std::pair<std::string, Graph>> batch_graphs() {
   return graphs;
 }
 
-// The batch below each tree edge against the slow reference, for every
-// (tree edge, target) pair: same connectivity, same path, same last edge, and
-// a decomposition that reassembles into that path.
+// The batch below the tree edge above c against the slow reference, for
+// every target: same connectivity, same path, same last edge, and a
+// decomposition that reassembles into that path. Returns how many targets
+// the fault disconnects.
+std::size_t expect_batch_matches_reference(const Graph& g,
+                                           const WeightAssignment& w,
+                                           const SelectorBaseline& base,
+                                           Vertex c,
+                                           const SingleFaultBatch& batch) {
+  const TreeIndex& idx = base.index();
+  const std::span<const Vertex> below = idx.subtree_span(c);
+  EXPECT_EQ(batch.choices.size(), below.size());
+  EXPECT_EQ(batch.pi_index, idx.depth(c) - 1);
+  std::size_t disconnected = 0;
+  for (std::size_t k = 0; k < std::min(below.size(), batch.choices.size());
+       ++k) {
+    const SingleFaultChoice& ch = batch.choices[k];
+    EXPECT_EQ(ch.target, below[k]);
+    const Path pi = extract_path(base.tree(), ch.target);
+    const std::optional<Path> want =
+        reference_selection(g, w, pi, batch.pi_index);
+    EXPECT_EQ(ch.connected(), want.has_value())
+        << "edge above " << c << " target " << ch.target;
+    if (!want || !ch.connected()) {
+      disconnected += want ? 0 : 1;
+      continue;
+    }
+    const std::span<const Vertex> d = batch.detour(ch);
+    Path got(pi.begin(), pi.begin() + ch.x_pi_index);
+    got.insert(got.end(), d.begin(), d.end());
+    got.insert(got.end(), pi.begin() + ch.y_pi_index + 1, pi.end());
+    EXPECT_EQ(got, *want) << "edge above " << c << " target " << ch.target;
+    EXPECT_EQ(ch.last_edge, last_edge(g, *want));
+    EXPECT_LE(ch.x_pi_index, batch.pi_index);
+    EXPECT_GT(ch.y_pi_index, batch.pi_index);
+    for (std::size_t p = 1; p + 1 < d.size(); ++p) {
+      EXPECT_FALSE(contains_vertex(pi, d[p]));  // detour interior off π
+    }
+  }
+  return disconnected;
+}
+
+// Every batch of every batch graph against the slow reference. Across them,
+// some step-1 passes after the first search backward from their targets,
+// and some give up doing so and repair instead.
 TEST(SelectSingleFaultsBelow, MatchesSlowReferenceForEveryTreeEdge) {
   std::size_t disconnected = 0;
+  KernelCounts kernels;
   for (const auto& [name, g] : batch_graphs()) {
     SCOPED_TRACE(name);
     const WeightAssignment w(g, 99);
@@ -258,38 +301,87 @@ TEST(SelectSingleFaultsBelow, MatchesSlowReferenceForEveryTreeEdge) {
     PathSelector sel(g, w, &base);
     for (const Vertex c : idx.preorder()) {
       if (c == 0) continue;
-      const SingleFaultBatch& batch =
-          select_single_faults_below(sel, 0, idx.parent_edge(c));
-      const std::span<const Vertex> below = idx.subtree_span(c);
-      ASSERT_EQ(batch.choices.size(), below.size());
-      ASSERT_EQ(batch.pi_index, idx.depth(c) - 1);
-      for (std::size_t k = 0; k < below.size(); ++k) {
-        const SingleFaultChoice& ch = batch.choices[k];
-        ASSERT_EQ(ch.target, below[k]);
-        const Path pi = extract_path(base.tree(), ch.target);
-        const std::optional<Path> want =
-            reference_selection(g, w, pi, batch.pi_index);
-        ASSERT_EQ(ch.connected(), want.has_value())
-            << "edge above " << c << " target " << ch.target;
-        if (!want) {
-          ++disconnected;
-          continue;
-        }
-        const std::span<const Vertex> d = batch.detour(ch);
-        Path got(pi.begin(), pi.begin() + ch.x_pi_index);
-        got.insert(got.end(), d.begin(), d.end());
-        got.insert(got.end(), pi.begin() + ch.y_pi_index + 1, pi.end());
-        EXPECT_EQ(got, *want) << "edge above " << c << " target " << ch.target;
-        EXPECT_EQ(ch.last_edge, last_edge(g, *want));
-        EXPECT_LE(ch.x_pi_index, batch.pi_index);
-        EXPECT_GT(ch.y_pi_index, batch.pi_index);
-        for (std::size_t p = 1; p + 1 < d.size(); ++p) {
-          EXPECT_FALSE(contains_vertex(pi, d[p]));  // detour interior off π
-        }
-      }
+      disconnected += expect_batch_matches_reference(
+          g, w, base, c,
+          select_single_faults_below(sel, 0, idx.parent_edge(c)));
     }
+    kernels += sel.kernel_counts();
   }
   EXPECT_GT(disconnected, 0u);  // the bridges gave nullopt
+  EXPECT_GT(kernels.sweep_backward, 0u);
+  EXPECT_GT(kernels.probe_backward, 0u);
+  EXPECT_GT(kernels.backward_abandoned, 0u);
+}
+
+// One batch whose targets sit at slack dist − depth 0 and 3, some of them
+// able to leave π at s (k = 0) and some not. π(s, 3) = 0-1-2-3 and e = (2, 3);
+// the targets are subtree(3):
+//   q = 0-4-5-6-7, a route to depth 4 that avoids π[1 .. 2];
+//   r = 1-8-9-10, a route to depth 4 below π[1];
+//   a1 = 11 and a = 12 hang below 3, a1 next to q and a next to q and r;
+//   z = 13 hangs below 3 with nothing else;
+//   b1 = 14 and b = 15 hang below 3, b next to r only;
+//   200 leaves below 2 make the cut region large enough for the backward
+//   pass to answer without giving up.
+// In G ∖ {e}, a and b keep their depth 5 (slack 0), 3 and z come back
+// through a1 at 6 and 7 (slack 3). k = 0 is feasible for a, a1, 3 and z
+// (through q) but not for b1 and b, which need r and so π[1]. With all
+// targets let in at one key, or the last bucket left out, a and b are
+// never explored at k = 0 and a's k0 comes out 1, where W prefers r.
+Graph mixed_slack_graph() {
+  GraphBuilder gb(216);
+  gb.add_edge(0, 1);
+  gb.add_edge(1, 2);
+  gb.add_edge(2, 3);
+  for (const auto& [x, y] : {std::pair<Vertex, Vertex>{0, 4}, {4, 5}, {5, 6},
+                             {6, 7}, {1, 8}, {8, 9}, {9, 10}, {3, 11},
+                             {11, 12}, {11, 7}, {12, 7}, {12, 10}, {3, 13},
+                             {3, 14}, {14, 15}, {15, 10}}) {
+    gb.add_edge(x, y);
+  }
+  for (Vertex leaf = 16; leaf < 216; ++leaf) gb.add_edge(2, leaf);
+  return std::move(gb).build();
+}
+
+TEST(SelectSingleFaultsBelow, MixedSlackBatchMatchesReference) {
+  const Graph g = mixed_slack_graph();
+  const WeightAssignment w(g, 7);
+  const SelectorBaseline base(g, w, 0);
+  const TreeIndex& idx = base.index();
+  ASSERT_EQ(idx.parent(3), 2u);
+  ASSERT_EQ(idx.parent(12), 11u);  // W picks a1 over q and r
+  ASSERT_EQ(idx.parent(15), 14u);  // ... and b1 over r
+  const EdgeId e = g.find_edge(2, 3);
+  // The slacks and which targets can leave π at s, the slow way.
+  GraphMask m(g);
+  Bfs bfs(g);
+  m.block_edge(e);
+  const std::vector<std::uint32_t> dist = bfs.run(0, &m).hops;
+  const Path via_r = extract_path(reference_dijkstra(g, w, 0, &m), 12);
+  EXPECT_EQ(via_r, (Path{0, 1, 8, 9, 10, 12}));  // W prefers r in G ∖ {e}
+  block_pi_segment(m, Path{0, 1, 2}, 0, 2);
+  const std::vector<std::uint32_t> at_k0 = bfs.run(0, &m).hops;
+  std::vector<std::uint32_t> slacks;
+  std::size_t feasible = 0;
+  for (const Vertex v : idx.subtree_span(3)) {
+    slacks.push_back(dist[v] - idx.depth(v));
+    feasible += at_k0[v] == dist[v] ? 1 : 0;
+  }
+  std::sort(slacks.begin(), slacks.end());
+  EXPECT_EQ(slacks, (std::vector<std::uint32_t>{0, 0, 1, 2, 3, 3}));
+  EXPECT_EQ(feasible, 4u);
+
+  PathSelector sel(g, w, &base);
+  const KernelCounts& k = sel.kernel_counts();
+  EXPECT_EQ(expect_batch_matches_reference(
+                g, w, base, 3, select_single_faults_below(sel, 0, e)),
+            0u);
+  // The first probe repairs; the k = 0 sweep, b and b1's probe of k = 1 and
+  // their sweep there all search backward, and none gives up.
+  EXPECT_EQ(k.probe_repair + k.probe_search, 1u);
+  EXPECT_EQ(k.sweep_backward, 2u);
+  EXPECT_EQ(k.probe_backward, 1u);
+  EXPECT_EQ(k.sweep_repair + k.sweep_search + k.backward_abandoned, 0u);
 }
 
 // single_ftbfs against a per-target replay in id order — the loop it replaced:
