@@ -119,8 +119,9 @@ struct VertexOutcome {
 };
 
 // All state for constructing H(v) for one target vertex v. Reads the shared
-// kept-edge set, only on v's edges, plus its own additions; never writes
-// shared state — the target's commit applies the outcome.
+// kept-edge set only on v's edges, when it starts, and then tracks its own
+// additions; never writes shared state — the target's commit applies the
+// outcome.
 class PerVertexRun {
  public:
   PerVertexRun(const Graph& g, const SelectorBaseline& base, PathSelector& sel,
@@ -135,15 +136,15 @@ class PerVertexRun {
         s_(s),
         v_(v),
         pi_(std::move(pi)),
-        in_h_(in_h),
         classify_(classify),
         selections_(selections) {
     pi_pos_.bind(pi_);
     // E_0(v) starts as every v-incident edge already in H: v's T0 edges and
     // the edges lower-numbered targets kept, all committed before v runs.
     for (const Arc& arc : g_.neighbors(v_)) {
-      if (in_h_[arc.id]) allowed_v_edges_.push_back(arc.id);
+      (in_h[arc.id] ? allowed_v_edges_ : unkept_v_edges_).push_back(arc.id);
     }
+    update_unkept_floor();
   }
 
   VertexOutcome run() {
@@ -168,22 +169,34 @@ class PerVertexRun {
     return e;
   }
 
-  // Whether `le` is already kept, in H or by this run. Every
-  // queried edge is v-incident, and this run's additions are few, so the
-  // linear scan of `added` stays cheap.
-  [[nodiscard]] bool kept(EdgeId le) const {
-    return in_h_[le] || std::find(out_.added.begin(), out_.added.end(), le) !=
-                            out_.added.end();
-  }
-
-  // Adds `le`, the last edge of a selected replacement path, to H(v); returns
-  // true if the edge was new. Bookkeeps E_τ(v), the kept v-edges.
+  // Adds `le`, the last edge of a selected replacement path and so a v-edge,
+  // to H(v); returns true if the edge was new, that is, not kept in H or by
+  // this run. Bookkeeps E_τ(v), the kept v-edges, and the rest of v's edges.
   bool keep_edge(EdgeId le) {
-    if (kept(le)) return false;
+    const auto it =
+        std::find(unkept_v_edges_.begin(), unkept_v_edges_.end(), le);
+    if (it == unkept_v_edges_.end()) return false;
+    unkept_v_edges_.erase(it);
     out_.added.push_back(le);
     allowed_v_edges_.push_back(le);
+    update_unkept_floor();
     return true;
   }
+
+  void update_unkept_floor() {
+    const TreeIndex& idx = base_.index();
+    unkept_floor_ = kInfHops;
+    for (const EdgeId a : unkept_v_edges_) {
+      unkept_floor_ =
+          std::min(unkept_floor_, idx.depth(g_.other_endpoint(a, v_)));
+    }
+  }
+
+  // Every edge this run can add is v-incident and not yet kept (keep_edge).
+  // Once all of v's G-edges are kept — by T0, by lower-numbered targets or
+  // by this run — no pair of steps (2) and (3) can keep anything, so the
+  // rest are neither run nor counted.
+  [[nodiscard]] bool saturated() const { return unkept_v_edges_.empty(); }
 
   void record(Path p, NewEndingRecord::Kind kind, EdgeId f1, EdgeId f2,
               const SelectionSlot* det) {
@@ -258,6 +271,7 @@ class PerVertexRun {
     }
     for (std::size_t a = 0; a < connected.size(); ++a) {
       for (std::size_t b = a + 1; b < connected.size(); ++b) {
+        if (saturated()) return;
         const std::size_t i = connected[a], j = connected[b];
         ++out_.fault_pairs;
         // Cheap satisfiability: if one single-fault path avoids the other
@@ -274,6 +288,12 @@ class PerVertexRun {
 
   void handle_pi_pi_pair(std::size_t i, std::size_t j) {
     const EdgeId ei = pi_edge(i), ej = pi_edge(j);
+    // A kept v-edge shallower than every unkept one ends every shortest path
+    // of G ∖ F in a kept edge, so the pair has nothing to keep.
+    if (satisfied_in_t0(g_, base_, v_, allowed_v_edges_, ei, ej, 0,
+                        unkept_floor_, true)) {
+      return;
+    }
     const std::uint32_t target = target_distance({ei, ej});
     if (target == kInfHops) return;  // pair disconnects v: nothing to keep
 
@@ -331,6 +351,7 @@ class PerVertexRun {
     for (std::size_t i = len; i-- > 0;) {
       if (!selections_[i].connected()) continue;
       for (std::size_t r = selections_[i].detour_size - 1; r-- > 0;) {
+        if (saturated()) return;
         ++out_.fault_pairs;
         handle_pi_d_pair(i, r);
       }
@@ -342,11 +363,13 @@ class PerVertexRun {
     const EdgeId e = pi_edge(i);
     const EdgeId t = g_.find_edge(si.detour()[r], si.detour()[r + 1]);
     FTBFS_ENSURES(t != kInvalidEdge);
-    // |P_i(v)| = dist(s, v, G ∖ {e}): often T0 alone shows it survives t.
+    // |P_i(v)| = dist(s, v, G ∖ {e}): often T0 and v's kept edges alone show
+    // that a kept edge still ends a shortest path of G ∖ F.
     const std::size_t single_hops = si.x_pi_index + (si.detour_size - 1) +
                                     (pi_.size() - 1 - si.y_pi_index);
     if (satisfied_in_t0(g_, base_, v_, allowed_v_edges_, e, t,
-                        static_cast<std::uint32_t>(single_hops))) {
+                        static_cast<std::uint32_t>(single_hops), unkept_floor_,
+                        false)) {
       return;  // not new-ending
     }
 
@@ -498,11 +521,13 @@ class PerVertexRun {
   Vertex s_;
   Vertex v_;
   Path pi_;
-  const std::vector<std::uint8_t>& in_h_;
   bool classify_;
 
   std::span<const SelectionSlot> selections_;  // step (1), from the table
   std::vector<EdgeId> allowed_v_edges_;  // E_τ(v): the kept v-edges
+  std::vector<EdgeId> unkept_v_edges_;   // v's other G-edges
+  // Least T0 depth of a v-neighbour across an unkept edge (kInfHops if none).
+  std::uint32_t unkept_floor_ = kInfHops;
   VertexOutcome out_;
 };
 

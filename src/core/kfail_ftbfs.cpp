@@ -43,7 +43,11 @@ class ChainEnumerator {
         cap_(cap),
         in_h_(in_h),
         stats_(stats),
-        kstats_(kstats) {}
+        kstats_(kstats) {
+    for (const Arc& arc : sel_.graph().neighbors(v_)) {
+      if (!in_h_[arc.id]) ++unkept_;
+    }
+  }
 
   std::uint64_t run() {
     FaultSet empty;
@@ -54,9 +58,12 @@ class ChainEnumerator {
 
  private:
   // `at_least` is the hops of the path whose element was faulted last:
-  // adding a fault never shortens the replacement path.
+  // adding a fault never shortens the replacement path. Every edge a chain
+  // keeps is its path's last edge, so v-incident: once all of v's G-edges
+  // are in H, no further chain can keep one, and none is enumerated. The
+  // chain cap only ends enumeration early, so it cannot make this differ.
   void recurse(FaultSet& faults, unsigned depth, std::uint32_t at_least) {
-    if (truncated_) return;
+    if (truncated_ || unkept_ == 0) return;
     if (budget_used_ >= cap_) {
       truncated_ = true;
       return;
@@ -87,6 +94,7 @@ class ChainEnumerator {
       in_h_[le] = true;
       ++stats_.new_edges;
       ++new_edges_;
+      --unkept_;
     }
     if (depth == f_) return;
 
@@ -115,6 +123,7 @@ class ChainEnumerator {
   std::unordered_set<FaultSet, FaultSetHash> seen_;
   std::uint64_t budget_used_ = 0;
   std::uint64_t new_edges_ = 0;
+  std::uint32_t unkept_ = 0;  // v's G-edges not yet in H
   bool truncated_ = false;
 };
 

@@ -640,7 +640,8 @@ bool reaches_through_kept_edge(const PathSelector& sel, Vertex v,
 
 bool satisfied_in_t0(const Graph& g, const SelectorBaseline& b, Vertex v,
                      std::span<const EdgeId> kept, EdgeId e, EdgeId t,
-                     std::uint32_t single_fault_hops) {
+                     std::uint32_t single_fault_hops,
+                     std::uint32_t unkept_floor, bool strict) {
   const Vertex below_e = b.edge_child(e);
   const Vertex below_t = t == kInvalidEdge ? kInvalidVertex : b.edge_child(t);
   FTBFS_EXPECTS(below_e != kInvalidVertex);
@@ -650,12 +651,15 @@ bool satisfied_in_t0(const Graph& g, const SelectorBaseline& b, Vertex v,
     const Edge& ed = g.edge(a);
     FTBFS_EXPECTS(ed.u == v || ed.v == v);
     const Vertex u = ed.u == v ? ed.v : ed.u;
-    if (!idx.reached(u) || idx.depth(u) + 1 != single_fault_hops ||
-        idx.ancestor_of(below_e, u) ||
-        (below_t != kInvalidVertex && idx.ancestor_of(below_t, u))) {
-      continue;
+    if (!idx.reached(u)) continue;
+    const std::uint32_t d = idx.depth(u);
+    const bool shallow_enough =
+        strict ? d < unkept_floor
+               : d <= unkept_floor || d + 1 == single_fault_hops;
+    if (shallow_enough && !idx.ancestor_of(below_e, u) &&
+        (below_t == kInvalidVertex || !idx.ancestor_of(below_t, u))) {
+      return true;
     }
-    return true;
   }
   return false;
 }

@@ -375,17 +375,29 @@ class PathSelector {
                                              std::span<const EdgeId> kept,
                                              std::uint32_t target);
 
-// Step 3's probe-free test, decided from T0 alone, for F = {e, t} with e a
-// tree edge above v and `single_fault_hops` = dist(s, v, G ∖ {e}): true if
-// some kept v-edge (u, v) ∉ F has T0 depth(u) = single_fault_hops − 1 and a
-// T0 root path avoiding F (u neither below e nor, if t is a tree edge, below
-// t). Then dist(s, v, G ∖ F) = single_fault_hops — it cannot be less, since
-// G ∖ F ⊆ G ∖ {e}, and u's root path meets it — so the probe would find that
-// target and reaches_through_kept_edge would accept this same edge.
+// Steps 2 and 3's probe-free test, decided from T0 and v's kept edges, for
+// F = {e, t}: e a tree edge above v, t another edge or kInvalidEdge. It looks
+// for a kept v-edge (w, v) ∉ F whose w has a T0 root path avoiding F (w
+// neither below e nor, if t is a tree edge, below t). That path gives
+// dist(s, w, G ∖ F) = depth(w), so dist(s, v, G ∖ F) ≤ depth(w) + 1, while
+// every v-neighbour u across an edge not kept has dist(s, u, G ∖ F) ≥
+// depth(u) ≥ `unkept_floor`, the least T0 depth among them.
+//  - strict = false (step 3): true if depth(w) + 1 = single_fault_hops =
+//    dist(s, v, G ∖ {e}), which dist(s, v, G ∖ F) cannot undercut since
+//    G ∖ F ⊆ G ∖ {e}; or if depth(w) ≤ unkept_floor, since a shortest path
+//    of G ∖ F through an unkept (u, v) has depth(w) ≥ dist(s, u, G ∖ F) ≥
+//    floor ≥ depth(w). Either way dist(s, w, G ∖ F) = dist(s, v, G ∖ F) − 1:
+//    the probe would find that target and reaches_through_kept_edge would
+//    accept (w, v).
+//  - strict = true (step 2): true if depth(w) < unkept_floor. Then every
+//    shortest path of G ∖ F ends in a kept edge, since its last vertex
+//    before v is at most depth(w) < floor hops from s; so does the
+//    W-selected one. single_fault_hops is not read.
 [[nodiscard]] bool satisfied_in_t0(const Graph& g, const SelectorBaseline& b,
                                    Vertex v, std::span<const EdgeId> kept,
                                    EdgeId e, EdgeId t,
-                                   std::uint32_t single_fault_hops);
+                                   std::uint32_t single_fault_hops,
+                                   std::uint32_t unkept_floor, bool strict);
 
 // Blocks π positions [k+1 .. l] on the mask (the vertex-removal part of
 // Eq. (3)'s G(u_k, u_l); u_k itself stays, as does anything outside the

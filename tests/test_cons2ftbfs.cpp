@@ -53,6 +53,21 @@ TEST(Cons2Ftbfs, PathConsidersOnlySingleFaults) {
   EXPECT_EQ(h.edges.size(), g.num_edges());
 }
 
+// On a cycle every target has degree 2. Step (1) keeps the one non-tree
+// edge, the antipodal one, for each of its ends (the replacement path for
+// any π edge runs the other way round), so every target has all its edges
+// kept before step (2): steps (2) and (3) consider no pair at all.
+TEST(Cons2Ftbfs, CycleConsidersOnlySingleFaults) {
+  for (const Vertex n : {60u, 61u}) {
+    const Graph g = cycle_graph(n);
+    const FtStructure h = build_cons2ftbfs(g, 0);
+    std::uint64_t depth_sum = 0;
+    for (Vertex v = 0; v < n; ++v) depth_sum += bfs_distance(g, 0, v);
+    EXPECT_EQ(h.stats.fault_pairs_considered, depth_sum) << "n " << n;
+    EXPECT_EQ(h.edges.size(), g.num_edges()) << "n " << n;
+  }
+}
+
 TEST(Cons2Ftbfs, GridGraph) {
   const Graph g = grid_graph(4, 4);
   const FtStructure h = build_cons2ftbfs(g, 0);

@@ -9,7 +9,10 @@
 // its miss, and a π-divergence k0 other than x. The kfail_ftbfs digests were
 // recorded while it still ran a full Dijkstra per chain, before it moved onto
 // the selector's fault-local kernels. The single_ftbfs digests were recorded
-// before step (1)'s batches searched backward from their targets.
+// before step (1)'s batches searched backward from their targets. er2000,
+// the graph `ftbfs gen --family er --n 2000 --p 0.004 --seed 1` writes, was
+// recorded before steps (2) and (3) skipped the pairs a kept edge settles;
+// it is the family on which step (2) keeping too few edges shows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,6 +69,8 @@ const std::vector<Pinned>& pinned() {
        0x05d86165da44bf69ull},
       {"chords150", [] { return path_with_chords(150, 30, 5); }, 179,
        0x4d51ddb72586c386ull},
+      {"er2000", [] { return erdos_renyi(2000, 0.004, 1); }, 5352,
+       0x0080f5169c3bca87ull},
   };
   return graphs;
 }

@@ -846,10 +846,16 @@ TEST(PathSelector, KeptEdgeRuleMatchesRestrictedGraph) {
   EXPECT_GT(bounded.probe_repair + bounded.probe_search, 0u);
 }
 
-// Step 3's probe-free rule: whenever it fires, the probe of G ∖ F finds
-// dist(s, v, G ∖ {e_i}) and reaches_through_kept_edge accepts the pair.
+// Steps 2 and 3's probe-free rule, for random splits of v's edges into kept
+// and unkept. Step 3's form (strict = false): whenever it fires, the probe of
+// G ∖ F reaches v through a kept edge, and when it fires by the equality
+// rule alone (floor 0) the probe finds dist(s, v, G ∖ {e_i}). Step 2's form
+// (strict = true), on step-3 pairs and on pairs of π edges: whenever it
+// fires, the W-selected path of G ∖ F ends in a kept edge. The depth floor
+// must decide pairs that the equality rule alone misses.
 TEST(PathSelector, T0WitnessAgreesWithProbe) {
-  std::size_t fired = 0, fired_tree_t = 0, silent = 0;
+  std::size_t fired = 0, fired_tree_t = 0, fired_by_floor = 0, silent = 0;
+  std::size_t strict_fired = 0, strict_pi_pi = 0;
   for (const std::uint64_t seed : {41ull, 42ull, 43ull}) {
     const Graph g = erdos_renyi(50, 0.08, seed);
     const WeightAssignment w(g, seed);
@@ -857,43 +863,93 @@ TEST(PathSelector, T0WitnessAgreesWithProbe) {
     PathSelector sel(g, w, &base);
     VertexIndexMap pos(g.num_vertices());
     Rng rng(seed);
+    // A random two thirds of v's edges, and the least T0 depth across the
+    // others.
+    std::vector<EdgeId> kept;
+    std::uint32_t floor = kInfHops;
+    auto split = [&](Vertex v) {
+      kept.clear();
+      floor = kInfHops;
+      for (const Arc& arc : g.neighbors(v)) {
+        if (rng.next_below(3) != 0) {
+          kept.push_back(arc.id);
+        } else {
+          floor = std::min(floor, base.index().depth(arc.to));
+        }
+      }
+    };
+    // Masks G ∖ {a, b}.
+    auto block = [&](EdgeId a, EdgeId b) {
+      GraphMask& m = sel.mask();
+      m.clear();
+      m.block_edge(a);
+      m.block_edge(b);
+    };
+    // Whether the W-selected path of the current mask ends in a kept edge.
+    auto ends_kept = [&](Vertex v) {
+      const auto rp = sel.w_path(0, v);
+      return rp.has_value() &&
+             std::find(kept.begin(), kept.end(), last_edge(g, rp->verts)) !=
+                 kept.end();
+    };
     for (Vertex v = 1; v < g.num_vertices(); ++v) {
       if (!base.tree().reached(v)) continue;
       const Path pi = extract_path(base.tree(), v);
       pos.bind(pi);
       for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
+        const EdgeId e_i = g.find_edge(pi[i], pi[i + 1]);
+        for (std::size_t j = i + 1; j + 1 < pi.size(); ++j) {
+          const EdgeId e_j = g.find_edge(pi[j], pi[j + 1]);
+          split(v);
+          if (!satisfied_in_t0(g, base, v, kept, e_i, e_j, 0, floor, true)) {
+            continue;
+          }
+          ++strict_pi_pi;
+          block(e_i, e_j);
+          EXPECT_TRUE(ends_kept(v)) << "v " << v << " i " << i << " j " << j;
+        }
         const auto sel_i = select_single_fault(sel, pi, pos, i);
         if (!sel_i) continue;
-        const EdgeId e_i = g.find_edge(pi[i], pi[i + 1]);
         const auto hops_i = static_cast<std::uint32_t>(sel_i->path.size() - 1);
         for (std::size_t r = 0; r + 1 < sel_i->detour.size(); ++r) {
           const EdgeId t =
               g.find_edge(sel_i->detour[r], sel_i->detour[r + 1]);
-          std::vector<EdgeId> kept;
-          for (const Arc& arc : g.neighbors(v)) {
-            if (rng.next_below(3) != 0) kept.push_back(arc.id);
-          }
-          if (!satisfied_in_t0(g, base, v, kept, e_i, t, hops_i)) {
+          split(v);
+          const bool equality =
+              satisfied_in_t0(g, base, v, kept, e_i, t, hops_i, 0, false);
+          const bool loose =
+              satisfied_in_t0(g, base, v, kept, e_i, t, hops_i, floor, false);
+          const bool strict =
+              satisfied_in_t0(g, base, v, kept, e_i, t, 0, floor, true);
+          EXPECT_TRUE(loose || (!equality && !strict));
+          if (!loose) {
             ++silent;
             continue;
           }
           ++fired;
+          fired_by_floor += equality ? 0 : 1;
           fired_tree_t += base.edge_child(t) != kInvalidVertex ? 1 : 0;
-          GraphMask& m = sel.mask();
-          m.clear();
-          m.block_edge(e_i);
-          m.block_edge(t);
+          block(e_i, t);
           const std::uint32_t target = sel.hop_distance(0, v);
-          EXPECT_EQ(target, hops_i) << "v " << v << " i " << i << " r " << r;
+          if (equality) {
+            EXPECT_EQ(target, hops_i) << "v " << v << " i " << i << " r " << r;
+          }
           EXPECT_TRUE(reaches_through_kept_edge(sel, v, kept, target))
               << "v " << v << " i " << i << " r " << r;
+          if (strict) {
+            ++strict_fired;
+            EXPECT_TRUE(ends_kept(v)) << "v " << v << " i " << i << " r " << r;
+          }
         }
       }
     }
   }
   EXPECT_GT(fired, 0u);
   EXPECT_GT(fired_tree_t, 0u);
+  EXPECT_GT(fired_by_floor, 0u);
   EXPECT_GT(silent, 0u);
+  EXPECT_GT(strict_fired, 0u);
+  EXPECT_GT(strict_pi_pi, 0u);
 }
 
 TEST(PathSelector, CountersAdvance) {
