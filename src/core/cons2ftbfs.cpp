@@ -163,10 +163,9 @@ class PerVertexRun {
  private:
   // ---- helpers ------------------------------------------------------------
 
+  // π is v's root path in T0, so its edge i is the tree edge above pi_[i+1].
   [[nodiscard]] EdgeId pi_edge(std::size_t i) const {
-    const EdgeId e = g_.find_edge(pi_[i], pi_[i + 1]);
-    FTBFS_ENSURES(e != kInvalidEdge);
-    return e;
+    return base_.index().parent_edge(pi_[i + 1]);
   }
 
   // Adds `le`, the last edge of a selected replacement path and so a v-edge,

@@ -25,32 +25,66 @@ bool GraphBuilder::has_edge(Vertex u, Vertex v) const {
 }
 
 Graph GraphBuilder::build() && {
+  return Graph::from_edges(num_vertices_, std::move(edges_));
+}
+
+Graph Graph::from_edges(Vertex num_vertices, std::vector<Edge> edges,
+                        EdgeId* first_duplicate) {
+  const std::size_t n = num_vertices;
   Graph g;
-  g.num_vertices_ = num_vertices_;
-  g.edges_ = std::move(edges_);
-  g.offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
-  for (const Edge& e : g.edges_) {
+  g.num_vertices_ = num_vertices;
+  // v's list is its lower neighbours, then its higher ones; cursor[v] starts
+  // as the number of lower ones.
+  g.offsets_.assign(n + 1, 0);
+  std::vector<std::uint32_t> cursor(n, 0);
+  for (const Edge& e : edges) {
+    FTBFS_EXPECTS(e.u < e.v && e.v < num_vertices);
     ++g.offsets_[e.u + 1];
     ++g.offsets_[e.v + 1];
+    ++cursor[e.v];
   }
-  for (Vertex v = 0; v < num_vertices_; ++v) {
+  for (std::size_t v = 0; v < n; ++v) {
     g.offsets_[v + 1] += g.offsets_[v];
+    cursor[v] += g.offsets_[v];
   }
-  g.arcs_.resize(2 * g.edges_.size());
-  std::vector<std::uint32_t> cursor(g.offsets_.begin(),
-                                    g.offsets_.end() - 1);
-  for (EdgeId id = 0; id < g.edges_.size(); ++id) {
-    const Edge& e = g.edges_[id];
-    g.arcs_[cursor[e.u]++] = Arc{e.v, id};
-    g.arcs_[cursor[e.v]++] = Arc{e.u, id};
+  // Bucket each arc by source: u's higher part takes its arcs u → v, in id
+  // order, until they are copied out below.
+  g.arcs_.resize(2 * edges.size());
+  for (EdgeId id = 0; id < edges.size(); ++id) {
+    g.arcs_[cursor[edges[id].u]++] = Arc{edges[id].v, id};
   }
-  // Sort each adjacency list by neighbor id so iteration is deterministic and
-  // find_edge can binary-search.
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    std::sort(g.arcs_.begin() + g.offsets_[v],
-              g.arcs_.begin() + g.offsets_[v + 1],
-              [](const Arc& a, const Arc& b) { return a.to < b.to; });
+  // Scanning sources x in increasing order fills each lower part in
+  // neighbour order. When x's turn comes its own lower part is complete, so
+  // cursor[x] is where its bucket starts.
+  std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
+  EdgeId duplicate = kInvalidEdge;
+  for (Vertex x = 0; x < num_vertices; ++x) {
+    for (std::uint32_t k = cursor[x]; k < g.offsets_[x + 1]; ++k) {
+      const Arc a = g.arcs_[k];
+      const std::uint32_t at = cursor[a.to]++;
+      // Copies of {x, a.to} arrive here one after another, in id order.
+      if (at > g.offsets_[a.to] && g.arcs_[at - 1].to == x) {
+        duplicate = std::min(duplicate, a.id);
+      }
+      g.arcs_[at] = Arc{x, a.id};
+    }
   }
+  // Scanning the lower parts the same way rewrites the higher parts in
+  // neighbour order. cursor[x] now ends x's lower part and then, once x has
+  // been scanned, walks its higher part.
+  for (Vertex x = 0; x < num_vertices; ++x) {
+    const std::uint32_t lower_end = cursor[x];
+    for (std::uint32_t k = g.offsets_[x]; k < lower_end; ++k) {
+      const Arc a = g.arcs_[k];
+      g.arcs_[cursor[a.to]++] = Arc{x, a.id};
+    }
+  }
+  if (first_duplicate != nullptr) {
+    *first_duplicate = duplicate;
+  } else {
+    FTBFS_EXPECTS(duplicate == kInvalidEdge);  // no parallel edges
+  }
+  g.edges_ = std::move(edges);
   return g;
 }
 
@@ -78,12 +112,10 @@ EdgeId Graph::find_edge(Vertex u, Vertex v) const {
 }
 
 Graph subgraph_from_edges(const Graph& g, std::span<const EdgeId> kept_edges) {
-  GraphBuilder b(g.num_vertices());
-  for (const EdgeId e : kept_edges) {
-    const Edge& ed = g.edge(e);
-    b.add_edge(ed.u, ed.v);
-  }
-  return std::move(b).build();
+  std::vector<Edge> edges;
+  edges.reserve(kept_edges.size());
+  for (const EdgeId e : kept_edges) edges.push_back(g.edge(e));
+  return Graph::from_edges(g.num_vertices(), std::move(edges));
 }
 
 bool is_connected(const Graph& g) {

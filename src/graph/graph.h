@@ -108,19 +108,27 @@ class Graph {
 
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
+  // Freezes canonical edges (u < v < num_vertices) into CSR form in linear
+  // time: edge i gets id i, and every adjacency list is sorted by neighbour.
+  // Parallel edges are the caller's to rule out: when `first_duplicate` is
+  // null there must be none; otherwise it receives the id of the first edge
+  // that repeats an earlier one (kInvalidEdge if none), and a graph with a
+  // duplicate holds both of its arcs, side by side in each list.
+  [[nodiscard]] static Graph from_edges(Vertex num_vertices,
+                                        std::vector<Edge> edges,
+                                        EdgeId* first_duplicate = nullptr);
+
   // Adopts already-built CSR arrays without re-validating them. The snapshot
   // loader (src/persist/) is the only intended caller: it has just proven the
   // arrays consistent (canonical edges, monotone offsets, sorted arcs that
-  // agree with the edge list), so rebuilding them through GraphBuilder would
-  // only repeat O((n + m) log n) work the validation already did.
+  // agree with the edge list), so rebuilding them through from_edges would
+  // only repeat work the validation already did.
   [[nodiscard]] static Graph from_csr_unchecked(Vertex num_vertices,
                                                 std::vector<Edge> edges,
                                                 std::vector<std::uint32_t> offsets,
                                                 std::vector<Arc> arcs);
 
  private:
-  friend class GraphBuilder;
-
   Vertex num_vertices_ = 0;
   std::vector<Edge> edges_;
   std::vector<std::uint32_t> offsets_;  // size num_vertices_ + 1

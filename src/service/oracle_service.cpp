@@ -96,7 +96,8 @@ std::size_t OracleService::add_structure(std::string name, Vertex source,
 std::size_t OracleService::build_structure(std::string name, Vertex source,
                                            unsigned fault_budget,
                                            FaultModel model,
-                                           std::string_view algo) {
+                                           std::string_view algo,
+                                           BuildResult* built) {
   const BuilderRegistry& reg = BuilderRegistry::instance();
   const std::string chosen =
       algo.empty() ? BuilderRegistry::default_builder(fault_budget, model, 1)
@@ -109,15 +110,16 @@ std::size_t OracleService::build_structure(std::string name, Vertex source,
   req.weight_seed = config_.weight_seed;
   req.options.jobs = config_.build_jobs;
   FTBFS_EXPECTS(reg.unsupported_reason(chosen, req).empty());
-  const BuildResult built = reg.build(chosen, req);
-  const BuilderTraits* traits = reg.find(built.algorithm);
+  BuildResult result = reg.build(chosen, req);
+  const BuilderTraits* traits = reg.find(result.algorithm);
   const std::size_t idx =
       add_structure(std::move(name), source, fault_budget, model,
-                    built.structure.edges, traits == nullptr || traits->exact);
+                    result.structure.edges, traits == nullptr || traits->exact);
   {
     const std::unique_lock lock(pool_mutex_);
-    entries_[idx].algorithm = built.algorithm;
+    entries_[idx].algorithm = result.algorithm;
   }
+  if (built != nullptr) *built = std::move(result);
   return idx;
 }
 

@@ -57,6 +57,8 @@
 
 namespace ftbfs {
 
+struct BuildResult;
+
 struct ServiceConfig {
   // Fault budget targeted by lazily built structures (the paper's regime).
   unsigned default_budget = 2;
@@ -152,10 +154,12 @@ class OracleService {
                             std::span<const EdgeId> edges, bool exact = true);
 
   // Builds a structure through the BuilderRegistry and adds it. Empty algo =
-  // the registry's default_builder for the shape.
+  // the registry's default_builder for the shape. A non-null `built`
+  // receives the registry's result, stats and phase timings included.
   std::size_t build_structure(std::string name, Vertex source,
                               unsigned fault_budget, FaultModel model,
-                              std::string_view algo = {});
+                              std::string_view algo = {},
+                              BuildResult* built = nullptr);
 
   // Eagerly builds the O(n·m)-preprocessing point oracle for `source`;
   // afterwards single-edge-fault distance/reachability requests from that

@@ -86,6 +86,35 @@ TEST(Graph, DegreeSumIsTwiceEdges) {
   EXPECT_EQ(total, 2ull * g.num_edges());
 }
 
+TEST(FromEdges, ListsSortedByNeighbourWithInputIds) {
+  const std::vector<Edge> edges = {{2, 4}, {0, 2}, {3, 5}, {2, 3}, {1, 2}};
+  EdgeId duplicate = 0;
+  const Graph g = Graph::from_edges(6, edges, &duplicate);
+  EXPECT_EQ(duplicate, kInvalidEdge);
+  EXPECT_EQ(g.edges(), edges);
+  const auto nbrs = g.neighbors(2);
+  ASSERT_EQ(nbrs.size(), 4u);
+  const Vertex want_to[] = {0, 1, 3, 4};
+  const EdgeId want_id[] = {1, 4, 3, 0};
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    EXPECT_EQ(nbrs[i].to, want_to[i]);
+    EXPECT_EQ(nbrs[i].id, want_id[i]);
+  }
+  EXPECT_EQ(g.find_edge(5, 3), 2u);
+}
+
+// The first duplicate in id order is reported, whichever pair it repeats.
+TEST(FromEdges, ReportsFirstDuplicate) {
+  EdgeId duplicate = 0;
+  (void)Graph::from_edges(5, {{3, 4}, {0, 1}, {0, 1}, {3, 4}}, &duplicate);
+  EXPECT_EQ(duplicate, 2u);
+  (void)Graph::from_edges(5, {{3, 4}, {0, 1}, {3, 4}, {0, 1}, {3, 4}},
+                          &duplicate);
+  EXPECT_EQ(duplicate, 2u);
+  (void)Graph::from_edges(5, {{0, 1}, {1, 2}, {0, 2}}, &duplicate);
+  EXPECT_EQ(duplicate, kInvalidEdge);
+}
+
 TEST(SubgraphFromEdges, KeepsSelectedEdgesOnly) {
   GraphBuilder b(4);
   const EdgeId e01 = b.add_edge(0, 1);

@@ -329,9 +329,10 @@ int cmd_gen(const FlagParser& p) {
 
 // --- build -------------------------------------------------------------------
 
-void print_stats_json(const Graph& g, const BuildResult& r) {
+// The fields of one build's JSON stats, without the enclosing braces.
+void print_build_fields(const Graph& g, const BuildResult& r) {
   const FtBfsStats& st = r.structure.stats;
-  std::printf("{\"algorithm\":\"%s\",\"n\":%u,\"m\":%u,", r.algorithm.c_str(),
+  std::printf("\"algorithm\":\"%s\",\"n\":%u,\"m\":%u,", r.algorithm.c_str(),
               g.num_vertices(), g.num_edges());
   std::printf("\"kept_edges\":%zu,\"fraction\":%.6f,\"seconds\":%.6f,",
               r.structure.edges.size(),
@@ -351,6 +352,11 @@ void print_stats_json(const Graph& g, const BuildResult& r) {
   for (const auto& [key, value] : r.phase_seconds) {
     std::printf(",\"%s\":%.6f", key.c_str(), value);
   }
+}
+
+void print_stats_json(const Graph& g, const BuildResult& r) {
+  std::printf("{");
+  print_build_fields(g, r);
   std::printf("}\n");
 }
 
@@ -387,14 +393,18 @@ int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
   OracleService service(g, sc);
 
   Timer timer;
-  for (const Vertex s : sources) {
+  const bool json = stats_mode == "json";
+  std::vector<BuildResult> builds(json ? sources.size() : 0);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const Vertex s = sources[i];
     BuildRequest one = req;
     one.sources = {s};
     const std::string reason = reg.unsupported_reason(chosen, one);
     if (!reason.empty()) registry_fail(reason);
     service.build_structure(chosen + "@s" + std::to_string(s) + "f" +
                                 std::to_string(req.fault_budget),
-                            s, req.fault_budget, req.fault_model, chosen);
+                            s, req.fault_budget, req.fault_model, chosen,
+                            json ? &builds[i] : nullptr);
   }
   // Entry i+1 is sources[i] (entry 0 is the identity engine); prebuilding the
   // per-source baselines is what makes a loaded snapshot fast-path-ready
@@ -408,15 +418,23 @@ int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
   save_snapshot(out, image, req.options.jobs);
   const std::uint64_t bytes = file_size_bytes(out);
 
-  if (stats_mode == "json") {
+  if (json) {
     std::printf("{\"snapshot\":\"%s\",\"algorithm\":\"%s\",\"n\":%u,"
                 "\"m\":%u,\"entries\":%zu,\"baselines\":%zu,\"bytes\":%llu,"
-                "\"resident_bytes\":%llu,\"seconds\":%.6f}\n",
+                "\"resident_bytes\":%llu,\"seconds\":%.6f,\"builds\":[",
                 out.c_str(), chosen.c_str(), g.num_vertices(), g.num_edges(),
                 image.entries.size(), image.baselines.size(),
                 static_cast<unsigned long long>(bytes),
                 static_cast<unsigned long long>(image_resident_bytes(image)),
                 build_seconds);
+    // Each structure's own build stats, as `build --stats json` without
+    // --out prints them, under the source it was built for.
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      std::printf("%s{\"source\":%u,", i == 0 ? "" : ",", sources[i]);
+      print_build_fields(g, builds[i]);
+      std::printf("}");
+    }
+    std::printf("]}\n");
   } else {
     for (std::size_t i = 0; i < sources.size(); ++i) {
       std::printf("%s: kept %llu / %u edges\n",
