@@ -7,7 +7,6 @@
 #include <algorithm>
 
 #include "core/cons2ftbfs.h"
-#include "core/oracle.h"
 #include "core/selector.h"
 #include "core/sensitivity_oracle.h"
 #include "core/single_ftbfs.h"
@@ -16,6 +15,7 @@
 #include "engine/query_engine.h"
 #include "graph/generators.h"
 #include "graph/mask.h"
+#include "service/oracle_service.h"
 #include "service/shard.h"
 #include "spath/bfs.h"
 #include "spath/dijkstra.h"
@@ -139,16 +139,25 @@ void BM_SwapFtbfs(benchmark::State& state) {
 }
 BENCHMARK(BM_SwapFtbfs)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-void BM_FtBfsOracleBatch(benchmark::State& state) {
+// One repeated all_distances request pinned to a dual-failure structure:
+// after the first miss, the cost of a scenario-cache hit through serve().
+void BM_PinnedServiceAllDistances(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const Graph g = random_connected(n, 3 * n, 1);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 2);
-  const std::vector<EdgeId> faults = {1, 7};
+  ServiceConfig config;
+  config.lazy_build = false;
+  config.cache_capacity = 128;
+  OracleService service(g, config);
+  service.build_structure("h", 0, 2, FaultModel::kEdge);
+  QueryRequest req;
+  req.kind = QueryKind::kAllDistances;
+  req.fault_edges = {1, 7};
+  req.structure = "h";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.all_distances(faults).data());
+    benchmark::DoNotOptimize(service.serve(req).distances.data());
   }
 }
-BENCHMARK(BM_FtBfsOracleBatch)->Arg(1024);
+BENCHMARK(BM_PinnedServiceAllDistances)->Arg(1024);
 
 // --- delta-vs-full query sweep ----------------------------------------------
 //

@@ -1,14 +1,14 @@
 // FaultQueryEngine — the one batched query core every consumer routes through.
 //
-// The library's query-side consumers (the FtBfsOracle wrapper, the verifiers,
-// the failure simulator, the CLI `query` subcommand, the query benches) all
-// used to carry the same three pieces of private plumbing: a g→H edge-id
-// translation table, epoch-mask scratch over H, and a masked BFS. This class
-// owns all three once. It serves exact distances/paths from a subgraph H ⊆ G
-// (an FT-BFS structure, an overlay, or G itself) under a fault set expressed
-// in *host-graph* ids — edge faults are translated to H ids (faults absent
-// from H cannot affect distances inside H and are dropped), vertex faults
-// share ids between G and H.
+// The library's query-side consumers (OracleService's pool entries, the
+// verifiers, the failure simulator, the CLI `query` subcommand, the query
+// benches) all used to carry the same three pieces of private plumbing: a
+// g→H edge-id translation table, epoch-mask scratch over H, and a masked BFS.
+// This class owns all three once. It serves exact distances/paths from a
+// subgraph H ⊆ G (an FT-BFS structure, an overlay, or G itself) under a fault
+// set expressed in *host-graph* ids — edge faults are translated to H ids
+// (faults absent from H cannot affect distances inside H and are dropped),
+// vertex faults share ids between G and H.
 //
 // Batched queries (`batch`) run one early-exit masked BFS per fault set and
 // can fan fault sets across threads; each worker draws (mask, BFS) scratch

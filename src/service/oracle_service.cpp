@@ -399,23 +399,6 @@ QueryResponse OracleService::serve(const QueryRequest& req) {
   return execute(admit(req));
 }
 
-QueryResponse OracleService::serve(const QueryRequest& req,
-                                   RequestSequencer& sequencer,
-                                   std::uint64_t ticket) {
-  sequencer.wait_for(ticket);
-  Admission admission;
-  {
-    // Burn exactly one ticket even if admission throws (a stuck ticket would
-    // deadlock every later one).
-    struct AdvanceGuard {
-      RequestSequencer* s;
-      ~AdvanceGuard() { s->advance(); }
-    } guard{&sequencer};
-    admission = admit(req);
-  }
-  return execute(std::move(admission));
-}
-
 OracleService::Admission OracleService::admit(const QueryRequest& req) {
   counters_.requests.fetch_add(1, std::memory_order_relaxed);
   Admission a;

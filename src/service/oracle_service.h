@@ -33,10 +33,10 @@
 // relaxed atomics. Each serve() call splits into a short *admission* section
 // (validation, routing, lazy-build trigger, cache probe — everything that
 // reads or advances shared serving state) and a long *execution* section
-// (the BFS / cache wait / payload copy, which runs on private state). The
-// sequenced overload runs admissions in strict ticket order, which makes a
-// threaded serving loop's responses byte-identical to the sequential ones —
-// `ftbfs serve --threads N` builds on it (see docs/serving.md).
+// (the BFS / cache wait / payload copy, which runs on private state).
+// admit()/execute() expose the two halves: callers that run admissions in
+// strict ticket order (NetServer's ordered mode, a RequestSequencer turn) get
+// responses byte-identical to the sequential ones (see docs/serving.md).
 #pragma once
 
 #include <atomic>
@@ -53,7 +53,6 @@
 #include "graph/graph.h"
 #include "service/protocol.h"
 #include "service/shard.h"
-#include "service/work_queue.h"
 
 namespace ftbfs {
 
@@ -173,18 +172,9 @@ class OracleService {
   // attribution can depend on the interleaving of racing calls: which
   // duplicate is labeled the cache miss, and — when requests whose lazy
   // builds target *different* budgets race for one source — which of the
-  // resulting entries serves (`served_by`). The sequenced overload below
-  // removes even that.
+  // resulting entries serves (`served_by`). Ordering the admissions through
+  // admit()/execute() below removes even that.
   [[nodiscard]] QueryResponse serve(const QueryRequest& req);
-
-  // Same, with the admission section ordered by `ticket` through `sequencer`
-  // (tickets must be dense from 0 across all participants). Concurrent
-  // callers that agree on a ticket order get responses byte-identical to
-  // serving the requests sequentially in that order — including cache_hit
-  // flags and cache evictions.
-  [[nodiscard]] QueryResponse serve(const QueryRequest& req,
-                                    RequestSequencer& sequencer,
-                                    std::uint64_t ticket);
 
   // --- split serve: admit / execute ----------------------------------------
   // serve() == execute(admit(req)). admit() runs the admission section —
@@ -216,7 +206,7 @@ class OracleService {
   [[nodiscard]] std::uint64_t entry_edges(std::size_t entry) const;
 
   // Direct engine access for an entry ("identity" included) — the advanced,
-  // cache-bypassing path used by FtBfsOracle::batch for threaded sweeps.
+  // cache-bypassing path, e.g. FaultQueryEngine::batch for threaded sweeps.
   [[nodiscard]] FaultQueryEngine& engine(std::size_t entry);
 
  private:

@@ -263,8 +263,10 @@ std::vector<TenantRegistry::PendingTenant> TenantRegistry::parse_manifest(
         }
         p.quotas.max_requests = u;
       } else if (key == "rate_limit_rps") {
-        if (value.kind != JsonValue::Kind::kNumber || value.number < 0.0) {
-          manifest_error("\"rate_limit_rps\" must be a non-negative number");
+        if (value.kind != JsonValue::Kind::kNumber ||
+            !valid_rate_limit(value.number)) {
+          manifest_error(
+              "\"rate_limit_rps\" must be a number >= 0 and below 2^64");
         }
         p.quotas.rate_limit_rps = value.number;
       } else if (key == "burst") {

@@ -61,13 +61,20 @@ struct TenantQuotas {
   // Token-bucket rate limit: sustained requests/second (fractional rates are
   // legal: 0.5 = one request per 2 s) and the bucket capacity. burst == 0
   // defaults to max(1, ceil(rate)). Checked pre-admission so one tenant's
-  // flood cannot starve another tenant's queue slots.
+  // flood cannot starve another tenant's queue slots. The rate must pass
+  // valid_rate_limit().
   double rate_limit_rps = 0.0;
   std::uint64_t rate_limit_burst = 0;
   // Default deadline applied to requests that carry no "deadline_ms" wire
   // field (a request's own field always wins).
   std::int64_t deadline_ms = 0;
 };
+
+// True for a rate the token bucket can take: not negative, not NaN, and
+// below 2^64, so its default burst ceil(rate) fits the uint64 capacity.
+[[nodiscard]] inline bool valid_rate_limit(double rps) {
+  return rps >= 0.0 && rps < 0x1p64;
+}
 
 struct Tenant {
   std::string name;  // "" never occurs; the default tenant has a real name
@@ -139,6 +146,7 @@ struct Tenant {
   // bucket to a full burst: the operator just declared a new contract; making
   // the old debt carry over would punish the reload.
   void set_quotas(const TenantQuotas& q) {
+    FTBFS_EXPECTS(valid_rate_limit(q.rate_limit_rps));
     max_requests.store(q.max_requests, std::memory_order_relaxed);
     default_deadline_ms.store(q.deadline_ms, std::memory_order_relaxed);
     const std::lock_guard lock(rate_mutex_);

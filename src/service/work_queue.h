@@ -143,12 +143,12 @@ class BoundedQueue {
 };
 
 // Ticket lock over a dense ticket sequence 0, 1, 2, …: wait_for(t) blocks
-// until every ticket below t has advanced. OracleService::serve uses it to
-// run its admission section (routing, lazy-build trigger, cache probe) in
-// strict request order, which is what makes threaded serving byte-identical
-// to sequential serving. Every ticket MUST eventually advance exactly once —
-// a skipped ticket (e.g. a request that never reaches the service because it
-// failed to parse) still has to call skip().
+// until every ticket below t has advanced. A caller that runs
+// OracleService::admit() (routing, lazy-build trigger, cache probe) inside
+// its turn admits in strict request order, which is what makes threaded
+// serving byte-identical to sequential serving. Every ticket MUST eventually
+// advance exactly once — including the ticket of a request that never
+// reaches the service (e.g. because it failed to parse).
 class RequestSequencer {
  public:
   void wait_for(std::uint64_t ticket) {
@@ -156,17 +156,9 @@ class RequestSequencer {
     cv_.wait(lock, [&] { return turn_ == ticket; });
   }
 
-  void advance() {
-    {
-      const std::lock_guard lock(mutex_);
-      ++turn_;
-    }
-    cv_.notify_all();
-  }
-
-  // Releases `n` consecutive tickets in one step: the batched-admission
-  // worker waits for its first ticket, runs all n admission sections
-  // back-to-back, then advances past the whole run under one lock handoff.
+  // Releases `n` consecutive tickets in one step: the worker waits for its
+  // first ticket, runs all n admission sections back-to-back, then advances
+  // past the whole run under one lock handoff (n = 1 is one ticket).
   void advance_n(std::uint64_t n) {
     if (n == 0) return;
     {
@@ -174,12 +166,6 @@ class RequestSequencer {
       turn_ += n;
     }
     cv_.notify_all();
-  }
-
-  // Burns one ticket without an admission section.
-  void skip(std::uint64_t ticket) {
-    wait_for(ticket);
-    advance();
   }
 
  private:

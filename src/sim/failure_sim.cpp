@@ -1,13 +1,7 @@
 #include "sim/failure_sim.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <optional>
-#include <thread>
 
-#include "util/concurrency.h"
 #include "util/rng.h"
 
 namespace ftbfs {
@@ -65,125 +59,10 @@ std::vector<OverlayMetrics> FailureSimulator::run() {
   req.kind = QueryKind::kAllDistances;
   req.consistency = Consistency::kBestEffort;
 
-  // Row 0 = ground truth (identity), rows 1.. = overlays. With route_threads
-  // > 1 one tick's rows are served concurrently — they are independent
-  // requests against the same tick-state, the shape the concurrent service
-  // is built for. Distances and metrics are deterministic either way (each
-  // row has its own cache key, so racing rows never contend for one line);
-  // only the cache's internal recency/eviction bookkeeping can interleave
-  // differently from serial.
+  // Row 0 = ground truth (identity), rows 1.. = overlays, all answered
+  // against the same tick-state in row order.
   const std::size_t rows = 1 + overlays_.size();
   std::vector<std::vector<std::uint32_t>> routed(rows);
-  // No hardware cap: the simulator's row partitioning is deterministic, and
-  // oversubscribing is how the concurrency tests exercise interleavings.
-  const unsigned workers =
-      clamp_workers(config_.route_threads, rows, /*cap_to_hardware=*/false);
-  // Ordered routing (SimConfig::ordered_routing): a fresh per-tick ticket
-  // lock sequences the rows' admissions in row order; empty = relaxed, the
-  // rows race. Row index doubles as the dense ticket.
-  std::optional<RequestSequencer> tick_order;
-  auto route_rows = [&](const QueryRequest& skeleton, unsigned worker) {
-    std::exception_ptr row_error;
-    for (std::size_t r = worker; r < rows; r += workers) {
-      if (row_error != nullptr) {
-        // A failed row must not strand this worker's later tickets — burn
-        // them so the other workers' turns still come.
-        if (tick_order.has_value()) tick_order->skip(r);
-        continue;
-      }
-      QueryRequest row_req = skeleton;
-      row_req.structure = r == 0 ? "identity" : overlays_[r - 1].name;
-      try {
-        routed[r] = (tick_order.has_value()
-                         ? service_.serve(row_req, *tick_order, r)
-                         : service_.serve(row_req))
-                        .distances;
-      } catch (...) {
-        row_error = std::current_exception();
-      }
-    }
-    if (row_error != nullptr) std::rethrow_exception(row_error);
-  };
-
-  // Persistent routing crew: spawned once for the whole run (per-tick thread
-  // churn would rival the per-tick serve work on small graphs). The main
-  // thread takes slice 0 each tick and hands the others a generation bump.
-  std::mutex crew_mutex;
-  std::condition_variable crew_cv;
-  std::uint64_t generation = 0;
-  unsigned outstanding = 0;
-  bool shutdown = false;
-  const QueryRequest* tick_req = nullptr;
-  std::exception_ptr crew_error;  // first worker exception, rethrown by run()
-  std::vector<std::thread> crew;
-  for (unsigned w = 1; w < workers; ++w) {
-    crew.emplace_back([&, w] {
-      std::uint64_t seen = 0;
-      while (true) {
-        const QueryRequest* skeleton = nullptr;
-        {
-          std::unique_lock lock(crew_mutex);
-          crew_cv.wait(lock, [&] { return shutdown || generation > seen; });
-          if (shutdown) return;
-          seen = generation;
-          skeleton = tick_req;
-        }
-        // Contain exceptions (an escape would std::terminate the process):
-        // park the first one for run() to rethrow on the main thread, and
-        // always decrement so route_tick cannot hang on a failed worker.
-        try {
-          route_rows(*skeleton, w);
-        } catch (...) {
-          const std::lock_guard lock(crew_mutex);
-          if (crew_error == nullptr) crew_error = std::current_exception();
-        }
-        {
-          const std::lock_guard lock(crew_mutex);
-          if (--outstanding == 0) crew_cv.notify_all();
-        }
-      }
-    });
-  }
-  // Joins the crew on every exit from run() — normal return or an exception
-  // unwinding the tick loop — so no joinable std::thread ever gets destroyed.
-  struct CrewJoiner {
-    std::mutex& mutex;
-    std::condition_variable& cv;
-    bool& shutdown;
-    std::vector<std::thread>& crew;
-    ~CrewJoiner() {
-      {
-        const std::lock_guard lock(mutex);
-        shutdown = true;
-      }
-      cv.notify_all();
-      for (std::thread& t : crew) t.join();
-    }
-  } joiner{crew_mutex, crew_cv, shutdown, crew};
-  auto route_tick = [&](const QueryRequest& skeleton) {
-    if (workers > 1 && config_.ordered_routing) {
-      tick_order.emplace();  // fresh dense tickets 0..rows-1 for this tick
-    }
-    if (workers > 1) {
-      {
-        const std::lock_guard lock(crew_mutex);
-        tick_req = &skeleton;
-        outstanding = workers - 1;
-        ++generation;
-      }
-      crew_cv.notify_all();
-    }
-    route_rows(skeleton, 0);
-    if (workers > 1) {
-      std::exception_ptr error;
-      {
-        std::unique_lock lock(crew_mutex);
-        crew_cv.wait(lock, [&] { return outstanding == 0; });
-        error = crew_error;
-      }
-      if (error != nullptr) std::rethrow_exception(error);
-    }
-  };
 
   for (std::uint32_t tick = 0; tick < config_.ticks; ++tick) {
     // Repairs first, then new failures subject to the cap.
@@ -205,7 +84,10 @@ std::vector<OverlayMetrics> FailureSimulator::run() {
     ++fault_histogram_[failed_list.size()];
 
     req.fault_edges = failed_list;
-    route_tick(req);
+    for (std::size_t r = 0; r < rows; ++r) {
+      req.structure = r == 0 ? "identity" : overlays_[r - 1].name;
+      routed[r] = service_.serve(req).distances;
+    }
     const std::vector<std::uint32_t>& truth = routed[0];
 
     for (std::size_t i = 0; i < overlays_.size(); ++i) {
@@ -230,7 +112,7 @@ std::vector<OverlayMetrics> FailureSimulator::run() {
       }
     }
   }
-  return metrics;  // CrewJoiner shuts the crew down
+  return metrics;
 }
 
 }  // namespace ftbfs

@@ -11,7 +11,9 @@
 // Routing per tick goes through one OracleService: the ground truth is the
 // service's identity entry, each overlay is a pool entry pinned by name, and
 // every tick issues best-effort all-distances requests (over-budget ticks
-// must still be answered — measuring the degradation is the point). Fault
+// must still be answered — measuring the degradation is the point), one per
+// row, in row order, on the thread that calls run(). The cache's
+// hit/miss/eviction stream is therefore as reproducible as the metrics. Fault
 // trajectories revisit states constantly (repairs return to recent sets, calm
 // stretches stay fault-free), so the service's scenario cache serves repeated
 // tick-states without re-running BFS — service_stats() shows the hit rate.
@@ -48,21 +50,6 @@ struct SimConfig {
   // diff (ServiceConfig::cache_delta_max_fraction; <= 0 keeps full vectors).
   // Metrics are identical for every setting — only resident bytes change.
   double cache_delta_max_fraction = 0.25;
-  // Workers routing one tick's requests (ground truth + each overlay)
-  // through the service concurrently. The fault process itself stays
-  // sequential, so metrics are identical for every thread count; >1 simply
-  // exercises the service's concurrent path and cuts per-tick latency when
-  // several overlays are registered.
-  unsigned route_threads = 1;
-  // Admission ordering of one tick's concurrent routing requests, mirroring
-  // `ftbfs serve --mode`: relaxed (false, the default) admits rows in
-  // whatever order the workers reach the service — distances and metrics are
-  // deterministic regardless, each row has its own cache key; ordered (true)
-  // runs the rows' admissions in row order through a ticket lock, so even
-  // the cache's internal hit/miss/eviction bookkeeping replays the serial
-  // stream exactly (useful when comparing service_stats() across thread
-  // counts). Irrelevant when route_threads == 1.
-  bool ordered_routing = false;
 };
 
 struct OverlayMetrics {

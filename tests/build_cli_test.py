@@ -7,7 +7,8 @@
     without --out for the same source;
   * a CRLF copy of the golden graph serves the golden stream byte for byte;
   * a vertex count past the limit, a duplicate edge and a self-loop each
-    exit 1 with a `line N:` message.
+    exit 1 with a `line N:` message;
+  * `gen --p` outside [0, 1] or not finite is a usage error (exit 2).
 
 Usage: build_cli_test.py --binary build/ftbfs
 """
@@ -94,6 +95,21 @@ def check_load_errors(binary, tmp):
     print("ok  malformed graphs exit 1 with their line")
 
 
+def check_gen_probability(binary, tmp):
+    out = os.path.join(tmp, "gen.txt")
+    for value, message in (("2", "--p must be in [0, 1]"),
+                           ("-0.5", "--p must be in [0, 1]"),
+                           ("nan", "--p must be a finite number"),
+                           ("inf", "--p must be a finite number")):
+        proc = run(binary, "gen", "--family", "er", "--n", "20", "--p", value,
+                   "--out", out)
+        err = proc.stderr.decode(errors="replace")
+        if proc.returncode != 2 or message not in err:
+            raise SystemExit(f"gen --p {value}: exited {proc.returncode}, "
+                             f"expected 2 with '{message}':\n{err}")
+    print("ok  gen rejects --p outside [0, 1] as a usage error")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -103,6 +119,7 @@ def main():
         check_snapshot_stats(binary, tmp)
         check_crlf_graph(binary, tmp)
         check_load_errors(binary, tmp)
+        check_gen_probability(binary, tmp)
 
 
 if __name__ == "__main__":

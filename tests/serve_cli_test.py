@@ -20,6 +20,11 @@ Finally, stdin at --threads 4 sheds nothing by default (a slow lazy build
 leaves the output identical to --threads 1), and a stall eviction the user
 opted into ends the run with exit code 1.
 
+Rate limits: a `--rate-limit-rps` that is not finite or whose default burst
+ceil(rate) does not fit 64 bits is a usage error (exit 2), and such a
+manifest "rate_limit_rps" fails to load (exit 1); a large rate that fits,
+1e9, admits every request, from the flag and from a manifest.
+
 Usage: serve_cli_test.py --binary build/ftbfs
 """
 
@@ -114,6 +119,48 @@ def check_stdin_degradation(binary):
     print("ok  stdin stall eviction exits 1")
 
 
+def check_rate_limits(binary):
+    requests = open(REQUESTS, "rb").read()
+    golden = open(RESPONSES, "rb").read()
+    for value, message in (("inf", "--rate-limit-rps must be a finite number"),
+                           ("nan", "--rate-limit-rps must be a finite number"),
+                           ("1e300", "--rate-limit-rps must be >= 0 and below"),
+                           ("-1", "--rate-limit-rps must be >= 0 and below")):
+        proc = run_serve(binary, requests, "--graph", GRAPH,
+                         "--rate-limit-rps", value)
+        err = proc.stderr.decode(errors="replace")
+        if proc.returncode != 2 or message not in err:
+            raise SystemExit(f"--rate-limit-rps {value}: exited "
+                             f"{proc.returncode}, expected 2 with "
+                             f"'{message}':\n{err}")
+    expect_golden("stdin --rate-limit-rps 1e9",
+                  serve(binary, requests, "--graph", GRAPH,
+                        "--rate-limit-rps", "1e9"), golden)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = os.path.join(tmp, "tenants.json")
+
+        def serve_manifest(rate):
+            with open(manifest, "w") as f:
+                json.dump({"schema": 2, "tenants": [
+                    {"name": "t", "graph": GRAPH, "rate_limit_rps": rate}]}, f)
+            return run_serve(binary, requests, "--tenants", manifest)
+
+        proc = serve_manifest(1e300)
+        err = proc.stderr.decode(errors="replace")
+        message = '"rate_limit_rps" must be a number >= 0 and below 2^64'
+        if proc.returncode != 1 or message not in err:
+            raise SystemExit(f"manifest rate_limit_rps 1e300: exited "
+                             f"{proc.returncode}, expected 1 with "
+                             f"'{message}':\n{err}")
+        proc = serve_manifest(1e9)
+        if proc.returncode != 0 or b"rate_limited" in proc.stdout:
+            raise SystemExit(f"manifest rate_limit_rps 1e9: exited "
+                             f"{proc.returncode} or refused requests:\n"
+                             f"{proc.stderr.decode(errors='replace')}")
+    print("ok  rate limits: unrepresentable rates rejected, 1e9 admits")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -153,6 +200,7 @@ def main():
 
     check_framing(binary)
     check_stdin_degradation(binary)
+    check_rate_limits(binary)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,11 @@
 #include "core/approx_ftmbfs.h"
 #include "core/cons2ftbfs.h"
 #include "core/kfail_ftbfs.h"
-#include "core/oracle.h"
 #include "core/single_ftbfs.h"
 #include "core/verify.h"
 #include "graph/generators.h"
+#include "graph/mask.h"
+#include "service/oracle_service.h"
 #include "spath/bfs.h"
 
 namespace ftbfs {
@@ -83,14 +84,18 @@ TEST(EdgeCases, RecordSinkWithoutClassifyIsInert) {
   EXPECT_FALSE(called);  // sink requires classification
 }
 
-TEST(EdgeCases, OracleAcceptsDuplicateFaultIds) {
+TEST(EdgeCases, ServiceAcceptsDuplicateFaultIds) {
   const Graph g = cycle_graph(8);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 2);
-  const std::vector<EdgeId> dup = {3, 3};
+  OracleService service(g);
+  QueryRequest req;
+  req.targets = {5};
+  req.fault_edges = {3, 3};
   Bfs bfs(g);
   GraphMask mask(g);
   mask.block_edge(3);
-  EXPECT_EQ(oracle.distance(5, dup), bfs.run(0, &mask).hops[5]);
+  const QueryResponse resp = service.serve(req);
+  EXPECT_TRUE(resp.exact);
+  EXPECT_EQ(resp.distances.at(0), bfs.run(0, &mask).hops[5]);
 }
 
 TEST(EdgeCases, KfailZeroCapStillReturnsTree) {

@@ -6,11 +6,11 @@
 
 #include <algorithm>
 
-#include "core/oracle.h"
 #include "core/verify.h"
 #include "engine/query_engine.h"
 #include "engine/registry.h"
 #include "graph/generators.h"
+#include "service/oracle_service.h"
 #include "util/rng.h"
 
 namespace ftbfs {
@@ -258,18 +258,27 @@ TEST(QueryEngine, BatchMatchesSequential) {
   }
 }
 
-TEST(QueryEngine, OracleBatchMatchesOracleDistances) {
+TEST(QueryEngine, PinnedEntryBatchMatchesServedDistances) {
   const Graph g = erdos_renyi(30, 0.2, 37);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 2);
+  ServiceConfig config;
+  config.lazy_build = false;
+  OracleService service(g, config);
+  const std::size_t entry =
+      service.build_structure("h", 0, 2, FaultModel::kEdge);
   std::vector<std::vector<EdgeId>> storage = {{}, {1}, {2, 5}};
   std::vector<FaultSpec> fault_sets;
   for (const auto& fs : storage) fault_sets.push_back(edge_faults(fs));
   const std::vector<Vertex> targets = {3, 11, 27};
-  const std::vector<std::uint32_t> matrix = oracle.batch(fault_sets, targets);
+  const std::vector<std::uint32_t> matrix =
+      service.engine(entry).batch(0, fault_sets, targets);
   for (std::size_t i = 0; i < fault_sets.size(); ++i) {
     for (std::size_t j = 0; j < targets.size(); ++j) {
+      QueryRequest req;
+      req.targets = {targets[j]};
+      req.fault_edges = storage[i];
+      req.structure = "h";
       EXPECT_EQ(matrix[i * targets.size() + j],
-                oracle.distance(targets[j], storage[i]));
+                service.serve(req).distances.at(0));
     }
   }
 }

@@ -1,13 +1,12 @@
 // Tests for the serving layer: every QueryResponse status code is reachable
 // and maps to the right situation (never an abort), cached answers are
-// byte-identical to uncached ones, canonicalization fixes duplicate-id budget
-// accounting, routing picks the cheapest capable backend, and the legacy
-// FtBfsOracle facade over the service answers exactly what the engine does.
+// byte-identical to uncached ones, canonicalization sorts and dedupes fault
+// ids, routing picks the cheapest capable backend, and a pinned
+// structure entry answers exactly what an engine over that structure does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/oracle.h"
 #include "engine/registry.h"
 #include "graph/generators.h"
 #include "graph/mask.h"
@@ -43,16 +42,6 @@ TEST(CanonicalFaults, SortsAndDedupes) {
             (std::vector<Vertex>{1, 3}));
   EXPECT_EQ(canon.size(), 5u);  // distinct ids, not 8 raw ids
   EXPECT_EQ((FaultSpec{edges, vertices}.size()), 8u);
-}
-
-TEST(CanonicalFaults, DuplicateIdsCountOnceInOracleBudget) {
-  const Graph g = erdos_renyi(30, 0.2, 23);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 1);
-  // {e, e} is one distinct fault — inside the f=1 budget (the seed double-
-  // counted it and aborted).
-  const std::vector<EdgeId> twice = {4, 4};
-  const std::vector<EdgeId> once = {4};
-  EXPECT_EQ(oracle.distance(9, twice), oracle.distance(9, once));
 }
 
 // --- status codes ----------------------------------------------------------
@@ -366,16 +355,19 @@ TEST(Service, ReachabilityKind) {
   EXPECT_FALSE(resp.reachable[1]);
 }
 
-// --- FtBfsOracle over the service (compat path) ----------------------------
+// --- a pinned structure entry vs. an engine over the same structure -------
 
-TEST(OracleCompat, MatchesDirectEngineAnswers) {
+TEST(PinnedEntry, MatchesDirectEngineAnswers) {
   const Graph g = erdos_renyi(40, 0.15, 27);
   BuildRequest req;
   req.graph = &g;
   req.sources = {0};
   req.fault_budget = 2;
   const BuildResult built = BuilderRegistry::instance().build("cons2ftbfs", req);
-  FtBfsOracle oracle(g, 0, 2, FtStructure{built.structure});
+  ServiceConfig config;
+  config.lazy_build = false;
+  OracleService service(g, config);
+  service.add_structure("h", 0, 2, FaultModel::kEdge, built.structure.edges);
   FaultQueryEngine direct(g, built.structure);
   Rng rng(3);
   for (int probe = 0; probe < 100; ++probe) {
@@ -384,28 +376,24 @@ TEST(OracleCompat, MatchesDirectEngineAnswers) {
       faults.push_back(static_cast<EdgeId>(rng.next_below(g.num_edges())));
     }
     const Vertex v = static_cast<Vertex>(rng.next_below(g.num_vertices()));
-    EXPECT_EQ(oracle.distance(v, faults),
+    QueryRequest pinned = distance_request(0, {v}, faults);
+    pinned.structure = "h";
+    const QueryResponse dist = service.serve(pinned);
+    EXPECT_EQ(dist.served_by, "h");
+    EXPECT_TRUE(dist.exact);
+    EXPECT_EQ(dist.distances.at(0),
               direct.distance(0, v, edge_faults(faults)));
-    const auto via_oracle = oracle.shortest_path(v, faults);
+    pinned.kind = QueryKind::kPath;
+    const QueryResponse path = service.serve(pinned);
     const auto via_engine = direct.shortest_path(0, v, edge_faults(faults));
-    EXPECT_EQ(via_oracle.has_value(), via_engine.has_value());
-    if (via_oracle.has_value()) {
-      EXPECT_EQ(via_oracle->size(), via_engine->size());
+    EXPECT_EQ(path.paths.at(0).empty(), !via_engine.has_value());
+    if (via_engine.has_value()) {
+      EXPECT_EQ(path.paths.at(0).size(), via_engine->size());
     }
-    EXPECT_EQ(oracle.all_distances(faults),
+    pinned.kind = QueryKind::kAllDistances;
+    EXPECT_EQ(service.serve(pinned).distances,
               direct.all_distances(0, edge_faults(faults)));
   }
-}
-
-TEST(OracleCompat, ExposesPinnedServiceEntry) {
-  const Graph g = cycle_graph(8);
-  FtBfsOracle oracle = FtBfsOracle::build(g, 0, 1);
-  QueryRequest req = distance_request(0, {3}, {0});
-  req.structure = "ftbfs_oracle";
-  const QueryResponse resp = oracle.service().serve(req);
-  EXPECT_EQ(resp.status, StatusCode::kOk);
-  EXPECT_TRUE(resp.exact);
-  EXPECT_EQ(resp.distances[0], oracle.distance(3, std::vector<EdgeId>{0}));
 }
 
 // --- failure simulator over the service ------------------------------------

@@ -1,9 +1,9 @@
 // Concurrency tests for the serving substrate: N threads hammering one
 // OracleService produce the same answers as a sequential replay, a pool key
-// is lazily built exactly once no matter how many requests race for it, the
-// sequenced serve mode is *byte-identical* (formatted wire lines included)
-// to sequential serving — one ticket at a time or K admissions per batch —
-// the relaxed mode emits a correlatable permutation of the same lines,
+// is lazily built exactly once no matter how many requests race for it,
+// admissions ordered by RequestSequencer tickets are *byte-identical*
+// (formatted wire lines included) to sequential serving — one ticket per
+// turn or K admissions per turn — the relaxed mode emits a correlatable permutation of the same lines,
 // engine scratch leases never cross-talk, and the
 // work-queue/resequencer plumbing preserves FIFO and output order. These are
 // the tests the TSan CI job runs — every assertion doubles as a data-race
@@ -23,7 +23,6 @@
 #include "service/protocol.h"
 #include "service/shard.h"
 #include "service/work_queue.h"
-#include "sim/failure_sim.h"
 #include "util/rng.h"
 
 namespace ftbfs {
@@ -215,120 +214,25 @@ TEST(ConcurrentService, BuildsEachPoolKeyExactlyOnce) {
   EXPECT_EQ(service.pool_size(), 3u);  // identity + one entry per key
 }
 
-TEST(ConcurrentService, SequencedServeIsByteIdenticalToSequential) {
-  const Graph g = erdos_renyi(60, 0.12, 7);
-  std::vector<QueryRequest> requests = mixed_workload(g, 300);
-
-  OracleService baseline(g);
-  std::vector<std::string> expected;
-  expected.reserve(requests.size());
-  for (const QueryRequest& req : requests) {
-    expected.push_back(format_response_line(baseline.serve(req)));
-  }
-
-  // Workers grab tickets in order but serve concurrently; the sequencer
-  // orders only the admission sections. Formatted lines — cache_hit flags
-  // included — must match the sequential replay byte for byte.
-  OracleService service(g);
+// Serves `requests` in the admit() + RequestSequencer shape that E8c and
+// perfbench's traced replay use: workers pull dense runs of `batch`
+// consecutive tickets, admit the whole run under one sequencer turn
+// (wait_for(first) … advance_n(count)), and execute out of order. Returns
+// the formatted lines in ticket order.
+std::vector<std::string> serve_batched_admission(
+    OracleService& service, const std::vector<QueryRequest>& requests,
+    std::size_t batch, unsigned threads) {
   RequestSequencer order;
   std::vector<std::string> got(requests.size());
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> crew;
-  for (unsigned w = 0; w < kThreads; ++w) {
-    crew.emplace_back([&] {
-      while (true) {
-        const std::size_t ticket = next.fetch_add(1);
-        if (ticket >= requests.size()) return;
-        got[ticket] =
-            format_response_line(service.serve(requests[ticket], order, ticket));
-      }
-    });
-  }
-  for (std::thread& t : crew) t.join();
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "request " << i;
-  }
-  // Sequenced admission replays the sequential cache decisions exactly.
-  EXPECT_EQ(service.stats().cache_hits, baseline.stats().cache_hits);
-  EXPECT_EQ(service.stats().cache_misses, baseline.stats().cache_misses);
-}
-
-TEST(ConcurrentService, SequencedServeReplaysEvictionsExactly) {
-  // A cache too small for the scenario pool forces constant evictions; the
-  // sequenced mode must still reproduce the sequential hit/miss stream.
-  const Graph g = cycle_graph(24);
-  ServiceConfig config;
-  config.cache_capacity = 3;
-  OracleService baseline(g, config);
-  OracleService service(g, config);
-
-  std::vector<QueryRequest> requests;
-  Rng rng(17);
-  for (int i = 0; i < 200; ++i) {
-    QueryRequest req;
-    req.source = 0;
-    req.kind = QueryKind::kAllDistances;
-    req.fault_edges = {static_cast<EdgeId>(rng.next_below(8))};
-    requests.push_back(std::move(req));
-  }
-  std::vector<std::string> expected;
-  for (const QueryRequest& req : requests) {
-    expected.push_back(format_response_line(baseline.serve(req)));
-  }
-
-  RequestSequencer order;
-  std::vector<std::string> got(requests.size());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> crew;
-  for (unsigned w = 0; w < 4; ++w) {
-    crew.emplace_back([&] {
-      while (true) {
-        const std::size_t ticket = next.fetch_add(1);
-        if (ticket >= requests.size()) return;
-        got[ticket] =
-            format_response_line(service.serve(requests[ticket], order, ticket));
-      }
-    });
-  }
-  for (std::thread& t : crew) t.join();
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(service.stats().cache_evictions, baseline.stats().cache_evictions);
-}
-
-TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
-  // The batched ordered shape: workers pull dense runs of K consecutive
-  // tickets, admit the whole run under one sequencer turn
-  // (wait_for(first) … advance_n(K)), and execute out of order. The formatted
-  // lines — cache_hit flags and eviction effects included — must match the
-  // sequential replay byte for byte, exactly like the one-ticket-at-a-time
-  // sequenced mode. Capacity 3 over the 8-scenario pool keeps the CLOCK
-  // sweeping, so the test also pins the eviction stream.
-  const Graph g = erdos_renyi(60, 0.12, 7);
-  const std::vector<QueryRequest> requests = mixed_workload(g, 300);
-  ServiceConfig config;
-  config.cache_capacity = 3;
-
-  OracleService baseline(g, config);
-  std::vector<std::string> expected;
-  expected.reserve(requests.size());
-  for (const QueryRequest& req : requests) {
-    expected.push_back(format_response_line(baseline.serve(req)));
-  }
-
-  constexpr std::size_t kBatch = 5;
-  OracleService service(g, config);
-  RequestSequencer order;
-  std::vector<std::string> got(requests.size());
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> crew;
-  for (unsigned w = 0; w < kThreads; ++w) {
+  for (unsigned w = 0; w < threads; ++w) {
     crew.emplace_back([&] {
       std::vector<OracleService::Admission> admitted;
       for (;;) {
-        const std::size_t first = next.fetch_add(kBatch);
+        const std::size_t first = next.fetch_add(batch);
         if (first >= requests.size()) return;
-        const std::size_t count = std::min(kBatch, requests.size() - first);
+        const std::size_t count = std::min(batch, requests.size() - first);
         admitted.clear();
         order.wait_for(first);
         for (std::size_t i = 0; i < count; ++i) {
@@ -343,13 +247,61 @@ TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
     });
   }
   for (std::thread& t : crew) t.join();
+  return got;
+}
 
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << "request " << i;
+TEST(ConcurrentService, BatchedAdmissionIsByteIdenticalToSequential) {
+  // Admissions in ticket order, one ticket per turn or five, must replay the
+  // sequential stream byte for byte: formatted lines (cache_hit flags
+  // included) and the cache's hit/miss/eviction counts. Capacity 3 keeps the
+  // CLOCK sweeping on both inputs: the mixed workload over an 8-scenario
+  // pool, and an all-distances stream over 8 single faults of a 24-cycle.
+  ServiceConfig config;
+  config.cache_capacity = 3;
+  const auto check = [&](const Graph& g,
+                         const std::vector<QueryRequest>& requests,
+                         unsigned threads) {
+    OracleService baseline(g, config);
+    std::vector<std::string> expected;
+    expected.reserve(requests.size());
+    for (const QueryRequest& req : requests) {
+      expected.push_back(format_response_line(baseline.serve(req)));
+    }
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      OracleService service(g, config);
+      const std::vector<std::string> got =
+          serve_batched_admission(service, requests, batch, threads);
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        EXPECT_EQ(got[i], expected[i]) << "request " << i;
+      }
+      const ServiceStats stats = service.stats();
+      const ServiceStats base_stats = baseline.stats();
+      EXPECT_EQ(stats.cache_hits, base_stats.cache_hits);
+      EXPECT_EQ(stats.cache_misses, base_stats.cache_misses);
+      EXPECT_EQ(stats.cache_evictions, base_stats.cache_evictions);
+    }
+  };
+
+  {
+    SCOPED_TRACE("mixed workload");
+    const Graph g = erdos_renyi(60, 0.12, 7);
+    check(g, mixed_workload(g, 300), kThreads);
   }
-  EXPECT_EQ(service.stats().cache_hits, baseline.stats().cache_hits);
-  EXPECT_EQ(service.stats().cache_misses, baseline.stats().cache_misses);
-  EXPECT_EQ(service.stats().cache_evictions, baseline.stats().cache_evictions);
+  {
+    SCOPED_TRACE("eviction stream");
+    const Graph g = cycle_graph(24);
+    std::vector<QueryRequest> requests;
+    Rng rng(17);
+    for (int i = 0; i < 200; ++i) {
+      QueryRequest req;
+      req.source = 0;
+      req.kind = QueryKind::kAllDistances;
+      req.fault_edges = {static_cast<EdgeId>(rng.next_below(8))};
+      requests.push_back(std::move(req));
+    }
+    check(g, requests, 4);
+  }
 }
 
 TEST(ConcurrentService, RelaxedServeIsPermutationWithPerIdByteIdentity) {
@@ -522,32 +474,6 @@ TEST(ConcurrentEngine, LeasedQueriesMatchSerial) {
   for (std::thread& t : crew) t.join();
   EXPECT_EQ(got, expected);
   EXPECT_EQ(engine.queries_answered(), got.size());
-}
-
-TEST(ConcurrentSim, ThreadedRoutingMatchesSerial) {
-  const Graph g = erdos_renyi(30, 0.2, 29);
-  std::vector<EdgeId> all(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) all[e] = e;
-
-  auto run_sim = [&](unsigned route_threads) {
-    SimConfig config;
-    config.ticks = 60;
-    config.failure_probability = 0.01;
-    config.route_threads = route_threads;
-    FailureSimulator sim(g, 0, config);
-    sim.add_overlay("full", all, 2);
-    return sim.run();
-  };
-  const auto serial = run_sim(1);
-  const auto threaded = run_sim(4);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].routed, threaded[i].routed);
-    EXPECT_EQ(serial[i].exact, threaded[i].exact);
-    EXPECT_EQ(serial[i].stretched, threaded[i].stretched);
-    EXPECT_EQ(serial[i].disconnected, threaded[i].disconnected);
-    EXPECT_EQ(serial[i].non_exact_in_budget, threaded[i].non_exact_in_budget);
-  }
 }
 
 // --- plumbing --------------------------------------------------------------

@@ -6,13 +6,15 @@
 //   * `--help` / `-h` rendering the declared surface (parse() returns false
 //     and the caller exits 0),
 //   * typed getters (get_uint / get_double / get_switch) with strict
-//     validation — "12x" or "-1" is a usage error, not a silent wraparound.
+//     validation — "12x", "-1" or "nan" is a usage error, not a silent
+//     wraparound.
 //
 // Errors throw UsageError; main() turns those into exit code 2 with a pointer
 // at `ftbfs <command> --help`. Runtime failures (I/O, snapshot rejection) are
 // exit code 1, success is 0 — the exit-code contract docs/serving.md states.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -138,6 +140,7 @@ class FlagParser {
     if (used == 0 || used != it->second.size()) {
       fail("--" + name + " must be a number");
     }
+    if (!std::isfinite(parsed)) fail("--" + name + " must be a finite number");
     return parsed;
   }
 

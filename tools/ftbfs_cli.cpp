@@ -299,6 +299,7 @@ int cmd_gen(const FlagParser& p) {
   const Vertex n = static_cast<Vertex>(p.get_uint("n", 0, 1, 0xFFFFFFFFull));
   const std::uint64_t seed = p.get_uint("seed", 1);
   const double prob = p.get_double("p", 0.1);
+  if (prob < 0.0 || prob > 1.0) p.fail("--p must be in [0, 1]");
   Graph g;
   if (family == "er") {
     g = erdos_renyi(n, prob, seed);
@@ -907,7 +908,9 @@ int cmd_serve(const FlagParser& p) {
   quotas.deadline_ms =
       static_cast<std::int64_t>(p.get_uint("deadline-ms", 0, 0, 1ull << 40));
   quotas.rate_limit_rps = p.get_double("rate-limit-rps", 0.0);
-  if (quotas.rate_limit_rps < 0.0) p.fail("--rate-limit-rps must be >= 0");
+  if (!valid_rate_limit(quotas.rate_limit_rps)) {
+    p.fail("--rate-limit-rps must be >= 0 and below 2^64");
+  }
   quotas.rate_limit_burst = p.get_uint("rate-limit-burst", 0);
   if (p.has("load")) {
     // With --graph too, the fingerprints must match — a snapshot built from
