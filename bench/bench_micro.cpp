@@ -159,6 +159,42 @@ void BM_PinnedServiceAllDistances(benchmark::State& state) {
 }
 BENCHMARK(BM_PinnedServiceAllDistances)->Arg(1024);
 
+// A cache miss that runs the repair BFS: every iteration serve()s a fresh
+// single tree-edge fault as a 4-target distance request pinned to the
+// identity entry of a sparse graph (perfbench's serve-repair shape, in
+// process). The miss reserves a line, repairs the cut subtree and publishes
+// the line's diff against the baseline.
+void BM_ServiceRepairMiss(benchmark::State& state) {
+  const Vertex n = static_cast<Vertex>(state.range(0));
+  const Graph g = random_connected(n, 4 * n, 1);
+  ServiceConfig config;
+  config.lazy_build = false;
+  OracleService service(g, config);
+  Bfs bfs(g);
+  const BfsResult tree = bfs.run(0);
+  std::vector<EdgeId> tree_edges;
+  for (Vertex v = 1; v < n; ++v) tree_edges.push_back(tree.parent_edge[v]);
+  Rng rng(3);
+  for (std::size_t i = tree_edges.size(); i > 1; --i) {
+    std::swap(tree_edges[i - 1], tree_edges[rng.next_below(i)]);
+  }
+  QueryRequest req;
+  req.kind = QueryKind::kDistance;
+  req.structure = "identity";
+  req.targets = {n / 7, n / 3, n / 2, n - 1};
+  (void)service.serve(req);  // builds the baseline outside the timed loop
+  std::size_t next = 0;
+  for (auto _ : state) {
+    req.fault_edges = {tree_edges[next]};
+    next = (next + 1) % tree_edges.size();
+    benchmark::DoNotOptimize(service.serve(req).distances.data());
+  }
+  const ServiceStats stats = service.stats();
+  state.counters["repair"] = static_cast<double>(stats.repair_bfs);
+  state.counters["hits"] = static_cast<double>(stats.cache_hits);
+}
+BENCHMARK(BM_ServiceRepairMiss)->Arg(100000);
+
 // --- delta-vs-full query sweep ----------------------------------------------
 //
 // Two axes drive the two-tier query path's profit (docs/perf.md): how many

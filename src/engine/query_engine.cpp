@@ -101,6 +101,7 @@ FaultQueryEngine& FaultQueryEngine::operator=(FaultQueryEngine&& o) noexcept {
 
 void FaultQueryEngine::apply_faults(Scratch& s, const FaultSpec& faults) const {
   s.canon.assign(faults);
+  s.region.reset();
   s.mask.clear();
   for (const EdgeId e : s.canon.edges()) {
     FTBFS_EXPECTS(e < g_->num_edges());
@@ -310,6 +311,7 @@ const std::vector<std::uint32_t>& FaultQueryEngine::hops_in(
     switch (classify(s, *base, source)) {
       case Damage::kNone:
         fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
+        s.region.emplace();
         return base->tree.hops;
       case Damage::kSubtrees: {
         bool from_baseline = false;
@@ -317,6 +319,10 @@ const std::vector<std::uint32_t>& FaultQueryEngine::hops_in(
                 repair(s, *base, early_exit_targets, &from_baseline)) {
           (from_baseline ? fast_path_hits_ : repair_bfs_)
               .fetch_add(1, std::memory_order_relaxed);
+          // repair() swapped this query's affected list into prev_affected.
+          s.region.emplace(from_baseline ? std::span<const Vertex>()
+                                         : std::span<const Vertex>(
+                                               s.prev_affected));
           return r->hops;
         }
         break;  // affected region above threshold: full BFS
@@ -481,6 +487,11 @@ std::optional<Path> FaultQueryEngine::shortest_path(ScratchLease& lease,
 const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
     ScratchLease& lease, Vertex source, const FaultSpec& faults) {
   return hops_in(*lease.scratch_, source, faults, {});
+}
+
+std::optional<std::span<const Vertex>> FaultQueryEngine::repaired_region(
+    const ScratchLease& lease) {
+  return lease.scratch_->region;
 }
 
 std::vector<std::uint32_t> FaultQueryEngine::batch(

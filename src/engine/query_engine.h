@@ -208,6 +208,15 @@ class FaultQueryEngine {
   [[nodiscard]] const std::vector<std::uint32_t>& all_distances(
       ScratchLease& lease, Vertex source, const FaultSpec& faults);
 
+  // Where the hops of the last distance/all_distances answer on `lease` may
+  // differ from baseline_hops(source): empty after the fast path, the repair
+  // BFS's affected region after a repair (a superset of the changed
+  // vertices, unsorted), nullopt after a full BFS (delta disabled, threshold
+  // fallback, faulted source) or any other query — the caller must then
+  // compare every vertex. Valid until the next query on the lease.
+  [[nodiscard]] static std::optional<std::span<const Vertex>> repaired_region(
+      const ScratchLease& lease);
+
   // --- batched API ----------------------------------------------------------
 
   // One distance matrix: result[i * targets.size() + j] is the distance
@@ -252,7 +261,8 @@ class FaultQueryEngine {
   // disabled or the per-engine baseline cap is reached. Baselines are
   // immutable and never evicted, so the pointer stays valid for the engine's
   // lifetime — the service's delta-compressed scenario cache stores lines as
-  // diffs against exactly this vector. Thread-safe.
+  // diffs against exactly this vector, reading only the repaired_region() of
+  // the answer it compresses. Thread-safe.
   [[nodiscard]] const std::vector<std::uint32_t>* baseline_hops(Vertex source);
   [[nodiscard]] PathStats path_stats() const {
     return PathStats{fast_path_hits_.load(std::memory_order_relaxed),
@@ -306,6 +316,9 @@ class FaultQueryEngine {
     std::uint64_t affected_clock = 0;
     std::vector<Vertex> affected;       // current affected vertex list
     std::vector<Vertex> prev_affected;  // repair entries to restore
+    // Vertices the last hops_in answer may change vs. the baseline; nullopt
+    // = unknown (full BFS). Reset by apply_faults. See repaired_region().
+    std::optional<std::span<const Vertex>> region;
     BfsResult repair;  // output of the repair BFS: hops + parents + edges
     const Baseline* repair_synced = nullptr;  // baseline `repair` mirrors
     std::vector<std::vector<Vertex>> buckets;  // Dial queue, keyed by hops

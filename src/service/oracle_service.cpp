@@ -318,7 +318,9 @@ void OracleService::fill_payload(ServePlan& plan, const QueryRequest& req,
       // Building the payload can throw (it allocates); the plan's fill
       // obligation stays armed — poisoning the line for the waiters — until
       // the real distances are published.
-      fill_scenario_line(e, req.source, full, *plan.line);
+      fill_scenario_line(e, req.source, full,
+                         FaultQueryEngine::repaired_region(*lease),
+                         *plan.line);
       plan.fill_obligation.disarm();
     }
     hops = &full;  // serve straight from the lease either way
@@ -363,28 +365,37 @@ void OracleService::fill_payload(ServePlan& plan, const QueryRequest& req,
 // representation: a sorted (vertex, hop) diff against the entry engine's
 // per-source baseline when the diff is small enough (the warm line then
 // holds O(affected) bytes instead of O(n)), the full vector otherwise — or
-// when the engine has no baseline to diff against. The choice depends only
-// on (baseline, distances, threshold), so threaded serving replays it
-// deterministically.
-void OracleService::fill_scenario_line(Entry& e, Vertex source,
-                                       const std::vector<std::uint32_t>& full,
-                                       ShardedScenarioCache::Line& line) {
+// when the engine has no baseline to diff against. The diff is built from
+// `region`, the engine's list of the only vertices that can differ (empty on
+// the fast path, the repair's affected set after a repair), in
+// O(|region| log |region|); only a full-BFS answer (no region) pays the O(n)
+// scan. The choice depends only on (baseline, distances, threshold), so
+// threaded serving replays it deterministically.
+void OracleService::fill_scenario_line(
+    Entry& e, Vertex source, const std::vector<std::uint32_t>& full,
+    std::optional<std::span<const Vertex>> region,
+    ShardedScenarioCache::Line& line) {
   const std::vector<std::uint32_t>* base =
       config_.cache_delta_max_fraction > 0.0 ? e.engine.baseline_hops(source)
                                              : nullptr;
   if (base != nullptr) {
-    if (&full == base) {
-      // Fast-path miss: the engine answered straight from the baseline
-      // vector itself, so the diff is empty by identity — skip the scan.
-      ShardedScenarioCache::fill_delta(line, base, {});
-      return;
-    }
     const std::size_t limit = static_cast<std::size_t>(
         config_.cache_delta_max_fraction * static_cast<double>(full.size()));
     std::vector<std::uint64_t> diff;
-    for (Vertex v = 0; v < full.size() && diff.size() <= limit; ++v) {
+    const auto note = [&](Vertex v) {
       if (full[v] != (*base)[v]) {
         diff.push_back((static_cast<std::uint64_t>(v) << 32) | full[v]);
+      }
+    };
+    if (region.has_value()) {
+      for (auto it = region->begin();
+           it != region->end() && diff.size() <= limit; ++it) {
+        note(*it);
+      }
+      std::sort(diff.begin(), diff.end());  // vertices are distinct
+    } else {
+      for (Vertex v = 0; v < full.size() && diff.size() <= limit; ++v) {
+        note(v);
       }
     }
     if (diff.size() <= limit) {

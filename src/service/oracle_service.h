@@ -43,7 +43,9 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -325,8 +327,12 @@ class OracleService {
                     const CanonicalFaultSet& canon, QueryResponse& resp);
   // Publishes a computed scenario onto its reserved line, delta-compressed
   // against the entry's baseline when the diff fits the configured fraction.
+  // `region` is FaultQueryEngine::repaired_region() of the lease that
+  // computed `full`: the diff reads only those vertices, and scans all n
+  // only when it is nullopt (full-BFS answer).
   void fill_scenario_line(Entry& e, Vertex source,
                           const std::vector<std::uint32_t>& full,
+                          std::optional<std::span<const Vertex>> region,
                           ShardedScenarioCache::Line& line);
 
   QueryResponse refuse(QueryResponse resp, StatusCode status,

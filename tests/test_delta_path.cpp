@@ -11,16 +11,23 @@
 // every repair-path parent tree and path for validity, compare serve
 // responses across delta on/off and across the delta-compressed scenario
 // cache's representation thresholds, and pin down the fast/repair/full
-// counter accounting the serving stats surface.
+// counter accounting the serving stats surface. The engine's repaired region
+// (the vertices an answer may change) is checked against full masked BFSs,
+// and every resident cache line — filled from that region — against a
+// brute-force O(n) diff with the baseline, serially and from four threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/query_engine.h"
 #include "engine/registry.h"
 #include "graph/generators.h"
+#include "persist/service_io.h"
 #include "service/oracle_service.h"
 #include "service/protocol.h"
 #include "util/rng.h"
@@ -543,6 +550,419 @@ TEST(DeltaPath, ServiceStatsExposeQueryPathCounters) {
   EXPECT_EQ(stats.fast_path_hits + stats.repair_bfs + stats.full_bfs,
             engine_served);
   EXPECT_GT(stats.fast_path_hits, 0u);
+}
+
+// --- the repaired region ----------------------------------------------------
+
+// `region` must list distinct vertices and include every vertex whose hops
+// differ from the baseline.
+void expect_region_covers(const std::vector<std::uint32_t>& hops,
+                          const std::vector<std::uint32_t>& base,
+                          std::span<const Vertex> region) {
+  std::vector<bool> listed(hops.size(), false);
+  for (const Vertex v : region) {
+    ASSERT_LT(v, hops.size());
+    EXPECT_FALSE(listed[v]) << "vertex " << v << " listed twice";
+    listed[v] = true;
+  }
+  for (Vertex v = 0; v < hops.size(); ++v) {
+    if (hops[v] != base[v]) {
+      EXPECT_TRUE(listed[v]) << "changed vertex " << v << " not listed";
+    }
+  }
+}
+
+std::vector<Vertex> sorted(std::span<const Vertex> region) {
+  std::vector<Vertex> out(region.begin(), region.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<Vertex> range(Vertex first, Vertex last) {
+  std::vector<Vertex> out;
+  for (Vertex v = first; v <= last; ++v) out.push_back(v);
+  return out;
+}
+
+// Randomized edge, vertex and mixed fault sets against a delta-off twin: the
+// answer is exact, and whenever a region is reported it covers every vertex
+// the faults changed. Each engine sees all three tiers.
+void expect_regions_cover(const Graph& g, std::span<const EdgeId> h_edges,
+                          Vertex source, double fraction, std::uint64_t seed) {
+  FaultQueryEngine engine(g, h_edges);
+  engine.set_delta_options(
+      {.enabled = true, .max_affected_fraction = fraction});
+  FaultQueryEngine truth(g, h_edges);
+  truth.set_delta_options(delta_off());
+  const std::vector<std::uint32_t>* base = engine.baseline_hops(source);
+  ASSERT_NE(base, nullptr);
+  Bfs bfs(g);
+  const BfsResult g_tree = bfs.run(source);
+  Rng rng(seed);
+  FaultQueryEngine::ScratchLease lease = engine.acquire_scratch();
+  int fast = 0;
+  int repaired = 0;
+  int full = 0;
+  for (int r = 0; r < 80; ++r) {
+    SCOPED_TRACE("round " + std::to_string(r));
+    const FaultDraw d = draw_faults(rng, g, g_tree, 2, 1);
+    const std::vector<std::uint32_t>& hops =
+        engine.all_distances(lease, source, d.spec());
+    ASSERT_EQ(hops, truth.all_distances(source, d.spec()));
+    const std::optional<std::span<const Vertex>> region =
+        FaultQueryEngine::repaired_region(lease);
+    if (!region.has_value()) {
+      ++full;
+      continue;
+    }
+    ++(region->empty() ? fast : repaired);
+    expect_region_covers(hops, *base, *region);
+  }
+  EXPECT_GT(fast, 0);
+  EXPECT_GT(repaired, 0);
+  EXPECT_GT(full, 0);
+}
+
+TEST(DeltaPath, RepairedRegionCoversEveryChangedVertex) {
+  const Graph er = erdos_renyi(64, 0.1, 5);
+  BuildRequest req;
+  req.graph = &er;
+  req.sources = {0};
+  req.fault_budget = 2;
+  const BuildResult built =
+      BuilderRegistry::instance().build("cons2ftbfs", req);
+  // The fraction 0.05 (three vertices) makes the threshold fallback common.
+  expect_regions_cover(er, built.structure.edges, 0, 0.05, 11);
+
+  const Graph chords = path_with_chords(96, 10, 5);
+  std::vector<EdgeId> all(chords.num_edges());
+  for (EdgeId e = 0; e < chords.num_edges(); ++e) all[e] = e;
+  expect_regions_cover(chords, all, 0, 0.25, 12);
+
+  const Graph grid = grid_graph(8, 8);
+  all.resize(grid.num_edges());
+  for (EdgeId e = 0; e < grid.num_edges(); ++e) all[e] = e;
+  expect_regions_cover(grid, all, 0, 0.1, 13);
+}
+
+TEST(DeltaPath, RepairedRegionPerTier) {
+  const Graph g = path_graph(20);
+  FaultQueryEngine engine(g);
+  engine.set_delta_options({.enabled = true, .max_affected_fraction = 1.0});
+  const std::vector<std::uint32_t>& base = *engine.baseline_hops(0);
+  FaultQueryEngine::ScratchLease lease = engine.acquire_scratch();
+  const auto region = [&] { return FaultQueryEngine::repaired_region(lease); };
+
+  // Nested cut points: subtree(10) lies inside subtree(5), listed once; the
+  // whole tail disconnects, so every listed vertex changed.
+  const EdgeId nested[2] = {g.find_edge(4, 5), g.find_edge(9, 10)};
+  const std::vector<std::uint32_t>& cut =
+      engine.all_distances(lease, 0, edge_faults(nested));
+  ASSERT_TRUE(region().has_value());
+  EXPECT_EQ(region()->size(), 15u);
+  EXPECT_EQ(sorted(*region()), range(5, 19));
+  for (Vertex v = 5; v < 20; ++v) EXPECT_EQ(cut[v], kInfHops);
+  expect_region_covers(cut, base, *region());
+
+  // A vertex fault cuts below itself.
+  const Vertex seven[1] = {7};
+  (void)engine.all_distances(lease, 0, vertex_faults(seven));
+  ASSERT_TRUE(region().has_value());
+  EXPECT_EQ(sorted(*region()), range(7, 19));
+
+  // Mixed: an edge cut nested under a vertex fault.
+  const EdgeId below[1] = {g.find_edge(11, 12)};
+  (void)engine.all_distances(lease, 0, FaultSpec{below, seven});
+  ASSERT_TRUE(region().has_value());
+  EXPECT_EQ(sorted(*region()), range(7, 19));
+
+  // A distance whose target the damage misses is answered from the
+  // baseline: nothing changed, the region is empty.
+  const std::uint32_t d = engine.distance(lease, 0, 3, edge_faults(nested));
+  EXPECT_EQ(d, 3u);
+  ASSERT_TRUE(region().has_value());
+  EXPECT_TRUE(region()->empty());
+  // …and one inside the damage runs the repair.
+  EXPECT_EQ(engine.distance(lease, 0, 12, edge_faults(nested)), kInfHops);
+  ASSERT_TRUE(region().has_value());
+  EXPECT_EQ(sorted(*region()), range(5, 19));
+
+  // The faulted source takes the full BFS: no region.
+  const Vertex source[1] = {0};
+  (void)engine.all_distances(lease, 0, vertex_faults(source));
+  EXPECT_FALSE(region().has_value());
+
+  // A parent-exposing query reports none either.
+  (void)engine.query(lease, 0, edge_faults(nested));
+  EXPECT_FALSE(region().has_value());
+
+  // The fast path: a cycle's one non-tree edge changes nothing.
+  const Graph c = cycle_graph(32);
+  FaultQueryEngine cycle(c);
+  Bfs bfs(c);
+  const BfsResult tree = bfs.run(0);
+  std::vector<bool> is_tree(c.num_edges(), false);
+  for (Vertex v = 0; v < c.num_vertices(); ++v) {
+    if (tree.parent_edge[v] != kInvalidEdge) is_tree[tree.parent_edge[v]] = true;
+  }
+  EdgeId non_tree = kInvalidEdge;
+  for (EdgeId e = 0; e < c.num_edges(); ++e) {
+    if (!is_tree[e]) non_tree = e;
+  }
+  ASSERT_NE(non_tree, kInvalidEdge);
+  FaultQueryEngine::ScratchLease cycle_lease = cycle.acquire_scratch();
+  const EdgeId nt[1] = {non_tree};
+  (void)cycle.all_distances(cycle_lease, 0, edge_faults(nt));
+  ASSERT_TRUE(FaultQueryEngine::repaired_region(cycle_lease).has_value());
+  EXPECT_TRUE(FaultQueryEngine::repaired_region(cycle_lease)->empty());
+  // The leaf opposite the source is re-reached at the same depth: listed,
+  // though unchanged — the region is a superset.
+  const EdgeId leaf[1] = {tree.parent_edge[16]};
+  const std::vector<std::uint32_t>& around =
+      cycle.all_distances(cycle_lease, 0, edge_faults(leaf));
+  ASSERT_TRUE(FaultQueryEngine::repaired_region(cycle_lease).has_value());
+  EXPECT_EQ(sorted(*FaultQueryEngine::repaired_region(cycle_lease)),
+            std::vector<Vertex>{16});
+  EXPECT_EQ(around[16], 16u);
+
+  // The threshold fallback and a disabled delta path run the full BFS.
+  FaultQueryEngine never(g);
+  never.set_delta_options({.enabled = true, .max_affected_fraction = 0.0});
+  FaultQueryEngine::ScratchLease never_lease = never.acquire_scratch();
+  (void)never.all_distances(never_lease, 0, edge_faults(nested));
+  EXPECT_FALSE(FaultQueryEngine::repaired_region(never_lease).has_value());
+  FaultQueryEngine off(g);
+  off.set_delta_options(delta_off());
+  FaultQueryEngine::ScratchLease off_lease = off.acquire_scratch();
+  (void)off.all_distances(off_lease, 0, edge_faults(nt));
+  EXPECT_FALSE(FaultQueryEngine::repaired_region(off_lease).has_value());
+}
+
+// --- cache lines against a brute-force diff ---------------------------------
+
+// A service with the identity entry (0) and a cons2 entry (1) pinned to
+// source 0, plus a delta-off twin engine per entry for the ground truth.
+struct LineFixture {
+  const Graph& g;
+  OracleService service;
+  std::vector<FaultQueryEngine> truth;
+  std::vector<FaultDraw> scenarios;
+
+  LineFixture(const Graph& graph, double fraction)
+      : g(graph), service(graph, config(fraction)) {
+    truth.emplace_back(g);
+    BuildResult built;
+    EXPECT_EQ(service.build_structure("cons2", 0, 2, FaultModel::kEdge,
+                                      "cons2ftbfs", &built),
+              1u);
+    truth.emplace_back(g, built.structure.edges);
+    for (FaultQueryEngine& t : truth) t.set_delta_options(delta_off());
+  }
+
+  static ServiceConfig config(double fraction) {
+    ServiceConfig c;
+    c.lazy_build = false;
+    c.cache_delta_max_fraction = fraction;
+    return c;
+  }
+
+  // `count` scenarios of up to two edges and one vertex, plus the faulted
+  // source (a full-BFS answer that differs everywhere).
+  void draw_scenarios(std::size_t count, std::uint64_t seed) {
+    Bfs bfs(g);
+    const BfsResult tree = bfs.run(0);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < count; ++i) {
+      scenarios.push_back(draw_faults(rng, g, tree, 2, 1));
+    }
+    scenarios.push_back(FaultDraw{{}, {0}});
+  }
+
+  // truth_hops[entry][scenario]: the exact distance vectors.
+  [[nodiscard]] std::vector<std::vector<std::vector<std::uint32_t>>>
+  truth_hops() {
+    std::vector<std::vector<std::vector<std::uint32_t>>> out(truth.size());
+    for (std::size_t e = 0; e < truth.size(); ++e) {
+      for (const FaultDraw& d : scenarios) {
+        out[e].push_back(truth[e].all_distances(0, d.spec()));
+      }
+    }
+    return out;
+  }
+
+  // A request for scenario `i` pinned to `entry`, of a kind drawn from
+  // `pick`: all-distances reads lines through materialize(), multi-target
+  // distance/reachability through at(), and a single-target distance reads
+  // a resident line without reserving one.
+  [[nodiscard]] QueryRequest request(std::size_t i, std::size_t entry,
+                                     std::uint64_t pick, std::int64_t id) const {
+    QueryRequest req;
+    req.id = id;
+    req.source = 0;
+    req.structure = entry == 0 ? "identity" : "cons2";
+    req.consistency = Consistency::kBestEffort;
+    req.fault_edges = scenarios[i].edges;
+    req.fault_vertices = scenarios[i].vertices;
+    const Vertex n = g.num_vertices();
+    switch (pick % 4) {
+      case 0:
+        req.kind = QueryKind::kAllDistances;
+        break;
+      case 1:
+        req.kind = QueryKind::kDistance;
+        req.targets = {1, static_cast<Vertex>(n / 3),
+                       static_cast<Vertex>(n / 2), n - 1};
+        break;
+      case 2:
+        req.kind = QueryKind::kReachability;
+        req.targets = {static_cast<Vertex>(pick % n), n - 2};
+        break;
+      default:
+        req.kind = QueryKind::kDistance;
+        req.targets = {static_cast<Vertex>(pick % n)};
+        break;
+    }
+    return req;
+  }
+
+  // Every ready line: its representation and payload must equal what a
+  // brute-force O(n) comparison of the exact distances with the baseline
+  // gives — strictly increasing vertices, exactly the changed ones, delta
+  // iff that diff fits the threshold. Returns how many lines were delta.
+  std::size_t expect_lines_match_brute_force(double fraction) {
+    const SnapshotImage image = PersistAccess::export_service(service, true);
+    EXPECT_FALSE(image.cache_lines.empty());
+    const std::size_t limit = static_cast<std::size_t>(
+        fraction * static_cast<double>(g.num_vertices()));
+    std::size_t delta_lines = 0;
+    for (const CacheLineImage& line : image.cache_lines) {
+      const std::vector<std::uint32_t>& w = line.key_words;
+      EXPECT_GE(w.size(), 3u);
+      if (w.size() < 3) continue;
+      const std::size_t entry = w[0];
+      const Vertex source = w[1];
+      const std::vector<EdgeId> edges(w.begin() + 3, w.begin() + 3 + w[2]);
+      const std::vector<Vertex> vertices(w.begin() + 3 + w[2], w.end());
+      SCOPED_TRACE("entry " + std::to_string(entry) + ", " +
+                   std::to_string(edges.size()) + " edges, " +
+                   std::to_string(vertices.size()) + " vertices");
+      EXPECT_LT(entry, truth.size());
+      if (entry >= truth.size()) continue;
+      const std::vector<std::uint32_t> hops =
+          truth[entry].all_distances(source, FaultSpec{edges, vertices});
+      const std::vector<std::uint32_t>* base =
+          fraction > 0.0 ? service.engine(entry).baseline_hops(source)
+                         : nullptr;
+      std::vector<std::uint64_t> brute;
+      if (base != nullptr) {
+        for (Vertex v = 0; v < hops.size(); ++v) {
+          if (hops[v] != (*base)[v]) {
+            brute.push_back((static_cast<std::uint64_t>(v) << 32) | hops[v]);
+          }
+        }
+      }
+      const bool want_delta = base != nullptr && brute.size() <= limit;
+      EXPECT_EQ(line.delta, want_delta);
+      if (!line.delta) {
+        EXPECT_EQ(line.hops, hops);
+        continue;
+      }
+      ++delta_lines;
+      for (std::size_t i = 1; i < line.diff.size(); ++i) {
+        EXPECT_LT(line.diff[i - 1] >> 32, line.diff[i] >> 32)
+            << "diff not strictly increasing at " << i;
+      }
+      EXPECT_EQ(line.diff, brute);
+    }
+    return delta_lines;
+  }
+};
+
+void expect_response_matches(const QueryRequest& req, const QueryResponse& resp,
+                             const std::vector<std::uint32_t>& hops) {
+  ASSERT_TRUE(resp.status == StatusCode::kOk ||
+              resp.status == StatusCode::kDisconnected)
+      << "request " << req.id << ": " << resp.error;
+  if (req.kind == QueryKind::kAllDistances) {
+    EXPECT_EQ(resp.distances, hops) << "request " << req.id;
+    return;
+  }
+  ASSERT_EQ(resp.distances.size(), req.targets.size());
+  for (std::size_t j = 0; j < req.targets.size(); ++j) {
+    EXPECT_EQ(resp.distances[j], hops[req.targets[j]])
+        << "request " << req.id << " target " << req.targets[j];
+  }
+}
+
+// Lines filled from the repaired region, read back through at() and
+// materialize(), over a path-like graph (repairs and threshold fallbacks
+// both common) and a random one, at compression off, the default and always.
+TEST(DeltaPath, CacheLinesMatchBruteForceDiff) {
+  const Graph chords = path_with_chords(120, 12, 9);
+  const Graph er = erdos_renyi(80, 0.08, 4);
+  for (const Graph* g : {&chords, &er}) {
+    for (const double fraction : {0.0, 0.25, 1e9}) {
+      SCOPED_TRACE("n " + std::to_string(g->num_vertices()) + ", fraction " +
+                   std::to_string(fraction));
+      LineFixture f(*g, fraction);
+      f.draw_scenarios(30, 71);
+      const auto hops = f.truth_hops();
+      Rng rng(5);
+      for (std::int64_t id = 0; id < 400; ++id) {
+        const std::size_t i = rng.next_below(f.scenarios.size());
+        const std::size_t entry = rng.next_below(2);
+        const QueryRequest req = f.request(i, entry, rng.next_u64(), id);
+        expect_response_matches(req, f.service.serve(req), hops[entry][i]);
+      }
+      const ServiceStats stats = f.service.stats();
+      EXPECT_GT(stats.cache_hits, 0u);
+      EXPECT_GT(stats.fast_path_hits, 0u);
+      EXPECT_GT(stats.repair_bfs, 0u);
+      EXPECT_GT(stats.full_bfs, 0u);
+      const std::size_t delta_lines =
+          f.expect_lines_match_brute_force(fraction);
+      if (fraction == 0.0) {
+        EXPECT_EQ(delta_lines, 0u);
+      } else {
+        EXPECT_GT(delta_lines, 0u);
+      }
+    }
+  }
+}
+
+// Four workers fill and hit shared scenarios (every worker serves them) and
+// distinct ones (one worker each); the changed set lives in each worker's
+// leased scratch, so TSan watches the fills race.
+TEST(DeltaPath, ThreadedFillsMatchBruteForceDiff) {
+  const Graph g = path_with_chords(160, 16, 3);
+  constexpr unsigned kWorkers = 4;
+  constexpr std::size_t kShared = 12;
+  constexpr std::size_t kDistinct = 8;
+  LineFixture f(g, 0.25);
+  f.draw_scenarios(kShared + kWorkers * kDistinct, 19);
+  const auto hops = f.truth_hops();
+  std::vector<std::thread> crew;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    crew.emplace_back([&, w] {
+      Rng rng(100 + w);
+      for (std::int64_t id = 0; id < 300; ++id) {
+        // Half the stream on the shared scenarios (the faulted source is
+        // the last one), half on this worker's own slice.
+        const std::size_t i =
+            rng.next_below(2) == 0
+                ? (rng.next_below(kShared + 1) == kShared
+                       ? f.scenarios.size() - 1
+                       : rng.next_below(kShared))
+                : kShared + w * kDistinct + rng.next_below(kDistinct);
+        const std::size_t entry = rng.next_below(2);
+        const QueryRequest req = f.request(i, entry, rng.next_u64(), id);
+        expect_response_matches(req, f.service.serve(req), hops[entry][i]);
+      }
+    });
+  }
+  for (std::thread& t : crew) t.join();
+  EXPECT_GT(f.service.stats().repair_bfs, 0u);
+  EXPECT_GT(f.expect_lines_match_brute_force(0.25), 0u);
 }
 
 }  // namespace
