@@ -137,7 +137,8 @@ void client_main(std::uint16_t port, unsigned conns, unsigned per_conn,
       while (c.sent < per_conn && c.sent - c.received < kWindow) {
         const unsigned target = 1 + (i * 37 + c.sent * 11) % (kCycleN - 1);
         req += "{\"id\":" + std::to_string(c.sent * 1000 + target) +
-               ",\"source\":0,\"targets\":[" + std::to_string(target) + "]}\n";
+               ",\"source\":0,\"structure\":\"identity\",\"targets\":[" +
+               std::to_string(target) + "]}\n";
         ++c.sent;
       }
       if (!req.empty() && !send_all(c.fd, req.data(), req.size())) {
@@ -171,10 +172,10 @@ void client_main(std::uint16_t port, unsigned conns, unsigned per_conn,
 CellResult run_cell(unsigned conns, bool ordered, unsigned total_requests,
                     unsigned server_threads) {
   TenantRegistry registry;
-  Tenant& tenant = registry.add("default", cycle_graph(kCycleN));
-  // O(1) per-query fast path: the sweep measures the transport, not a BFS
-  // (and not the one-time lazy structure build, which dwarfs everything).
-  tenant.service.enable_point_oracle(0);
+  registry.add("default", cycle_graph(kCycleN));
+  // Requests pin the identity engine: fault-free, they take its baseline
+  // fast path, so the sweep measures the transport, not a BFS (and not a
+  // lazy structure build, which would dwarf everything).
   NetServerConfig config;
   config.threads = server_threads;
   config.ordered = ordered;

@@ -35,8 +35,7 @@ SingleFaultOracle::SingleFaultOracle(const Graph& g, Vertex s,
     mask.block_edge(e);
     const BfsResult& r = bfs.run(s, &mask);
     const std::uint32_t slot = tree_index_.depth(child) - 1;
-    for (const Vertex v : tree_index_.preorder()) {
-      if (v == s || !tree_index_.ancestor_of(child, v)) continue;
+    for (const Vertex v : tree_index_.subtree_span(child)) {
       table_[row_offset_[v] + slot] = r.hops[v];
     }
   }

@@ -10,12 +10,12 @@
 // distance, plus an Euler-tour ancestor test to detect that case. Space is
 // O(Σ_v depth(v)) = O(n·D) words.
 //
-// This complements the structure-backed engines (FaultQueryEngine over the
-// sparse structure, which serve any fault set by BFS inside H): here preprocessing is heavier but per-(v,e) point queries are
+// This is the related-work alternative to the structure-backed engines
+// (FaultQueryEngine over the sparse structure, which serve any fault set by
+// BFS inside H): preprocessing is heavier, but per-(v,e) point queries are
 // O(1), the classic time/space trade-off of the sensitivity-oracle line.
-// OracleService (service/oracle_service.h) mounts this oracle as its fast
-// path — `enable_point_oracle(s)` routes single-edge-fault distance and
-// reachability requests from s here, ahead of every structure in the pool.
+// OracleService does not mount it; examples/sensitivity_queries.cpp checks
+// the service's single-fault answers against it.
 #pragma once
 
 #include <cstdint>

@@ -49,38 +49,28 @@ class Comparator {
   FaultQueryEngine h_engine_;
 };
 
-std::optional<Violation> enumerate_faults(Comparator& cmp,
+// Depth-first over every fault set that extends `faults` by at most
+// `remaining` ids from `next` up: edge ids under kEdge, vertex ids under
+// kVertex. Returns the first violation, in lexicographic order of the sets.
+std::optional<Violation> enumerate_faults(Comparator& cmp, FaultModel model,
                                           std::span<const Vertex> sources,
-                                          std::vector<EdgeId>& faults,
-                                          EdgeId next, unsigned remaining) {
-  if (auto v = cmp.check(sources, edge_faults(faults))) {
+                                          std::vector<std::uint32_t>& faults,
+                                          std::uint32_t next,
+                                          unsigned remaining) {
+  const bool vertex = model == FaultModel::kVertex;
+  if (auto v = cmp.check(sources, vertex ? vertex_faults(faults)
+                                         : edge_faults(faults))) {
     v->faults = faults;
+    v->fault_model = model;
     return v;
   }
   if (remaining == 0) return std::nullopt;
-  for (EdgeId e = next; e < cmp.g().num_edges(); ++e) {
-    faults.push_back(e);
-    if (auto v = enumerate_faults(cmp, sources, faults, e + 1, remaining - 1)) {
-      return v;
-    }
-    faults.pop_back();
-  }
-  return std::nullopt;
-}
-
-std::optional<Violation> enumerate_vertex_faults(
-    Comparator& cmp, std::span<const Vertex> sources,
-    std::vector<Vertex>& faults, Vertex next, unsigned remaining) {
-  if (auto v = cmp.check(sources, vertex_faults(faults))) {
-    v->faults = faults;
-    v->fault_model = FaultModel::kVertex;
-    return v;
-  }
-  if (remaining == 0) return std::nullopt;
-  for (Vertex u = next; u < cmp.g().num_vertices(); ++u) {
-    faults.push_back(u);
-    if (auto v = enumerate_vertex_faults(cmp, sources, faults, u + 1,
-                                         remaining - 1)) {
+  const std::uint32_t ids =
+      vertex ? cmp.g().num_vertices() : cmp.g().num_edges();
+  for (std::uint32_t id = next; id < ids; ++id) {
+    faults.push_back(id);
+    if (auto v = enumerate_faults(cmp, model, sources, faults, id + 1,
+                                  remaining - 1)) {
       return v;
     }
     faults.pop_back();
@@ -96,7 +86,7 @@ std::optional<Violation> verify_exhaustive_vertex(
   FTBFS_EXPECTS(f <= 3);
   Comparator cmp(g, h_edges);
   std::vector<Vertex> faults;
-  return enumerate_vertex_faults(cmp, sources, faults, 0, f);
+  return enumerate_faults(cmp, FaultModel::kVertex, sources, faults, 0, f);
 }
 
 std::string Violation::describe(const Graph& g) const {
@@ -126,7 +116,7 @@ std::optional<Violation> verify_exhaustive(const Graph& g,
   FTBFS_EXPECTS(f <= 3);
   Comparator cmp(g, h_edges);
   std::vector<EdgeId> faults;
-  return enumerate_faults(cmp, sources, faults, 0, f);
+  return enumerate_faults(cmp, FaultModel::kEdge, sources, faults, 0, f);
 }
 
 std::optional<Violation> verify_sampled(const Graph& g,

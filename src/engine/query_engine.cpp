@@ -1,11 +1,7 @@
 #include "engine/query_engine.h"
 
 #include <algorithm>
-#include <limits>
-#include <thread>
 #include <utility>
-
-#include "util/concurrency.h"
 
 namespace ftbfs {
 
@@ -302,9 +298,25 @@ const BfsResult* FaultQueryEngine::repair(Scratch& s, const Baseline& base,
   return &s.repair;
 }
 
-const std::vector<std::uint32_t>& FaultQueryEngine::hops_in(
-    Scratch& s, Vertex source, const FaultSpec& faults,
-    std::span<const Vertex> early_exit_targets) {
+// The one tier choice every query routes through. Returns the BfsResult that
+// answers (source, faults) for `targets` (empty = every vertex) and bumps
+// exactly one path counter:
+//   * no fault touches the baseline tree: the masked BFS would retrace the
+//     fault-free BFS move for move (a blocked non-tree edge is only ever
+//     scanned toward an already-discovered vertex, a blocked unreached vertex
+//     has no reached neighbors), so the baseline result — parents and
+//     parent_edges included — IS the full-BFS result, bit for bit;
+//   * tree damage runs the parent-carrying repair: hops stay bit-identical to
+//     the full BFS, parents form a valid shortest-path tree of H ∖ F. An
+//     unaffected target keeps its whole baseline root path (ancestors of
+//     unaffected vertices are unaffected), so when every target misses the
+//     affected region the baseline tree answers with no repair BFS;
+//   * otherwise (delta off, baseline cap, threshold, faulted source) the
+//     early-exit masked BFS — with no targets, exactly Bfs::run.
+// Leaves s.region as repaired_region() documents for distance answers.
+const BfsResult& FaultQueryEngine::answer(Scratch& s, Vertex source,
+                                          const FaultSpec& faults,
+                                          std::span<const Vertex> targets) {
   apply_faults(s, faults);
   queries_.fetch_add(1, std::memory_order_relaxed);
   if (const Baseline* base = baseline_for(source)) {
@@ -312,18 +324,17 @@ const std::vector<std::uint32_t>& FaultQueryEngine::hops_in(
       case Damage::kNone:
         fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
         s.region.emplace();
-        return base->tree.hops;
+        return base->tree;
       case Damage::kSubtrees: {
         bool from_baseline = false;
-        if (const BfsResult* r =
-                repair(s, *base, early_exit_targets, &from_baseline)) {
+        if (const BfsResult* r = repair(s, *base, targets, &from_baseline)) {
           (from_baseline ? fast_path_hits_ : repair_bfs_)
               .fetch_add(1, std::memory_order_relaxed);
           // repair() swapped this query's affected list into prev_affected.
           s.region.emplace(from_baseline ? std::span<const Vertex>()
                                          : std::span<const Vertex>(
                                                s.prev_affected));
-          return r->hops;
+          return *r;
         }
         break;  // affected region above threshold: full BFS
       }
@@ -332,7 +343,7 @@ const std::vector<std::uint32_t>& FaultQueryEngine::hops_in(
     }
   }
   full_bfs_.fetch_add(1, std::memory_order_relaxed);
-  return s.bfs.run_until(source, early_exit_targets, &s.mask).hops;
+  return s.bfs.run_until(source, targets, &s.mask);
 }
 
 FaultQueryEngine::Scratch& FaultQueryEngine::scratch(std::size_t slot) {
@@ -359,86 +370,31 @@ void FaultQueryEngine::release_scratch(std::size_t slot) {
   pool_->free_list.push_back(slot);
 }
 
-// The parent-exposing primitive. When no fault touches the baseline tree the
-// masked BFS would retrace the fault-free BFS move for move (a blocked
-// non-tree edge is only ever scanned toward an already-discovered vertex, a
-// blocked unreached vertex has no reached neighbors), so the baseline result
-// — parents and parent_edges included — IS the full-BFS result, bit for bit.
-// Tree damage runs the parent-carrying repair: hops stay bit-identical to
-// the full BFS, parents form a valid shortest-path tree of H ∖ F (unaffected
-// vertices keep baseline parents, affected ones get their repair parents).
+// The parent-exposing queries promise no repaired_region (see the header).
 const BfsResult& FaultQueryEngine::query_in(Scratch& s, Vertex source,
                                             const FaultSpec& faults) {
-  apply_faults(s, faults);
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  if (const Baseline* base = baseline_for(source)) {
-    switch (classify(s, *base, source)) {
-      case Damage::kNone:
-        fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
-        return base->tree;
-      case Damage::kSubtrees: {
-        bool from_baseline = false;  // never set: no targets to early-exit on
-        if (const BfsResult* r = repair(s, *base, {}, &from_baseline)) {
-          repair_bfs_.fetch_add(1, std::memory_order_relaxed);
-          return *r;
-        }
-        break;  // affected region above threshold: full BFS
-      }
-      case Damage::kSourceBlocked:
-        break;  // everything unreachable; let the full BFS report it
-    }
-  }
-  full_bfs_.fetch_add(1, std::memory_order_relaxed);
-  return s.bfs.run(source, &s.mask);
+  const BfsResult& r = answer(s, source, faults, {});
+  s.region.reset();
+  return r;
 }
 
 std::uint32_t FaultQueryEngine::distance_in(Scratch& s, Vertex source,
                                             Vertex target,
                                             const FaultSpec& faults) {
   const Vertex targets[1] = {target};
-  return hops_in(s, source, faults, targets)[target];
+  return answer(s, source, faults, targets).hops[target];
 }
 
 std::optional<Path> FaultQueryEngine::shortest_path_in(Scratch& s,
                                                        Vertex source,
                                                        Vertex target,
                                                        const FaultSpec& faults) {
-  apply_faults(s, faults);
-  queries_.fetch_add(1, std::memory_order_relaxed);
   const Vertex targets[1] = {target};
-  const BfsResult* r = nullptr;
-  if (const Baseline* base = baseline_for(source)) {
-    switch (classify(s, *base, source)) {
-      case Damage::kNone:
-        // Identical to the masked BFS tree (see query_in), so the extracted
-        // path is the exact path the full run_until would have produced.
-        fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
-        r = &base->tree;
-        break;
-      case Damage::kSubtrees: {
-        // An unaffected target keeps its whole baseline root path (ancestors
-        // of unaffected vertices are unaffected); an affected one walks its
-        // repair parents into the unaffected boundary and baseline from
-        // there. Either way the walk below never crosses a faulted element.
-        bool from_baseline = false;
-        r = repair(s, *base, targets, &from_baseline);
-        if (r != nullptr) {
-          (from_baseline ? fast_path_hits_ : repair_bfs_)
-              .fetch_add(1, std::memory_order_relaxed);
-        }
-        break;  // nullptr: affected region above threshold, full BFS
-      }
-      case Damage::kSourceBlocked:
-        break;  // everything unreachable; let the full BFS report it
-    }
-  }
-  if (r == nullptr) {
-    full_bfs_.fetch_add(1, std::memory_order_relaxed);
-    r = &s.bfs.run_until(source, targets, &s.mask);
-  }
-  if (r->hops[target] == kInfHops) return std::nullopt;
+  const BfsResult& r = answer(s, source, faults, targets);
+  s.region.reset();
+  if (r.hops[target] == kInfHops) return std::nullopt;
   Path p;
-  for (Vertex cur = target; cur != kInvalidVertex; cur = r->parent[cur]) {
+  for (Vertex cur = target; cur != kInvalidVertex; cur = r.parent[cur]) {
     p.push_back(cur);
   }
   std::reverse(p.begin(), p.end());
@@ -463,7 +419,7 @@ std::optional<Path> FaultQueryEngine::shortest_path(Vertex source,
 
 const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
     Vertex source, const FaultSpec& faults) {
-  return hops_in(scratch(0), source, faults, {});
+  return answer(scratch(0), source, faults, {}).hops;
 }
 
 const BfsResult& FaultQueryEngine::query(ScratchLease& lease, Vertex source,
@@ -486,7 +442,7 @@ std::optional<Path> FaultQueryEngine::shortest_path(ScratchLease& lease,
 
 const std::vector<std::uint32_t>& FaultQueryEngine::all_distances(
     ScratchLease& lease, Vertex source, const FaultSpec& faults) {
-  return hops_in(*lease.scratch_, source, faults, {});
+  return answer(*lease.scratch_, source, faults, {}).hops;
 }
 
 std::optional<std::span<const Vertex>> FaultQueryEngine::repaired_region(
@@ -496,48 +452,20 @@ std::optional<std::span<const Vertex>> FaultQueryEngine::repaired_region(
 
 std::vector<std::uint32_t> FaultQueryEngine::batch(
     Vertex source, std::span<const FaultSpec> fault_sets,
-    std::span<const Vertex> targets, unsigned threads) {
-  const std::size_t rows = fault_sets.size();
+    std::span<const Vertex> targets) {
   const std::size_t cols = targets.size();
-  std::vector<std::uint32_t> out(rows * cols, kInfHops);
-  if (rows == 0 || cols == 0) return out;
-
-  // Clamp to the row count and the machine: extra workers would only allocate
-  // idle (mask, BFS) scratch slots they never use.
-  const unsigned workers = clamp_workers(threads, rows);
-
-  auto run_rows = [&](std::size_t begin, std::size_t end) {
-    // Leased scratch, not a fixed slot: batch may run concurrently with
-    // leased single queries on the same engine (the service's workers).
-    ScratchLease lease = acquire_scratch();
-    Scratch& s = *lease.scratch_;
-    for (std::size_t i = begin; i < end; ++i) {
-      // One delta-classified query per row: fault sets that miss the baseline
-      // tree (or whose damage misses every target) read straight from the
-      // baseline; damaged rows run the bounded repair; the early-exit full
-      // BFS remains the fallback.
-      const std::vector<std::uint32_t>& hops =
-          hops_in(s, source, fault_sets[i], targets);
-      for (std::size_t j = 0; j < cols; ++j) {
-        out[i * cols + j] = hops[targets[j]];
-      }
-    }
-  };
-
-  if (workers == 1) {
-    run_rows(0, rows);
-  } else {
-    std::vector<std::thread> crew;
-    crew.reserve(workers);
-    const std::size_t chunk = (rows + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-      const std::size_t begin = std::min<std::size_t>(w * chunk, rows);
-      const std::size_t end = std::min<std::size_t>(begin + chunk, rows);
-      crew.emplace_back(run_rows, begin, end);
-    }
-    for (std::thread& t : crew) t.join();
+  std::vector<std::uint32_t> out(fault_sets.size() * cols, kInfHops);
+  if (fault_sets.empty() || cols == 0) return out;
+  // Leased scratch, not a fixed slot: batch may run concurrently with leased
+  // single queries on the same engine (the service's workers).
+  ScratchLease lease = acquire_scratch();
+  for (std::size_t i = 0; i < fault_sets.size(); ++i) {
+    // One tier-dispatched query per row; answer() counts it in queries_ and
+    // in the path counters.
+    const std::vector<std::uint32_t>& hops =
+        answer(*lease.scratch_, source, fault_sets[i], targets).hops;
+    for (std::size_t j = 0; j < cols; ++j) out[i * cols + j] = hops[targets[j]];
   }
-  // hops_in counted each row in queries_ and in the path counters.
   return out;
 }
 

@@ -10,9 +10,9 @@
 // (faults absent from H cannot affect distances inside H and are dropped),
 // vertex faults share ids between G and H.
 //
-// Batched queries (`batch`) run one early-exit masked BFS per fault set and
-// can fan fault sets across threads; each worker draws (mask, BFS) scratch
-// from a per-thread pool so no allocation or sharing happens on the hot path.
+// Batched queries (`batch`) run one tier-dispatched query per fault set on
+// one leased (mask, BFS) scratch slot, so no allocation or sharing happens on
+// the hot path.
 // This is the serving substrate the ROADMAP's sensitivity-oracle/service line
 // builds on: a fault set is a "scenario", a batch is a scenario sweep.
 //
@@ -41,8 +41,9 @@
 //     plain masked BFS (full_bfs).
 // Hops from every path are bit-identical to the full masked BFS. The repair
 // BFS also reconstructs parents and parent edges inside the affected region
-// (unaffected vertices keep their baseline parents), so the parent-exposing
-// APIs (query, shortest_path) route through fast-path-or-repair-or-full too.
+// (unaffected vertices keep their baseline parents), so every API — query,
+// distance, shortest_path, all_distances, batch — routes through one private
+// dispatcher (answer()) that makes this choice.
 // Repair parents form a valid shortest-path tree of H ∖ F with the same hop
 // counts as the full BFS; the specific parent among equal-hop candidates may
 // differ from the full run's (BFS parentage depends on queue order, which a
@@ -142,8 +143,8 @@ class FaultQueryEngine {
 
   // --- single-query API (serial scratch; results borrowed until next query) -
 
-  // Full BFS result from `source` in H ∖ faults. The primitive every other
-  // query is sugar over; exposes parents for path reconstruction.
+  // Full BFS result from `source` in H ∖ faults; exposes parents for path
+  // reconstruction.
   const BfsResult& query(Vertex source, const FaultSpec& faults);
 
   // Exact hop distance source→target in H ∖ faults (kInfHops if
@@ -220,13 +221,12 @@ class FaultQueryEngine {
   // --- batched API ----------------------------------------------------------
 
   // One distance matrix: result[i * targets.size() + j] is the distance
-  // source→targets[j] in H ∖ fault_sets[i]. Each fault set costs one
-  // early-exit BFS (stops once all targets are settled). With threads > 1
-  // fault sets are fanned across that many workers, each with its own scratch
-  // from the pool; results are deterministic regardless of thread count.
+  // source→targets[j] in H ∖ fault_sets[i]. Each fault set is one query on
+  // the calling thread: the fast path, a repair bounded to the affected
+  // region, or an early-exit BFS that stops once all targets are settled.
   [[nodiscard]] std::vector<std::uint32_t> batch(
       Vertex source, std::span<const FaultSpec> fault_sets,
-      std::span<const Vertex> targets, unsigned threads = 1);
+      std::span<const Vertex> targets);
 
   // --- delta-path configuration & counters ----------------------------------
 
@@ -244,8 +244,8 @@ class FaultQueryEngine {
   // How queries were answered (relaxed counters, safe to read under load):
   // fast_path_hits = served from the baseline arrays with no BFS at all,
   // repair_bfs = bounded repair BFS over the affected region, full_bfs =
-  // full masked BFS (delta disabled, threshold fallback, faulted source, or
-  // a parent-exposing API with tree damage).
+  // full masked BFS (delta disabled, baseline cap, threshold fallback, or
+  // faulted source). Every query moves exactly one of the three.
   struct PathStats {
     std::uint64_t fast_path_hits = 0;
     std::uint64_t repair_bfs = 0;
@@ -316,7 +316,7 @@ class FaultQueryEngine {
     std::uint64_t affected_clock = 0;
     std::vector<Vertex> affected;       // current affected vertex list
     std::vector<Vertex> prev_affected;  // repair entries to restore
-    // Vertices the last hops_in answer may change vs. the baseline; nullopt
+    // Vertices the last answer() may change vs. the baseline; nullopt
     // = unknown (full BFS). Reset by apply_faults. See repaired_region().
     std::optional<std::span<const Vertex>> region;
     BfsResult repair;  // output of the repair BFS: hops + parents + edges
@@ -382,11 +382,13 @@ class FaultQueryEngine {
                                         std::span<const Vertex> targets,
                                         bool* from_baseline);
 
-  // Hops-only core all distance-reading queries route through: picks the
-  // baseline / repair / full path and bumps the matching counter.
-  [[nodiscard]] const std::vector<std::uint32_t>& hops_in(
-      Scratch& s, Vertex source, const FaultSpec& faults,
-      std::span<const Vertex> early_exit_targets);
+  // The one tier choice every query routes through: applies the faults,
+  // picks the baseline / repair / full path for `targets` (empty = all
+  // vertices), bumps the matching counter and sets s.region. Returns the
+  // answering BFS tree, borrowed from the baseline or from `s`.
+  [[nodiscard]] const BfsResult& answer(Scratch& s, Vertex source,
+                                        const FaultSpec& faults,
+                                        std::span<const Vertex> targets);
 
   const BfsResult& query_in(Scratch& s, Vertex source, const FaultSpec& faults);
   std::uint32_t distance_in(Scratch& s, Vertex source, Vertex target,

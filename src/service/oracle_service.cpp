@@ -123,11 +123,6 @@ std::size_t OracleService::build_structure(std::string name, Vertex source,
   return idx;
 }
 
-void OracleService::enable_point_oracle(Vertex source) {
-  FTBFS_EXPECTS(source < g_->num_vertices());
-  point_oracles_.try_emplace(source, *g_, source, config_.weight_seed);
-}
-
 ServiceStats OracleService::stats() const {
   ServiceStats out;
   out.requests = counters_.requests.load(std::memory_order_relaxed);
@@ -142,8 +137,6 @@ ServiceStats OracleService::stats() const {
       counters_.structures_built.load(std::memory_order_relaxed);
   out.identity_served =
       counters_.identity_served.load(std::memory_order_relaxed);
-  out.point_oracle_served =
-      counters_.point_oracle_served.load(std::memory_order_relaxed);
   {
     // Aggregate the engines' query-path counters; entries are append-only so
     // the shared lock only fences the deque scan against a racing publish.
@@ -506,19 +499,6 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
     return complete(pinned, static_cast<std::size_t>(idx), exact);
   }
 
-  // --- point-oracle fast path: O(1) per target, no BFS at all --------------
-  if (!has_vertex_faults && canon.edges().size() <= 1 &&
-      (req.kind == QueryKind::kDistance ||
-       req.kind == QueryKind::kReachability)) {
-    const auto it = point_oracles_.find(req.source);
-    if (it != point_oracles_.end()) {
-      // Const preprocessed tables, no shared serving state: the reads happen
-      // in the (unordered) execution tail.
-      a.point = &it->second;
-      return a;
-    }
-  }
-
   // --- structure routing: cheapest entry that serves exactly ---------------
   int best = -1;
   bool saw_source = false;
@@ -652,33 +632,6 @@ QueryResponse OracleService::execute(Admission admission) {
   QueryResponse resp = std::move(admission.resp);
   if (admission.done) return resp;
   const QueryRequest& req = *admission.req;
-
-  if (admission.point != nullptr) {
-    const SingleFaultOracle& po = *admission.point;
-    const EdgeId down = admission.canon.edges().empty()
-                            ? kInvalidEdge
-                            : admission.canon.edges()[0];
-    std::size_t unreachable = 0;
-    for (const Vertex t : req.targets) {
-      const std::uint32_t d = down == kInvalidEdge
-                                  ? po.distance(t)
-                                  : po.distance_avoiding(t, down);
-      resp.distances.push_back(d);
-      if (req.kind == QueryKind::kReachability) {
-        resp.reachable.push_back(d != kInfHops);
-      }
-      if (d == kInfHops) ++unreachable;
-    }
-    if (req.kind == QueryKind::kDistance && !req.targets.empty() &&
-        unreachable == req.targets.size()) {
-      resp.status = StatusCode::kDisconnected;
-    }
-    resp.exact = true;
-    resp.served_by = "point_oracle";
-    counters_.point_oracle_served.fetch_add(1, std::memory_order_relaxed);
-    counters_.served.fetch_add(1, std::memory_order_relaxed);
-    return resp;
-  }
 
   resp.exact = admission.plan.exact;
   fill_payload(admission.plan, req, admission.canon, resp);

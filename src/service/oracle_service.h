@@ -7,9 +7,6 @@
 //     or built lazily through the BuilderRegistry when an unpinned request
 //     arrives for a shape the pool cannot yet serve (`default_builder` picks
 //     the construction);
-//   * an O(1) point-oracle fast path (SingleFaultOracle) per enabled source,
-//     serving single-edge-fault distance/reachability requests without any
-//     BFS;
 //   * an identity engine over G itself — ground truth, used for best-effort
 //     requests that no structure covers and available under the reserved pin
 //     name "identity";
@@ -20,10 +17,10 @@
 //
 // Routing: a request is validated (unknown ids become kUnknownSource, never
 // an abort), its fault set canonicalized (duplicates count once), and then
-// served by the cheapest backend whose traits cover it exactly — point oracle
-// before structures, smaller structures before larger ones. Requests the pool
-// cannot serve exactly are refused (kExactOrRefuse) or served from the
-// identity engine (kBestEffort).
+// served by the cheapest structure whose traits cover it exactly, smaller
+// structures before larger ones. Requests the pool cannot serve exactly are
+// refused (kExactOrRefuse) or served from the identity engine (kBestEffort).
+// Every answer comes from some entry's FaultQueryEngine.
 //
 // Concurrency: serve() is safe under any number of racing callers. The
 // scenario cache and the lazy-build bookkeeping are lock-striped shards
@@ -42,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <shared_mutex>
 #include <span>
@@ -50,7 +46,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/sensitivity_oracle.h"
 #include "engine/query_engine.h"
 #include "graph/graph.h"
 #include "service/protocol.h"
@@ -116,7 +111,6 @@ struct ServiceStats {
   std::uint64_t cache_resident_bytes = 0;  // payload bytes across those lines
   std::uint64_t structures_built = 0;      // lazy builds
   std::uint64_t identity_served = 0;       // answers from the identity engine
-  std::uint64_t point_oracle_served = 0;   // O(1) fast-path answers
   // Engine query-path counters aggregated over every pool entry (identity
   // included): how the BFS-backed queries were actually answered. Cache hits
   // never reach an engine, so these three sum to the engine-served share.
@@ -162,12 +156,6 @@ class OracleService {
                               std::string_view algo = {},
                               BuildResult* built = nullptr);
 
-  // Eagerly builds the O(n·m)-preprocessing point oracle for `source`;
-  // afterwards single-edge-fault distance/reachability requests from that
-  // source are answered in O(1) per target. Not safe concurrently with
-  // serve() — enable fast paths before opening the request stream.
-  void enable_point_oracle(Vertex source);
-
   // Serves one request. Never aborts on request contents: capability
   // mismatches and unknown ids come back as status codes. Thread-safe;
   // answers (status, exactness, distances, paths) are deterministic, while
@@ -208,7 +196,7 @@ class OracleService {
   [[nodiscard]] std::uint64_t entry_edges(std::size_t entry) const;
 
   // Direct engine access for an entry ("identity" included) — the advanced,
-  // cache-bypassing path, e.g. FaultQueryEngine::batch for threaded sweeps.
+  // cache-bypassing path, e.g. FaultQueryEngine::batch for scenario sweeps.
   [[nodiscard]] FaultQueryEngine& engine(std::size_t entry);
 
  private:
@@ -288,7 +276,6 @@ class OracleService {
     QueryResponse resp;  // id prefilled; final already when `done`
     bool done = false;   // refusal — execute() just returns resp
     const QueryRequest* req = nullptr;
-    const SingleFaultOracle* point = nullptr;  // O(1) fast path when non-null
     CanonicalFaultSet canon;
     ServePlan plan;
   };
@@ -346,7 +333,6 @@ class OracleService {
   // out leased scratch internally).
   std::deque<Entry> entries_;
   mutable std::shared_mutex pool_mutex_;
-  std::map<Vertex, SingleFaultOracle> point_oracles_;
   ShardedScenarioCache cache_;
   BuildOnceMap lazy_builds_;
 
@@ -356,7 +342,6 @@ class OracleService {
     std::atomic<std::uint64_t> refused{0};
     std::atomic<std::uint64_t> structures_built{0};
     std::atomic<std::uint64_t> identity_served{0};
-    std::atomic<std::uint64_t> point_oracle_served{0};
   };
   mutable Counters counters_;
 };

@@ -77,7 +77,7 @@ struct QueryResponse {
   std::int64_t seq = -1;
   StatusCode status = StatusCode::kOk;
   // True iff the answers carry an exactness guarantee (structure served
-  // within its fault budget, identity engine, or point oracle).
+  // within its fault budget, or identity engine).
   bool exact = false;
   // --- payload (filled for kOk and kDisconnected) --------------------------
   // kDistance/kPath/kReachability: one entry per target; kAllDistances: one
@@ -86,7 +86,7 @@ struct QueryResponse {
   std::vector<Path> paths;          // kPath only; empty path = unreachable
   std::vector<bool> reachable;      // kReachability only
   // --- serving stats -------------------------------------------------------
-  std::string served_by;  // pool entry name, "identity", or "point_oracle"
+  std::string served_by;  // pool entry name or "identity"
   bool cache_hit = false;
   // Non-fatal notes about the *request* — today: unknown request keys, which
   // are echoed back instead of silently ignored (and instead of rejecting the

@@ -36,7 +36,6 @@ void accumulate(ServiceStats& into, const ServiceStats& s) {
   into.cache_resident_bytes += s.cache_resident_bytes;
   into.structures_built += s.structures_built;
   into.identity_served += s.identity_served;
-  into.point_oracle_served += s.point_oracle_served;
   into.fast_path_hits += s.fast_path_hits;
   into.repair_bfs += s.repair_bfs;
   into.full_bfs += s.full_bfs;

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <span>
 #include <string>
@@ -192,11 +193,18 @@ void expect_engines_agree(const Graph& g, std::span<const EdgeId> h_edges,
                       fr.hops[t], dp);
   }
 
-  // batch: whole matrix in one call, sequential and threaded.
-  EXPECT_EQ(delta.batch(source, specs, targets),
-            full.batch(source, specs, targets));
-  EXPECT_EQ(delta.batch(source, specs, targets, 4),
-            full.batch(source, specs, targets, 4));
+  // batch: whole matrix in one call, then from four racing callers, each on
+  // its own leased scratch.
+  const std::vector<std::uint32_t> expected = full.batch(source, specs, targets);
+  EXPECT_EQ(delta.batch(source, specs, targets), expected);
+  std::vector<std::vector<std::uint32_t>> raced(4);
+  std::vector<std::thread> callers;
+  for (auto& out : raced) {
+    callers.emplace_back(
+        [&, o = &out] { *o = delta.batch(source, specs, targets); });
+  }
+  for (std::thread& c : callers) c.join();
+  for (const auto& out : raced) EXPECT_EQ(out, expected);
 }
 
 TEST(DeltaPath, MatchesFullBfsOnRandomGraphs) {
@@ -305,7 +313,43 @@ TEST(DeltaPath, CountersClassifyQueries) {
   stats = engine.path_stats();
   EXPECT_EQ(stats.full_bfs, 1u);
 
+  // The parent-exposing APIs take the same tiers: each call moves exactly
+  // one counter.
+  using Moved = std::array<std::uint64_t, 3>;
+  const auto moved = [&](const auto& call) {
+    const FaultQueryEngine::PathStats before = engine.path_stats();
+    call();
+    const FaultQueryEngine::PathStats after = engine.path_stats();
+    return Moved{after.fast_path_hits - before.fast_path_hits,
+                 after.repair_bfs - before.repair_bfs,
+                 after.full_bfs - before.full_bfs};
+  };
+  const Moved fast{1, 0, 0};
+  const Moved repaired{0, 1, 0};
+  const Moved full{0, 0, 1};
+  const FaultSpec nt = edge_faults(nt_faults);
+  const FaultSpec tr = edge_faults(tr_faults);
+  const FaultSpec src = vertex_faults(src_fault);
+  std::optional<Path> path;
+  EXPECT_EQ(moved([&] { (void)engine.query(0, nt); }), fast);
+  EXPECT_EQ(moved([&] { path = engine.shortest_path(0, 8, nt); }), fast);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->size(), 9u);
+  EXPECT_EQ(moved([&] { EXPECT_EQ(engine.query(0, tr).hops[16], 16u); }),
+            repaired);
+  // A target the damage misses keeps its baseline path; the cut-off leaf
+  // needs the repair.
+  EXPECT_EQ(moved([&] { path = engine.shortest_path(0, 8, tr); }), fast);
+  EXPECT_EQ(moved([&] { path = engine.shortest_path(0, 16, tr); }), repaired);
+  ASSERT_TRUE(path.has_value());
+  EXPECT_EQ(path->size(), 17u);
+  EXPECT_EQ(moved([&] { EXPECT_EQ(engine.query(0, src).hops[5], kInfHops); }),
+            full);
+  EXPECT_EQ(moved([&] { path = engine.shortest_path(0, 5, src); }), full);
+  EXPECT_FALSE(path.has_value());
+
   // Every query is accounted to exactly one path.
+  stats = engine.path_stats();
   EXPECT_EQ(stats.fast_path_hits + stats.repair_bfs + stats.full_bfs,
             engine.queries_answered());
 }
@@ -692,8 +736,13 @@ TEST(DeltaPath, RepairedRegionPerTier) {
   (void)engine.all_distances(lease, 0, vertex_faults(source));
   EXPECT_FALSE(region().has_value());
 
-  // A parent-exposing query reports none either.
+  // A parent-exposing query reports none either, whichever tier answers.
   (void)engine.query(lease, 0, edge_faults(nested));
+  EXPECT_FALSE(region().has_value());
+  (void)engine.distance(lease, 0, 3, edge_faults(nested));
+  (void)engine.shortest_path(lease, 0, 3, edge_faults(nested));
+  EXPECT_FALSE(region().has_value());
+  (void)engine.shortest_path(lease, 0, 12, edge_faults(nested));
   EXPECT_FALSE(region().has_value());
 
   // The fast path: a cycle's one non-tree edge changes nothing.

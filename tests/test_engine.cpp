@@ -220,8 +220,7 @@ TEST(QueryEngine, ShortestPathAvoidsFaultsAndIsOptimal) {
 }
 
 // The batched-vs-sequential equivalence property: batch() must agree with
-// one-at-a-time distance() for every (fault set, target) cell, at any thread
-// count.
+// one-at-a-time distance() for every (fault set, target) cell.
 TEST(QueryEngine, BatchMatchesSequential) {
   const Graph g = erdos_renyi(50, 0.12, 31);
   BuildRequest req;
@@ -252,10 +251,7 @@ TEST(QueryEngine, BatchMatchesSequential) {
       expected.push_back(engine.distance(0, t, fs));
     }
   }
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    EXPECT_EQ(engine.batch(0, fault_sets, targets, threads), expected)
-        << threads << " threads";
-  }
+  EXPECT_EQ(engine.batch(0, fault_sets, targets), expected);
 }
 
 TEST(QueryEngine, PinnedEntryBatchMatchesServedDistances) {
@@ -288,9 +284,9 @@ TEST(QueryEngine, BatchHandlesDegenerateShapes) {
   FaultQueryEngine engine(g);
   EXPECT_TRUE(engine.batch(0, {}, {}).empty());
   const std::vector<FaultSpec> one_empty(1);
-  EXPECT_TRUE(engine.batch(0, one_empty, {}, 8).empty());
+  EXPECT_TRUE(engine.batch(0, one_empty, {}).empty());
   const std::vector<Vertex> targets = {3};
-  EXPECT_EQ(engine.batch(0, one_empty, targets, 16),
+  EXPECT_EQ(engine.batch(0, one_empty, targets),
             (std::vector<std::uint32_t>{3}));
 }
 

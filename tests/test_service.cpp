@@ -30,6 +30,15 @@ QueryRequest distance_request(Vertex source, std::vector<Vertex> targets,
 
 // --- FaultSpec canonicalization (satellite) --------------------------------
 
+// Builds `algo` for source 0 of g under the given edge-fault budget.
+BuildResult build_at_zero(const char* algo, const Graph& g, unsigned budget) {
+  BuildRequest req;
+  req.graph = &g;
+  req.sources = {0};
+  req.fault_budget = budget;
+  return BuilderRegistry::instance().build(algo, req);
+}
+
 TEST(CanonicalFaults, SortsAndDedupes) {
   const std::vector<EdgeId> edges = {7, 2, 7, 2, 5};
   const std::vector<Vertex> vertices = {3, 3, 1};
@@ -101,9 +110,7 @@ TEST(Service, BudgetExceededBeyondLazyLimitAndOnPinnedEntry) {
   EXPECT_EQ(resp.status, StatusCode::kBudgetExceeded);
 
   // Pinned: a budget-1 entry refuses a 2-fault exact request.
-  const BuildResult single = BuilderRegistry::instance().build(
-      "single_ftbfs", BuildRequest{.graph = &g, .sources = {0},
-                                   .fault_budget = 1});
+  const BuildResult single = build_at_zero("single_ftbfs", g, 1);
   service.add_structure("single", 0, 1, FaultModel::kEdge,
                         single.structure.edges);
   QueryRequest pinned = distance_request(0, {5}, {0, 1});
@@ -120,9 +127,7 @@ TEST(Service, UnsupportedFaultModelForMixedAndMismatchedFaults) {
   EXPECT_EQ(service.serve(mixed).status, StatusCode::kUnsupportedFaultModel);
 
   // Pinned: an edge-model structure refuses vertex faults.
-  const BuildResult dual = BuilderRegistry::instance().build(
-      "cons2ftbfs", BuildRequest{.graph = &g, .sources = {0},
-                                 .fault_budget = 2});
+  const BuildResult dual = build_at_zero("cons2ftbfs", g, 2);
   service.add_structure("dual", 0, 2, FaultModel::kEdge,
                         dual.structure.edges);
   QueryRequest pinned = distance_request(0, {5});
@@ -136,9 +141,7 @@ TEST(Service, ApproximateStructuresRefuseExactRequests) {
   ServiceConfig config;
   config.lazy_build = false;
   OracleService service(g, config);
-  const BuildResult swap = BuilderRegistry::instance().build(
-      "swap_ftbfs", BuildRequest{.graph = &g, .sources = {0},
-                                 .fault_budget = 1});
+  const BuildResult swap = build_at_zero("swap_ftbfs", g, 1);
   service.add_structure("swap", 0, 1, FaultModel::kEdge,
                         swap.structure.edges, /*exact=*/false);
   // Pinned exact request: within budget and model, but no exactness
@@ -237,9 +240,7 @@ TEST(Service, CachedAnswersAreByteIdenticalToUncached) {
 TEST(Service, CacheProjectsFaultsOntoStructure) {
   const Graph g = erdos_renyi(40, 0.2, 17);
   OracleService service(g);
-  const BuildResult tree = BuilderRegistry::instance().build(
-      "kfail_ftbfs", BuildRequest{.graph = &g, .sources = {0},
-                                  .fault_budget = 0});
+  const BuildResult tree = build_at_zero("kfail_ftbfs", g, 0);
   // Find an edge outside the tree structure: faulting it cannot change
   // answers served from the tree, so both scenarios share one cache line.
   std::vector<bool> in_h(g.num_edges(), false);
@@ -296,12 +297,8 @@ TEST(Service, RoutesToCheapestCapableStructure) {
   ServiceConfig config;
   config.lazy_build = false;
   OracleService service(g, config);
-  const BuildResult dual = BuilderRegistry::instance().build(
-      "cons2ftbfs", BuildRequest{.graph = &g, .sources = {0},
-                                 .fault_budget = 2});
-  const BuildResult tree = BuilderRegistry::instance().build(
-      "kfail_ftbfs", BuildRequest{.graph = &g, .sources = {0},
-                                  .fault_budget = 0});
+  const BuildResult dual = build_at_zero("cons2ftbfs", g, 2);
+  const BuildResult tree = build_at_zero("kfail_ftbfs", g, 0);
   service.add_structure("dual", 0, 2, FaultModel::kEdge,
                         dual.structure.edges);
   service.add_structure("tree", 0, 0, FaultModel::kEdge,
@@ -323,23 +320,6 @@ TEST(Service, LazyBuildPopulatesPoolOnce) {
   (void)service.serve(distance_request(0, {9}, {3}));
   EXPECT_EQ(service.pool_size(), 2u);  // same shape reuses the entry
   EXPECT_EQ(service.stats().structures_built, 1u);
-}
-
-TEST(Service, PointOracleServesSingleFaultRequests) {
-  const Graph g = erdos_renyi(40, 0.2, 25);
-  OracleService service(g);
-  service.enable_point_oracle(0);
-  FaultQueryEngine truth(g);
-  for (EdgeId e = 0; e < g.num_edges(); e += 5) {
-    const std::vector<EdgeId> faults = {e};
-    const QueryResponse resp = service.serve(distance_request(0, {11}, {e}));
-    EXPECT_EQ(resp.served_by, "point_oracle");
-    EXPECT_TRUE(resp.exact);
-    EXPECT_EQ(resp.distances[0], truth.distance(0, 11, edge_faults(faults)));
-  }
-  // Two faults leave the point oracle's range.
-  EXPECT_NE(service.serve(distance_request(0, {11}, {0, 1})).served_by,
-            "point_oracle");
 }
 
 TEST(Service, ReachabilityKind) {

@@ -23,7 +23,9 @@ TEST(TreeIndex, PathGraphChain) {
   for (Vertex v = 0; v < 6; ++v) {
     EXPECT_EQ(t.depth(v), v);
     EXPECT_TRUE(t.ancestor_of(0, v));
-    if (v > 0) EXPECT_EQ(t.parent(v), v - 1);
+    if (v > 0) {
+      EXPECT_EQ(t.parent(v), v - 1);
+    }
   }
   EXPECT_TRUE(t.ancestor_of(2, 5));
   EXPECT_FALSE(t.ancestor_of(5, 2));
@@ -34,7 +36,9 @@ TEST(TreeIndex, AncestorIsReflexive) {
   SpResult sp;
   const TreeIndex t = make_index(g, 0, sp);
   for (Vertex v = 0; v < 30; ++v) {
-    if (t.reached(v)) EXPECT_TRUE(t.ancestor_of(v, v));
+    if (t.reached(v)) {
+      EXPECT_TRUE(t.ancestor_of(v, v));
+    }
   }
 }
 
@@ -97,7 +101,9 @@ TEST(TreeIndex, PreorderVisitsEveryReachedVertexOnce) {
     pos[t.preorder()[i]] = i;
   }
   for (const Vertex v : t.preorder()) {
-    if (v != 0) EXPECT_LT(pos[t.parent(v)], pos[v]);
+    if (v != 0) {
+      EXPECT_LT(pos[t.parent(v)], pos[v]);
+    }
   }
 }
 

@@ -196,8 +196,6 @@ FlagParser serve_parser() {
   p.optional("cache-capacity", "<n>", "scenario-cache lines (0 disables)",
              "256");
   p.optional("lazy", "on|off", "build pool entries on demand", "on");
-  p.optional("point-oracle", "<v>",
-             "precompute the O(1) single-fault oracle for this source");
   p.optional("seed", "<int>", "tie-breaking weight seed for lazy builds", "1");
   p.optional("build-jobs", "<n>",
              "parallel construction workers for lazy builds (0 = auto; "
@@ -936,16 +934,6 @@ int cmd_serve(const FlagParser& p) {
   }
   if (registry.size() == 0) {
     p.fail("serve needs --graph, --load, and/or --tenants");
-  }
-
-  if (p.has("point-oracle")) {
-    Tenant& t = *registry.default_tenant();
-    const Vertex v =
-        static_cast<Vertex>(p.get_uint("point-oracle", 0, 0, 0xFFFFFFFFull));
-    if (v >= t.graph.num_vertices()) {
-      p.fail("--point-oracle vertex out of range");
-    }
-    t.service.enable_point_oracle(v);
   }
 
   // Runs at drain, after the last response is flushed and before the
