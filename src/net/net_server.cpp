@@ -16,7 +16,6 @@
 #include <thread>
 #include <utility>
 
-#include "service/json.h"
 #include "service/protocol.h"
 #include "util/failpoint.h"
 
@@ -41,20 +40,16 @@ std::int64_t ms_since(std::chrono::steady_clock::time_point since,
       .count();
 }
 
-// Best-effort "id" extraction from a raw request line the server is about to
-// shed without parsing properly. Shedding is rare and loop-side; one JSON
-// parse per shed line is cheap next to the BFS it replaces.
+// The "id" a served answer to `line` would echo, for a line the server is
+// about to shed without serving: parse_request_into's rules (the last "id"
+// wins, up to int64 max; -1 when the line would be a parse error), with no
+// tenant resolved, so no fault edge is looked up.
 std::int64_t peek_request_id(const std::string& line) {
-  JsonValue root;
-  std::string err;
-  if (!JsonReader(line).parse(root, err) ||
-      root.kind != JsonValue::Kind::kObject) {
-    return -1;
-  }
-  const JsonValue* id = root.find("id");
-  std::uint64_t u = 0;
-  if (id == nullptr || !json_read_uint(*id, u) || u > (1ull << 62)) return -1;
-  return static_cast<std::int64_t>(u);
+  ParsedRequest parsed;
+  parse_request_into(
+      line, [](const std::string&) -> const Graph* { return nullptr; },
+      parsed);
+  return parsed.request.id;
 }
 
 }  // namespace

@@ -1,53 +1,50 @@
 #include "service/json.h"
 
-#include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 
 namespace ftbfs {
 
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+namespace {
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+// Bytes strtod may consume after the first: decimal and hex digits, signs,
+// the point, exponents, and the letters and parentheses of "inf",
+// "infinity" and "nan(chars)".
+bool strtod_byte(char c) {
+  return is_digit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         c == '.' || c == '+' || c == '-' || c == '_' || c == '(' || c == ')';
 }
 
-bool JsonReader::parse(JsonValue& out, std::string& err) {
-  if (!parse_value(out)) {
-    err = err_;
-    return false;
-  }
+}  // namespace
+
+JsonCursor::Kind JsonCursor::peek() {
   skip_ws();
-  if (p_ != end_) {
-    err = "trailing characters after JSON value";
-    return false;
+  if (p_ == end_) return Kind::kEnd;
+  switch (*p_) {
+    case '{':
+      return Kind::kObject;
+    case '[':
+      return Kind::kArray;
+    case '"':
+      return Kind::kString;
+    case 't':
+    case 'f':
+      return Kind::kBool;
+    case 'n':
+      return Kind::kNull;
+    default:
+      return Kind::kNumber;
   }
-  return true;
 }
 
-void JsonReader::skip_ws() {
-  while (p_ != end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-}
-
-bool JsonReader::fail(const std::string& why) {
+bool JsonCursor::fail(std::string_view why) {
   if (err_.empty()) err_ = why;
   return false;
 }
 
-// Containers recurse; a server must not let one hostile line ('[[[[…') blow
-// the stack, so nesting is capped well beyond any legitimate request.
-template <typename Fn>
-bool JsonReader::descend(Fn parse_container) {
-  if (depth_ >= 32) return fail("nesting too deep");
-  ++depth_;
-  const bool ok = parse_container();
-  --depth_;
-  return ok;
-}
-
-bool JsonReader::expect(char c) {
+bool JsonCursor::expect(char c) {
   skip_ws();
   if (p_ == end_ || *p_ != c) {
     return fail(std::string("expected '") + c + "'");
@@ -56,66 +53,65 @@ bool JsonReader::expect(char c) {
   return true;
 }
 
-bool JsonReader::parse_value(JsonValue& out) {
+// Containers recurse; a server must not let one hostile line ('[[[[…') blow
+// the stack, so nesting is capped well beyond any legitimate request.
+bool JsonCursor::enter(char open) {
+  if (depth_ >= kMaxDepth) return fail("nesting too deep");
+  ++depth_;
+  return expect(open);
+}
+
+bool JsonCursor::next_or_close(char close, bool& more) {
   skip_ws();
-  if (p_ == end_) return fail("unexpected end of input");
-  switch (*p_) {
-    case '{':
-      return descend([&] { return parse_object(out); });
-    case '[':
-      return descend([&] { return parse_array(out); });
-    case '"':
-      out.kind = JsonValue::Kind::kString;
-      return parse_string(out.str);
-    case 't':
-    case 'f':
-      return parse_literal(out);
-    case 'n':
-      return parse_literal(out);
-    default:
-      return parse_number(out);
+  more = p_ != end_ && *p_ == ',';
+  if (more) {
+    ++p_;
+    return true;
   }
+  return expect(close);
 }
 
-bool JsonReader::parse_literal(JsonValue& out) {
-  auto take = [&](const char* word) {
-    const char* q = p_;
-    for (const char* w = word; *w != '\0'; ++w, ++q) {
-      if (q == end_ || *q != *w) return false;
+bool JsonCursor::skip() {
+  switch (peek()) {
+    case Kind::kEnd:
+      return fail("unexpected end of input");
+    case Kind::kObject:
+      return object([this](std::string_view) { return skip(); });
+    case Kind::kArray:
+      return array([this] { return skip(); });
+    case Kind::kString: {
+      std::string_view s;
+      return string(s);
     }
-    p_ = q;
-    return true;
-  };
-  if (take("true")) {
-    out.kind = JsonValue::Kind::kBool;
-    out.boolean = true;
-    return true;
+    case Kind::kBool:
+    case Kind::kNull: {
+      bool b = false;
+      return literal(b);
+    }
+    case Kind::kNumber: {
+      Number n;
+      return number(n);
+    }
   }
-  if (take("false")) {
-    out.kind = JsonValue::Kind::kBool;
-    out.boolean = false;
-    return true;
-  }
-  if (take("null")) {
-    out.kind = JsonValue::Kind::kNull;
-    return true;
-  }
-  return fail("invalid literal");
+  return false;
 }
 
-bool JsonReader::parse_number(JsonValue& out) {
-  // The backing string is NUL-terminated, so strtod cannot scan past end_.
-  char* after = nullptr;
-  out.number = std::strtod(p_, &after);
-  if (after == p_ || after > end_) return fail("invalid number");
-  out.kind = JsonValue::Kind::kNumber;
-  p_ = after;
-  return true;
-}
-
-bool JsonReader::parse_string(std::string& out) {
+bool JsonCursor::string(std::string_view& out) {
   if (!expect('"')) return false;
-  out.clear();
+  const char* q = p_;
+  while (q != end_ && *q != '"' && *q != '\\') ++q;
+  if (q != end_ && *q == '"') {
+    out = std::string_view(p_, static_cast<std::size_t>(q - p_));
+    p_ = q + 1;
+    return true;
+  }
+  return decode_string(out);
+}
+
+// The string after its opening quote, with at least one escape or no closing
+// quote: decoded into `decoded_`.
+bool JsonCursor::decode_string(std::string_view& out) {
+  decoded_.clear();
   while (p_ != end_ && *p_ != '"') {
     char c = *p_++;
     if (c == '\\') {
@@ -139,7 +135,7 @@ bool JsonReader::parse_string(std::string& out) {
           for (int i = 0; i < 4; ++i) {
             const char h = *p_++;
             code <<= 4;
-            if (h >= '0' && h <= '9') {
+            if (is_digit(h)) {
               code |= static_cast<unsigned>(h - '0');
             } else if (h >= 'a' && h <= 'f') {
               code |= static_cast<unsigned>(h - 'a' + 10);
@@ -150,14 +146,14 @@ bool JsonReader::parse_string(std::string& out) {
             }
           }
           if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
+            decoded_.push_back(static_cast<char>(code));
           } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            decoded_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            decoded_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
           } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            decoded_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            decoded_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            decoded_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
           }
           continue;
         }
@@ -165,74 +161,90 @@ bool JsonReader::parse_string(std::string& out) {
           return fail("unsupported string escape");
       }
     }
-    out.push_back(c);
+    decoded_.push_back(c);
   }
   if (p_ == end_) return fail("unterminated string");
   ++p_;  // closing quote
+  out = decoded_;
   return true;
 }
 
-bool JsonReader::parse_array(JsonValue& out) {
-  if (!expect('[')) return false;
-  out.kind = JsonValue::Kind::kArray;
+bool JsonCursor::number(Number& out) {
   skip_ws();
-  if (p_ != end_ && *p_ == ']') {
-    ++p_;
+  if (p_ == end_) return fail("unexpected end of input");
+  // Fast path: a digit run that strtod would not extend ("1.5", "1e2",
+  // "0x1") is an integer token, read exactly.
+  const char* q = p_;
+  while (q != end_ && is_digit(*q)) ++q;
+  const bool extended = q != end_ && (*q == '.' || *q == 'e' || *q == 'E' ||
+                                      *q == 'x' || *q == 'X');
+  std::uint64_t u = 0;
+  if (q != p_ && !extended &&
+      std::from_chars(p_, q, u).ec == std::errc()) {
+    out.value = static_cast<double>(u);
+    out.uint = u;
+    p_ = q;
     return true;
   }
-  while (true) {
-    JsonValue elem;
-    if (!parse_value(elem)) return false;
-    out.array.push_back(std::move(elem));
-    skip_ws();
-    if (p_ != end_ && *p_ == ',') {
-      ++p_;
-      continue;
-    }
-    return expect(']');
-  }
+  return number_slow(out);
 }
 
-bool JsonReader::parse_object(JsonValue& out) {
-  if (!expect('{')) return false;
-  out.kind = JsonValue::Kind::kObject;
-  skip_ws();
-  if (p_ != end_ && *p_ == '}') {
-    ++p_;
-    return true;
-  }
-  while (true) {
-    std::string key;
-    if (!parse_string(key)) return false;
-    if (!expect(':')) return false;
-    JsonValue value;
-    if (!parse_value(value)) return false;
-    out.object.emplace_back(std::move(key), std::move(value));
-    skip_ws();
-    if (p_ != end_ && *p_ == ',') {
-      ++p_;
-      continue;
-    }
-    return expect('}');
-  }
-}
-
-bool json_read_uint(const JsonValue& v, std::uint64_t& out) {
+// Every other spelling, and integers at or beyond 2^64: strtod on a
+// NUL-terminated copy of the bytes it could consume (the text need not be
+// NUL-terminated).
+bool JsonCursor::number_slow(Number& out) {
+  const char* q = p_;
+  while (q != end_ && strtod_byte(*q)) ++q;
+  const std::string token(p_, q);
+  char* after = nullptr;
+  const double d = std::strtod(token.c_str(), &after);
+  if (after == token.c_str()) return fail("invalid number");
+  p_ += after - token.c_str();
+  out.value = d;
+  out.uint.reset();
   // The range guard must run BEFORE the cast: converting a double at or
-  // beyond 2^64 (or NaN/inf — "1e999" parses to inf) to uint64_t is undefined
-  // behavior. NaN fails the >= 0 comparison; 18446744073709551616.0 is
-  // exactly 2^64 in double.
-  if (v.kind != JsonValue::Kind::kNumber ||
-      !(v.number >= 0.0 && v.number < 18446744073709551616.0)) {
-    return false;
+  // beyond 2^64 (or NaN/inf — "1e999" parses to inf) to uint64_t is
+  // undefined behavior. NaN fails the >= 0 comparison; 18446744073709551616.0
+  // is exactly 2^64 in double.
+  if (d >= 0.0 && d < 18446744073709551616.0) {
+    const auto v = static_cast<std::uint64_t>(d);
+    if (static_cast<double>(v) == d) out.uint = v;  // not fractional
   }
-  const std::uint64_t u = static_cast<std::uint64_t>(v.number);
-  if (v.number != static_cast<double>(u)) return false;  // fractional
-  out = u;
   return true;
 }
 
-void json_escape_into(std::string& out, const std::string& s) {
+bool JsonCursor::literal(bool& out) {
+  skip_ws();
+  const auto take = [&](std::string_view word) {
+    if (static_cast<std::size_t>(end_ - p_) < word.size() ||
+        std::string_view(p_, word.size()) != word) {
+      return false;
+    }
+    p_ += word.size();
+    return true;
+  };
+  out = take("true");
+  if (out || take("false") || take("null")) return true;
+  return fail("invalid literal");
+}
+
+bool JsonCursor::uint_value(std::optional<std::uint64_t>& out) {
+  out.reset();
+  if (peek() != Kind::kNumber) return skip();
+  Number n;
+  if (!number(n)) return false;
+  out = n.uint;
+  return true;
+}
+
+bool JsonCursor::finish() {
+  skip_ws();
+  if (p_ != end_) return fail("trailing characters after JSON value");
+  return true;
+}
+
+void json_escape_into(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -244,10 +256,9 @@ void json_escape_into(std::string& out, const std::string& s) {
         if (static_cast<unsigned char>(c) < 0x20) {
           // Raw control bytes inside a JSON string are invalid JSON; echoing
           // hostile input must not let the response line become unparseable.
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
+          const auto b = static_cast<unsigned char>(c);
+          const char esc[6] = {'\\', 'u', '0', '0', kHex[b >> 4], kHex[b & 15]};
+          out.append(esc, sizeof esc);
         } else {
           out.push_back(c);
         }

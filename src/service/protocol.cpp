@@ -1,6 +1,8 @@
 #include "service/protocol.h"
 
+#include <charconv>
 #include <limits>
+#include <optional>
 
 #include "service/json.h"
 #include "spath/bfs.h"
@@ -61,160 +63,257 @@ Vertex narrow_id(std::uint64_t u) {
   return u > 0xffffffffULL ? kInvalidVertex : static_cast<Vertex>(u);
 }
 
-ParsedRequest syntax_error(std::string why) {
-  ParsedRequest out;
+constexpr std::uint64_t kInt64Max =
+    static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+
+// Every field back to its default, capacities kept.
+void reset(ParsedRequest& out) {
+  QueryRequest& req = out.request;
+  req.id = -1;
+  req.source = 0;
+  req.targets.clear();
+  req.fault_edges.clear();
+  req.fault_vertices.clear();
+  req.kind = QueryKind::kDistance;
+  req.consistency = Consistency::kExactOrRefuse;
+  req.structure.clear();
+  req.deadline_ms = 0;
+  out.status = ParseStatus::kOk;
+  out.tenant.clear();
+  out.warnings.clear();
+  out.resolve_status = StatusCode::kUnknownSource;
+  out.error.clear();
+  out.edge_pairs.clear();
+}
+
+// A syntax error carries nothing of the line but its reason.
+void syntax_error(ParsedRequest& out, std::string why) {
+  reset(out);
   out.status = ParseStatus::kSyntax;
   out.error = std::move(why);
-  return out;
+}
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void append_bool(std::string& out, bool b) { out += b ? "true" : "false"; }
+
+// `"id":N,` for an id-bearing line, else `"seq":N,` when a relaxed serve loop
+// stamped one (never both, so id-bearing lines match the ordered mode byte
+// for byte — docs/serving.md "Ordered vs relaxed").
+void append_correlation(std::string& out, std::int64_t id, std::int64_t seq) {
+  if (id < 0 && seq < 0) return;
+  out += id >= 0 ? "\"id\":" : "\"seq\":";
+  append_uint(out, static_cast<std::uint64_t>(id >= 0 ? id : seq));
+  out += ',';
 }
 
 }  // namespace
 
-ParsedRequest parse_request_line(const std::string& line,
-                                 const GraphResolver& resolve) {
-  JsonValue root;
-  std::string err;
-  if (!JsonReader(line).parse(root, err)) return syntax_error(err);
-  if (root.kind != JsonValue::Kind::kObject) {
-    return syntax_error("request line must be a JSON object");
-  }
-
-  ParsedRequest out;
+void parse_request_into(std::string_view line, const GraphResolver& resolve,
+                        ParsedRequest& out) {
+  using Kind = JsonCursor::Kind;
+  reset(out);
   QueryRequest& req = out.request;
+  JsonCursor c(line);
   bool have_source = false;
+  // The first field error is kept in out.error, and the rest of the line is
+  // still read: a syntax error anywhere in it wins over a field error.
+  bool field_failed = false;
+  // Returns the message to extend, or nullptr when an earlier one stands.
+  const auto field_error = [&](std::string_view why) -> std::string* {
+    if (field_failed) return nullptr;
+    field_failed = true;
+    return &out.error.assign(why);
+  };
+  const auto uint_field = [&](std::optional<std::uint64_t>& u,
+                              std::string_view why) {
+    if (!c.uint_value(u)) return false;
+    if (!u) field_error(why);
+    return true;
+  };
+  const auto id_array = [&](std::vector<Vertex>& into, std::string_view why) {
+    if (c.peek() != Kind::kArray) {
+      field_error(why);
+      return c.skip();
+    }
+    return c.array([&] {
+      std::optional<std::uint64_t> u;
+      if (!uint_field(u, why)) return false;
+      if (u) into.push_back(narrow_id(*u));
+      return true;
+    });
+  };
   // Endpoint pairs are collected first and resolved only after the whole
-  // object is parsed — key order is arbitrary: a resolution failure must
+  // object is read — key order is arbitrary: a resolution failure must
   // still see a later "id" key to echo it, and the graph to resolve against
   // is only known once a (possibly trailing) "tenant" key has been seen.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> edge_pairs;
-  for (const auto& [key, value] : root.object) {
-    std::uint64_t u = 0;
-    if (key == "id") {
-      if (!json_read_uint(value, u) ||
-          u > static_cast<std::uint64_t>(
-                  std::numeric_limits<std::int64_t>::max())) {
-        return syntax_error("\"id\" must be a non-negative integer");
+  const auto edge_pairs = [&] {
+    static constexpr std::string_view kWhy =
+        "\"fault_edges\" must be an array of [u,v] pairs";
+    if (c.peek() != Kind::kArray) {
+      field_error(kWhy);
+      return c.skip();
+    }
+    return c.array([&] {
+      if (c.peek() != Kind::kArray) {
+        field_error(kWhy);
+        return c.skip();
       }
-      req.id = static_cast<std::int64_t>(u);
-    } else if (key == "source") {
-      if (!json_read_uint(value, u)) {
-        return syntax_error("\"source\" must be a vertex id");
+      std::uint64_t ends[2] = {0, 0};
+      std::size_t count = 0;
+      bool ok = true;
+      const bool read = c.array([&] {
+        std::optional<std::uint64_t> u;
+        if (!c.uint_value(u)) return false;
+        if (!u) ok = false;
+        if (u && count < 2) ends[count] = *u;
+        ++count;
+        return true;
+      });
+      if (!read) return false;
+      if (ok && count == 2) {
+        out.edge_pairs.emplace_back(ends[0], ends[1]);
+      } else {
+        field_error(kWhy);
       }
-      req.source = narrow_id(u);
-      have_source = true;
-    } else if (key == "targets") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        return syntax_error("\"targets\" must be an array of vertex ids");
+      return true;
+    });
+  };
+  // A string value, or nullopt after recording `why` for anything else.
+  const auto string_field = [&](std::optional<std::string_view>& s,
+                                std::string_view why) {
+    if (c.peek() != Kind::kString) {
+      field_error(why);
+      return c.skip();
+    }
+    std::string_view v;
+    if (!c.string(v)) return false;
+    s = v;
+    return true;
+  };
+  const auto member = [&](std::string_view key) {
+    std::optional<std::uint64_t> u;
+    std::optional<std::string_view> s;
+    if (key == "id" || key == "deadline_ms") {
+      const bool is_id = key == "id";
+      if (!c.uint_value(u)) return false;
+      if (!u || *u > kInt64Max) {
+        field_error(is_id ? "\"id\" must be a non-negative integer"
+                          : "\"deadline_ms\" must be a non-negative integer");
+      } else {
+        (is_id ? req.id : req.deadline_ms) = static_cast<std::int64_t>(*u);
       }
-      for (const JsonValue& t : value.array) {
-        if (!json_read_uint(t, u)) {
-          return syntax_error("\"targets\" must be an array of vertex ids");
-        }
-        req.targets.push_back(narrow_id(u));
+      return true;
+    }
+    if (key == "source") {
+      if (!uint_field(u, "\"source\" must be a vertex id")) return false;
+      if (u) {
+        req.source = narrow_id(*u);
+        have_source = true;
       }
-    } else if (key == "fault_vertices") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        return syntax_error("\"fault_vertices\" must be an array of vertex ids");
-      }
-      for (const JsonValue& t : value.array) {
-        if (!json_read_uint(t, u)) {
-          return syntax_error(
-              "\"fault_vertices\" must be an array of vertex ids");
-        }
-        req.fault_vertices.push_back(narrow_id(u));
-      }
-    } else if (key == "fault_edges") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        return syntax_error("\"fault_edges\" must be an array of [u,v] pairs");
-      }
-      for (const JsonValue& pair : value.array) {
-        std::uint64_t eu = 0, ev = 0;
-        if (pair.kind != JsonValue::Kind::kArray || pair.array.size() != 2 ||
-            !json_read_uint(pair.array[0], eu) ||
-            !json_read_uint(pair.array[1], ev)) {
-          return syntax_error("\"fault_edges\" must be an array of [u,v] pairs");
-        }
-        edge_pairs.emplace_back(eu, ev);
-      }
-    } else if (key == "kind") {
-      if (value.kind != JsonValue::Kind::kString) {
-        return syntax_error("\"kind\" must be a string");
-      }
-      if (value.str == "distance") {
+      return true;
+    }
+    if (key == "targets") {
+      return id_array(req.targets, "\"targets\" must be an array of vertex ids");
+    }
+    if (key == "fault_vertices") {
+      return id_array(req.fault_vertices,
+                      "\"fault_vertices\" must be an array of vertex ids");
+    }
+    if (key == "fault_edges") return edge_pairs();
+    if (key == "kind") {
+      if (!string_field(s, "\"kind\" must be a string")) return false;
+      if (!s) return true;
+      if (*s == "distance") {
         req.kind = QueryKind::kDistance;
-      } else if (value.str == "path") {
+      } else if (*s == "path") {
         req.kind = QueryKind::kPath;
-      } else if (value.str == "all_distances") {
+      } else if (*s == "all_distances") {
         req.kind = QueryKind::kAllDistances;
-      } else if (value.str == "reachability") {
+      } else if (*s == "reachability") {
         req.kind = QueryKind::kReachability;
       } else {
-        return syntax_error("unknown kind \"" + value.str + "\"");
+        if (std::string* e = field_error("unknown kind \"")) {
+          e->append(*s).append("\"");
+        }
       }
-    } else if (key == "consistency") {
-      if (value.kind != JsonValue::Kind::kString) {
-        return syntax_error("\"consistency\" must be a string");
-      }
-      if (value.str == "exact" || value.str == "exact_or_refuse") {
+      return true;
+    }
+    if (key == "consistency") {
+      if (!string_field(s, "\"consistency\" must be a string")) return false;
+      if (!s) return true;
+      if (*s == "exact" || *s == "exact_or_refuse") {
         req.consistency = Consistency::kExactOrRefuse;
-      } else if (value.str == "best_effort") {
+      } else if (*s == "best_effort") {
         req.consistency = Consistency::kBestEffort;
       } else {
-        return syntax_error("unknown consistency \"" + value.str + "\"");
+        if (std::string* e = field_error("unknown consistency \"")) {
+          e->append(*s).append("\"");
+        }
       }
-    } else if (key == "structure") {
-      if (value.kind != JsonValue::Kind::kString) {
-        return syntax_error("\"structure\" must be a string");
-      }
-      req.structure = value.str;
-    } else if (key == "tenant") {
-      if (value.kind != JsonValue::Kind::kString) {
-        return syntax_error("\"tenant\" must be a string");
-      }
-      out.tenant = value.str;
-    } else if (key == "deadline_ms") {
-      if (!json_read_uint(value, u) ||
-          u > static_cast<std::uint64_t>(
-                  std::numeric_limits<std::int64_t>::max())) {
-        return syntax_error("\"deadline_ms\" must be a non-negative integer");
-      }
-      req.deadline_ms = static_cast<std::int64_t>(u);
-    } else {
-      // Unknown keys are echoed as warnings rather than rejected (or worse,
-      // silently ignored): the client learns its field did nothing, but a
-      // request from one protocol revision ahead still gets an answer.
-      out.warnings.push_back("unknown request key \"" + key + "\"");
+      return true;
     }
+    if (key == "structure" || key == "tenant") {
+      const bool is_structure = key == "structure";
+      if (!string_field(s, is_structure ? "\"structure\" must be a string"
+                                        : "\"tenant\" must be a string")) {
+        return false;
+      }
+      if (s) (is_structure ? req.structure : out.tenant).assign(*s);
+      return true;
+    }
+    // Unknown keys are echoed as warnings rather than rejected (or worse,
+    // silently ignored): the client learns its field did nothing, but a
+    // request from one protocol revision ahead still gets an answer.
+    std::string warning = "unknown request key \"";
+    warning.append(key).append("\"");
+    out.warnings.push_back(std::move(warning));
+    return c.skip();
+  };
+
+  const bool is_object = c.peek() == Kind::kObject;
+  if (!(is_object ? c.object(member) : c.skip()) || !c.finish()) {
+    return syntax_error(out, c.error());
   }
-  if (!have_source) return syntax_error("request is missing \"source\"");
+  if (!is_object) {
+    return syntax_error(out, "request line must be a JSON object");
+  }
+  if (field_failed) return syntax_error(out, std::move(out.error));
+  if (!have_source) return syntax_error(out, "request is missing \"source\"");
 
   const Graph* g = resolve(out.tenant);
   if (g == nullptr) {
     out.status = ParseStatus::kResolve;
     out.resolve_status = StatusCode::kUnknownTenant;
     out.error = "unknown tenant '" + out.tenant + "'";
-    return out;
+    return;
   }
-  for (const auto& [eu, ev] : edge_pairs) {
-    std::string edge_name = "(";
-    edge_name += std::to_string(eu);
-    edge_name += ",";
-    edge_name += std::to_string(ev);
-    edge_name += ")";
+  for (const auto& [eu, ev] : out.edge_pairs) {
+    const std::string edge_name =
+        "(" + std::to_string(eu) + "," + std::to_string(ev) + ")";
     if (eu >= g->num_vertices() || ev >= g->num_vertices()) {
       out.status = ParseStatus::kResolve;
       out.error = "fault edge " + edge_name + " endpoint out of range";
-      return out;
+      return;
     }
     const EdgeId e =
         g->find_edge(static_cast<Vertex>(eu), static_cast<Vertex>(ev));
     if (e == kInvalidEdge) {
       out.status = ParseStatus::kResolve;
       out.error = "fault edge " + edge_name + " not in graph";
-      return out;
+      return;
     }
     req.fault_edges.push_back(e);
   }
+}
+
+ParsedRequest parse_request_line(const std::string& line,
+                                 const GraphResolver& resolve) {
+  ParsedRequest out;
+  parse_request_into(line, resolve, out);
   return out;
 }
 
@@ -225,87 +324,95 @@ ParsedRequest parse_request_line(const std::string& line, const Graph& g) {
       });
 }
 
-std::string format_response_line(const QueryResponse& resp) {
-  std::string out = "{";
-  if (resp.id >= 0) {
-    out += "\"id\":" + std::to_string(resp.id) + ",";
-  } else if (resp.seq >= 0) {
-    // Relaxed-mode correlation fallback for id-less requests; never emitted
-    // alongside an id, so id-bearing lines match the ordered mode byte for
-    // byte (docs/serving.md "Ordered vs relaxed").
-    out += "\"seq\":" + std::to_string(resp.seq) + ",";
-  }
+void append_response_line(std::string& out, const QueryResponse& resp) {
+  // Room for a typical line (short ids, distances below 1000) in at most one
+  // allocation; a longer one grows as usual.
+  out.reserve(out.size() + 128 +
+              4 * (resp.distances.size() + resp.reachable.size()) +
+              resp.error.size());
+  out += '{';
+  append_correlation(out, resp.id, resp.seq);
   out += "\"status\":\"";
   out += to_string(resp.status);
   out += "\",\"exact\":";
-  out += resp.exact ? "true" : "false";
+  append_bool(out, resp.exact);
   if (!resp.served_by.empty()) {
     out += ",\"served_by\":\"";
     json_escape_into(out, resp.served_by);
-    out += "\"";
+    out += '"';
   }
   out += ",\"cache_hit\":";
-  out += resp.cache_hit ? "true" : "false";
+  append_bool(out, resp.cache_hit);
   if (!resp.distances.empty()) {
     out += ",\"distances\":[";
     for (std::size_t i = 0; i < resp.distances.size(); ++i) {
-      if (i > 0) out += ",";
-      out += resp.distances[i] == kInfHops ? "-1"
-                                           : std::to_string(resp.distances[i]);
+      if (i > 0) out += ',';
+      if (resp.distances[i] == kInfHops) {
+        out += "-1";
+      } else {
+        append_uint(out, resp.distances[i]);
+      }
     }
-    out += "]";
+    out += ']';
   }
   if (!resp.paths.empty()) {
     out += ",\"paths\":[";
     for (std::size_t i = 0; i < resp.paths.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "[";
+      if (i > 0) out += ',';
+      out += '[';
       for (std::size_t j = 0; j < resp.paths[i].size(); ++j) {
-        if (j > 0) out += ",";
-        out += std::to_string(resp.paths[i][j]);
+        if (j > 0) out += ',';
+        append_uint(out, resp.paths[i][j]);
       }
-      out += "]";
+      out += ']';
     }
-    out += "]";
+    out += ']';
   }
   if (!resp.reachable.empty()) {
     out += ",\"reachable\":[";
     for (std::size_t i = 0; i < resp.reachable.size(); ++i) {
-      if (i > 0) out += ",";
-      out += resp.reachable[i] ? "true" : "false";
+      if (i > 0) out += ',';
+      append_bool(out, resp.reachable[i]);
     }
-    out += "]";
+    out += ']';
   }
   if (!resp.warnings.empty()) {
     out += ",\"warnings\":[";
     for (std::size_t i = 0; i < resp.warnings.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"";
+      if (i > 0) out += ',';
+      out += '"';
       json_escape_into(out, resp.warnings[i]);
-      out += "\"";
+      out += '"';
     }
-    out += "]";
+    out += ']';
   }
   if (!resp.error.empty()) {
     out += ",\"error\":\"";
     json_escape_into(out, resp.error);
-    out += "\"";
+    out += '"';
   }
-  out += "}";
+  out += '}';
+}
+
+std::string format_response_line(const QueryResponse& resp) {
+  std::string out;
+  append_response_line(out, resp);
   return out;
+}
+
+void append_parse_error_line(std::string& out, const ParsedRequest& parsed,
+                             std::int64_t seq) {
+  out += '{';
+  append_correlation(out, parsed.request.id, seq);
+  out += "\"status\":\"parse_error\",\"error\":\"";
+  json_escape_into(out, parsed.error);
+  out += "\"}";
 }
 
 std::string format_parse_error_line(const ParsedRequest& parsed,
                                     std::int64_t seq) {
-  std::string out = "{";
-  if (parsed.request.id >= 0) {
-    out += "\"id\":" + std::to_string(parsed.request.id) + ",";
-  } else if (seq >= 0) {
-    out += "\"seq\":" + std::to_string(seq) + ",";
-  }
-  out += "\"status\":\"parse_error\",\"error\":\"";
-  json_escape_into(out, parsed.error);
-  out += "\"}";
+  std::string out;
+  append_parse_error_line(out, parsed, seq);
   return out;
 }
 

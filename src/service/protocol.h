@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -122,6 +124,9 @@ struct ParsedRequest {
   // edges, kUnknownTenant for an unknown "tenant").
   StatusCode resolve_status = StatusCode::kUnknownSource;
   std::string error;  // filled unless status == kOk
+  // Parser scratch, kept only for its capacity: the "fault_edges" endpoint
+  // pairs, held until the tenant (and so the graph) is known.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> edge_pairs;
 };
 
 // Maps a tenant name ("" = default) to the graph faults should resolve
@@ -130,9 +135,18 @@ struct ParsedRequest {
 // overload below.
 using GraphResolver = std::function<const Graph*(const std::string& tenant)>;
 
-// Parses one JSONL request line. Fault edges arrive as endpoint pairs
-// ("fault_edges": [[u,v],...]) and are resolved to edge ids of the graph the
-// line's "tenant" field routes to.
+// Parses one JSONL request line into `out`, overwriting every field but
+// keeping the capacity of its vectors and strings, so a reused ParsedRequest
+// parses a typical line without allocating. Fault edges arrive as endpoint
+// pairs ("fault_edges": [[u,v],...]) and are resolved to edge ids of the
+// graph the line's "tenant" field routes to. Keys may come in any order; of
+// duplicates, the last scalar wins and arrays append. A syntax error
+// anywhere in the line beats a field error, and the first field error beats
+// the rest. Integer tokens are read exactly: ids range over [0, 2^63).
+void parse_request_into(std::string_view line, const GraphResolver& resolve,
+                        ParsedRequest& out);
+
+// parse_request_into into a fresh ParsedRequest.
 [[nodiscard]] ParsedRequest parse_request_line(const std::string& line,
                                                const GraphResolver& resolve);
 
@@ -141,15 +155,20 @@ using GraphResolver = std::function<const Graph*(const std::string& tenant)>;
 [[nodiscard]] ParsedRequest parse_request_line(const std::string& line,
                                                const Graph& g);
 
-// Serializes a response as one JSONL line (no trailing newline). Unreachable
-// distances are encoded as -1.
+// Appends a response as one JSONL line (no trailing newline) to `out`.
+// Unreachable distances are encoded as -1.
+void append_response_line(std::string& out, const QueryResponse& resp);
+
+// append_response_line into a fresh string.
 [[nodiscard]] std::string format_response_line(const QueryResponse& resp);
 
 // One JSONL line reporting a request that never reached the service — wire
 // status "parse_error" (distinct from the StatusCode refusals, which are
 // answers about the graph rather than about the line). `seq` >= 0 adds the
 // relaxed-mode correlation field for lines that parsed no "id" (same contract
-// as QueryResponse::seq).
+// as QueryResponse::seq). Appended to `out`, or returned as a fresh string.
+void append_parse_error_line(std::string& out, const ParsedRequest& parsed,
+                             std::int64_t seq = -1);
 [[nodiscard]] std::string format_parse_error_line(const ParsedRequest& parsed,
                                                   std::int64_t seq = -1);
 

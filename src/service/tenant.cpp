@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -195,106 +196,125 @@ std::vector<TenantRegistry::PendingTenant> TenantRegistry::parse_manifest(
   slurp << in.rdbuf();
   const std::string text = slurp.str();
 
-  JsonValue root;
-  std::string err;
-  if (!JsonReader(text).parse(root, err)) manifest_error(err);
+  // Syntax first, over the whole file: a malformed manifest reports its
+  // syntax error even when a field before it is also wrong.
+  {
+    JsonCursor check(text);
+    if (!check.skip() || !check.finish()) manifest_error(check.error());
+  }
+  using Kind = JsonCursor::Kind;
   // One accepted shape: {"schema": 2, "tenants": [...]}. Unknown keys are
   // stderr warnings, not errors (surface, don't refuse); a schema version
-  // this build does not know is fatal.
-  if (root.kind != JsonValue::Kind::kObject) {
+  // this build does not know is fatal. Of duplicate keys, the first counts.
+  JsonCursor root(text);
+  if (root.peek() != Kind::kObject) {
     manifest_error("top level must be {\"schema\": 2, \"tenants\": [...]}");
   }
-  const JsonValue* sv = root.find("schema");
-  std::uint64_t schema = 0;
-  if (sv == nullptr || !json_read_uint(*sv, schema) || schema != 2) {
+  bool have_schema = false;
+  std::optional<std::uint64_t> schema;
+  std::optional<JsonCursor> tenants;  // positioned at the first "tenants"
+  std::vector<std::string> unknown_keys;
+  root.object([&](std::string_view key) {
+    if (key == "schema" && !have_schema) {
+      have_schema = true;
+      return root.uint_value(schema);
+    }
+    if (key == "tenants") {
+      if (!tenants) tenants = root;
+    } else if (key != "schema") {
+      unknown_keys.emplace_back(key);
+    }
+    return root.skip();
+  });
+  if (!schema || *schema != 2) {
     manifest_error("\"schema\" must be 2 (the only manifest schema this "
                    "build understands)");
   }
-  for (const auto& [key, value] : root.object) {
-    if (key == "tenants" || key == "schema") continue;
+  for (const std::string& key : unknown_keys) {
     std::fprintf(stderr,
                  "ftbfs: warning: tenant manifest: ignoring unknown "
                  "top-level key \"%s\"\n",
                  key.c_str());
   }
-  const JsonValue* tenants = root.find("tenants");
-  if (tenants == nullptr || tenants->kind != JsonValue::Kind::kArray) {
+  if (!tenants || tenants->peek() != Kind::kArray) {
     manifest_error("missing \"tenants\" array");
   }
 
   std::vector<PendingTenant> out;
-  for (const JsonValue& entry : tenants->array) {
-    if (entry.kind != JsonValue::Kind::kObject) {
+  JsonCursor& c = *tenants;
+  c.array([&] {
+    if (c.peek() != Kind::kObject) {
       manifest_error("each tenant must be an object");
     }
     PendingTenant p;
     p.config = base;
-    for (const auto& [key, value] : entry.object) {
-      std::uint64_t u = 0;
+    const auto uint_of = [&](const char* why) {
+      std::optional<std::uint64_t> u;
+      c.uint_value(u);
+      if (!u) manifest_error(why);
+      return *u;
+    };
+    const auto string_of = [&](bool non_empty, const char* why) {
+      std::string_view s;
+      if (c.peek() != Kind::kString || !c.string(s) ||
+          (non_empty && s.empty())) {
+        manifest_error(why);
+      }
+      return std::string(s);
+    };
+    const auto bool_of = [&](const char* why) {
+      bool b = false;
+      if (c.peek() != Kind::kBool || !c.literal(b)) manifest_error(why);
+      return b;
+    };
+    c.object([&](std::string_view key) {
       if (key == "name") {
-        if (value.kind != JsonValue::Kind::kString || value.str.empty()) {
-          manifest_error("\"name\" must be a non-empty string");
-        }
-        p.name = value.str;
+        p.name = string_of(true, "\"name\" must be a non-empty string");
       } else if (key == "graph") {
-        if (value.kind != JsonValue::Kind::kString) {
-          manifest_error("\"graph\" must be a file path");
-        }
-        p.graph_path = value.str;
+        p.graph_path = string_of(false, "\"graph\" must be a file path");
       } else if (key == "budget") {
-        if (!json_read_uint(value, u)) manifest_error("\"budget\" must be an integer");
-        p.config.default_budget = static_cast<unsigned>(u);
+        p.config.default_budget =
+            static_cast<unsigned>(uint_of("\"budget\" must be an integer"));
       } else if (key == "max_lazy") {
-        if (!json_read_uint(value, u)) manifest_error("\"max_lazy\" must be an integer");
-        p.config.max_lazy_budget = static_cast<unsigned>(u);
+        p.config.max_lazy_budget =
+            static_cast<unsigned>(uint_of("\"max_lazy\" must be an integer"));
       } else if (key == "cache") {
-        if (!json_read_uint(value, u)) manifest_error("\"cache\" must be an integer");
-        p.config.cache_capacity = static_cast<std::size_t>(u);
+        p.config.cache_capacity =
+            static_cast<std::size_t>(uint_of("\"cache\" must be an integer"));
       } else if (key == "lazy") {
-        if (value.kind != JsonValue::Kind::kBool) manifest_error("\"lazy\" must be a boolean");
-        p.config.lazy_build = value.boolean;
+        p.config.lazy_build = bool_of("\"lazy\" must be a boolean");
       } else if (key == "seed") {
-        if (!json_read_uint(value, u)) manifest_error("\"seed\" must be an integer");
-        p.config.weight_seed = u;
+        p.config.weight_seed = uint_of("\"seed\" must be an integer");
       } else if (key == "max_requests") {
-        if (!json_read_uint(value, u)) {
-          manifest_error("\"max_requests\" must be an integer");
-        }
-        p.quotas.max_requests = u;
+        p.quotas.max_requests = uint_of("\"max_requests\" must be an integer");
       } else if (key == "rate_limit_rps") {
-        if (value.kind != JsonValue::Kind::kNumber ||
-            !valid_rate_limit(value.number)) {
+        JsonCursor::Number n;
+        if (c.peek() != Kind::kNumber || !c.number(n) ||
+            !valid_rate_limit(n.value)) {
           manifest_error(
               "\"rate_limit_rps\" must be a number >= 0 and below 2^64");
         }
-        p.quotas.rate_limit_rps = value.number;
+        p.quotas.rate_limit_rps = n.value;
       } else if (key == "burst") {
-        if (!json_read_uint(value, u)) {
-          manifest_error("\"burst\" must be an integer");
-        }
-        p.quotas.rate_limit_burst = u;
+        p.quotas.rate_limit_burst = uint_of("\"burst\" must be an integer");
       } else if (key == "deadline_ms") {
-        if (!json_read_uint(value, u) || u > (1ull << 40)) {
-          manifest_error("\"deadline_ms\" must be a non-negative integer");
-        }
+        const char* why = "\"deadline_ms\" must be a non-negative integer";
+        const std::uint64_t u = uint_of(why);
+        if (u > (1ull << 40)) manifest_error(why);
         p.quotas.deadline_ms = static_cast<std::int64_t>(u);
       } else if (key == "snapshot") {
-        if (value.kind != JsonValue::Kind::kString || value.str.empty()) {
-          manifest_error("\"snapshot\" must be a file path");
-        }
-        p.snapshot_path = value.str;
+        p.snapshot_path = string_of(true, "\"snapshot\" must be a file path");
       } else if (key == "cache_warm") {
-        if (value.kind != JsonValue::Kind::kBool) {
-          manifest_error("\"cache_warm\" must be a boolean");
-        }
-        p.cache_warm = value.boolean;
+        p.cache_warm = bool_of("\"cache_warm\" must be a boolean");
       } else {
         std::fprintf(stderr,
                      "ftbfs: warning: tenant manifest: ignoring unknown "
                      "tenant key \"%s\"\n",
-                     key.c_str());
+                     std::string(key).c_str());
+        c.skip();
       }
-    }
+      return true;
+    });
     if (p.name.empty()) manifest_error("tenant entry is missing \"name\"");
     if (p.cache_warm && p.snapshot_path.empty()) {
       manifest_error("tenant \"" + p.name + "\": \"cache_warm\" needs "
@@ -310,7 +330,8 @@ std::vector<TenantRegistry::PendingTenant> TenantRegistry::parse_manifest(
       }
     }
     out.push_back(std::move(p));
-  }
+    return true;
+  });
   if (out.empty()) manifest_error("\"tenants\" names no tenants");
   return out;
 }
@@ -429,13 +450,16 @@ LineJob::LineJob(TenantRegistry& registry, const std::string& line,
   // The resolver runs at most once per line, after the object scan; pinning
   // inside it makes route-and-pin atomic against a racing reload (the graph
   // pointer the fault resolution uses stays valid for the job's life).
-  parsed_ = std::make_unique<ParsedRequest>(parse_request_line(
-      line, [this](const std::string& tenant) -> const Graph* {
+  parsed_ = std::make_unique<ParsedRequest>();
+  parse_request_into(
+      line,
+      [this](const std::string& tenant) -> const Graph* {
         Tenant* t = registry_->find_and_pin(tenant);
         pin_ = TenantPin(t);
         tenant_ = t;
         return t == nullptr ? nullptr : &t->graph;
-      }));
+      },
+      *parsed_);
   switch (parsed_->status) {
     case ParseStatus::kSyntax:
       counters_->parse_errors.fetch_add(1, std::memory_order_relaxed);
@@ -508,7 +532,16 @@ void LineJob::admit() {
 }
 
 std::string LineJob::finish() {
-  if (local_.has_value()) return std::move(*local_);
+  std::string out;
+  finish(out);
+  return out;
+}
+
+void LineJob::finish(std::string& out) {
+  if (local_.has_value()) {
+    out += *local_;
+    return;
+  }
   {
     // Chaos/latency hook: a sleep armed on `service.execute` models a slow
     // backend without touching real serving code paths.
@@ -523,13 +556,14 @@ std::string LineJob::finish() {
     admission_.reset();
     counters_->deadline_refusals.fetch_add(1, std::memory_order_relaxed);
     tenant_->deadline_refused.fetch_add(1, std::memory_order_relaxed);
-    return refuse_line(StatusCode::kDeadlineExceeded,
+    out += refuse_line(StatusCode::kDeadlineExceeded,
                        "deadline expired while queued for execution");
+    return;
   }
   QueryResponse resp = tenant_->service.execute(std::move(*admission_));
   resp.seq = stamp_seq_ ? seq_ : -1;
   resp.warnings = std::move(parsed_->warnings);
-  return format_response_line(resp);
+  append_response_line(out, resp);
 }
 
 std::string oversized_line_answer(std::size_t max_line_bytes,

@@ -369,8 +369,9 @@ class LineJob {
   void admit();
 
   // Execution phase: deadline recheck + OracleService::execute + formatting.
-  // Returns the response line (no trailing newline).
+  // Returns the response line (no trailing newline), or appends it to `out`.
   [[nodiscard]] std::string finish();
+  void finish(std::string& out);
 
  private:
   // Deadline for this request (request field wins over the tenant default),

@@ -20,6 +20,11 @@ Finally, stdin at --threads 4 sheds nothing by default (a slow lazy build
 leaves the output identical to --threads 1), and a stall eviction the user
 opted into ends the run with exit code 1.
 
+Flushing at --threads 1: the inline loop writes its answers once per read,
+so a client that writes one line and waits for its answer must still get
+every answer (ordered and relaxed), and a burst whose answers pass the
+64 KiB flush cap must come out byte-identical to its ping-pong replay.
+
 Rate limits: a `--rate-limit-rps` that is not finite or whose default burst
 ceil(rate) does not fit 64 bits is a usage error (exit 2), and such a
 manifest "rate_limit_rps" fails to load (exit 1); a large rate that fits,
@@ -31,6 +36,7 @@ Usage: serve_cli_test.py --binary build/ftbfs
 import argparse
 import json
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -92,6 +98,67 @@ def check_framing(binary):
                          "lines diverged from the golden responses")
     print("ok  framing: blank skipped, oversized answered, unterminated last "
           "line answered, identical at --threads 1 and 4")
+
+
+def ping_pong(binary, lines, *flags):
+    """Writes one request line, waits for its answer, then writes the next.
+
+    An answer held back until more input arrives (or until EOF) times out
+    here instead of deadlocking the test.
+    """
+    proc = subprocess.Popen([binary, "serve", *flags], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+    out_fd = proc.stdout.fileno()
+    answers, pending = [], b""
+    try:
+        for line in lines:
+            proc.stdin.write(line + b"\n")
+            proc.stdin.flush()
+            while b"\n" not in pending:
+                ready, _, _ = select.select([out_fd], [], [], 30)
+                chunk = os.read(out_fd, 1 << 16) if ready else b""
+                if not chunk:
+                    raise SystemExit(f"ping-pong {' '.join(flags)}: no answer "
+                                     f"to {line!r}")
+                pending += chunk
+            answer, _, pending = pending.partition(b"\n")
+            if pending:
+                raise SystemExit(f"ping-pong {' '.join(flags)}: more than one "
+                                 f"answer to {line!r}")
+            answers.append(answer + b"\n")
+    finally:
+        proc.stdin.close()
+        rest = proc.stdout.read()
+        proc.wait(timeout=60)
+    if rest or proc.returncode != 0:
+        raise SystemExit(f"ping-pong {' '.join(flags)}: exit "
+                         f"{proc.returncode}, trailing output {rest!r}")
+    return b"".join(answers)
+
+
+def check_flushing(binary):
+    requests = open(REQUESTS, "rb").read()
+    golden = open(RESPONSES, "rb").read()
+    lines = requests.splitlines()
+    expect_golden("stdin ping-pong --threads 1",
+                  ping_pong(binary, lines, "--graph", GRAPH), golden)
+    relaxed = ping_pong(binary, lines, "--graph", GRAPH, "--mode", "relaxed")
+    socket_client.check_relaxed(relaxed.decode().splitlines(),
+                                golden.decode().splitlines())
+    print("ok  stdin ping-pong --threads 1 --mode relaxed")
+
+    burst = requests * 60
+    one_write = serve(binary, burst, "--graph", GRAPH)
+    if len(one_write) <= 2 * (64 << 10):
+        raise SystemExit(f"burst: {len(one_write)} answer bytes do not pass "
+                         "the 64 KiB flush cap twice")
+    replay = ping_pong(binary, burst.splitlines(), "--graph", GRAPH)
+    if one_write != replay:
+        raise SystemExit("burst: answers written in 64 KiB batches differ "
+                         "from the ping-pong replay")
+    print(f"ok  burst of {len(one_write)} answer bytes matches its ping-pong "
+          "replay")
 
 
 def check_stdin_degradation(binary):
@@ -199,6 +266,7 @@ def main():
                        check=True, timeout=120)
 
     check_framing(binary)
+    check_flushing(binary)
     check_stdin_degradation(binary)
     check_rate_limits(binary)
 

@@ -23,7 +23,7 @@
 
 #include "graph/generators.h"
 #include "net/net_server.h"
-#include "service/json.h"
+#include "reference_json.h"
 #include "service/tenant.h"
 #include "util/failpoint.h"
 

@@ -25,7 +25,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "net/net_server.h"
-#include "service/json.h"
+#include "reference_json.h"
 #include "service/tenant.h"
 #include "util/failpoint.h"
 
@@ -638,6 +638,60 @@ TEST(NetRobustness, QueuePressureShedsOverloadedInsteadOfParkingForever) {
     rs.shutdown_and_join();
     EXPECT_EQ(rs.server.wire_counters().overload_sheds.load(),
               static_cast<std::uint64_t>(overloaded));
+    fp::disarm_all();
+  }
+}
+
+TEST(NetRobustness, ShedAnswersEchoTheIdsServedAnswersWould) {
+  DisarmOnExit guard;
+  // Served answers echo the last "id" and take ids up to int64 max; a shed
+  // line's `overloaded` answer must carry the same id. Alternate a line with
+  // duplicate ids and one with an id past 2^62 (and past 2^53, so a double
+  // would round it), then park the tail past the shed budget as above.
+  const std::string big = "4611686018427387905";  // 2^62 + 1
+  for (const bool ordered : {true, false}) {
+    ASSERT_TRUE(fp::arm("service.execute=sleep(ms=100,count=3)"));
+    TenantRegistry registry;
+    registry.add("default", cycle_graph(16));
+    NetServerConfig config;
+    config.threads = 1;
+    config.ordered = ordered;
+    config.queue_capacity = 2;
+    config.shed_after_ms = 50;
+    RunningServer rs(registry, config);
+    const int fd = connect_loopback(rs.server.port());
+
+    std::string stream;
+    for (int i = 0; i < 12; ++i) {
+      stream += i % 2 == 0
+                    ? "{\"id\":1,\"id\":2,\"source\":0,\"targets\":[1]}\n"
+                    : "{\"id\":" + big + ",\"source\":0,\"targets\":[2]}\n";
+    }
+    send_all(fd, stream);
+    ::shutdown(fd, SHUT_WR);
+    const std::vector<std::string> got = recv_lines(fd, 12);
+    ASSERT_EQ(got.size(), 12u);
+    int shed_dup = 0, shed_big = 0, dup = 0, wide = 0;
+    for (int i = 0; i < 12; ++i) {
+      const bool is_dup = got[i].rfind("{\"id\":2,", 0) == 0;
+      const bool is_big = got[i].rfind("{\"id\":" + big + ",", 0) == 0;
+      ASSERT_TRUE(is_dup || is_big) << got[i];
+      if (ordered) {
+        EXPECT_EQ(is_dup, i % 2 == 0) << got[i];
+      }
+      (is_dup ? dup : wide) += 1;
+      if (field(got[i], "status") == "overloaded") {
+        (is_dup ? shed_dup : shed_big) += 1;
+      } else {
+        EXPECT_EQ(field(got[i], "status"), "ok") << got[i];
+      }
+    }
+    EXPECT_EQ(dup, 6);
+    EXPECT_EQ(wide, 6);
+    EXPECT_GT(shed_dup, 0) << "ordered=" << ordered;
+    EXPECT_GT(shed_big, 0) << "ordered=" << ordered;
+    ::close(fd);
+    rs.shutdown_and_join();
     fp::disarm_all();
   }
 }

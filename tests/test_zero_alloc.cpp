@@ -5,7 +5,9 @@
 // on reused buffers; the scenario cache's probe/read path is equally clean
 // (packed keys into a reused word buffer, hits read through at()). This
 // binary overrides the global allocator with a counting shim and asserts
-// the per-query count is exactly zero across a mixed workload.
+// the per-query count is exactly zero across a mixed workload. The wire path
+// is held to the same bar: a request line parsed into a reused
+// ParsedRequest, and a response appended to a reused buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 
 #include "engine/query_engine.h"
 #include "graph/generators.h"
+#include "service/protocol.h"
 #include "service/shard.h"
 #include "spath/bfs.h"
 #include "util/rng.h"
@@ -189,6 +192,59 @@ TEST(ZeroAlloc, LeasedQueriesAreAllocationFreeWhenWarm) {
     }
   });
   EXPECT_EQ(count, 0u);
+}
+
+// The serve-cached request mix: distance with 4 targets, reachability,
+// all_distances, 0–2 fault edges, and a pinned structure.
+TEST(ZeroAlloc, WireParseAndFormatAreAllocationFreeWhenWarm) {
+  const Graph g = cycle_graph(64);
+  const GraphResolver resolve = [&g](const std::string& tenant) {
+    return tenant.empty() ? &g : nullptr;
+  };
+  const std::vector<std::string> lines = {
+      R"({"id":1,"source":0,"kind":"distance","targets":[3,9,17,40]})",
+      R"({"id":2,"source":0,"kind":"reachability","targets":[5],)"
+      R"("fault_edges":[[0,1]]})",
+      R"({"id":3,"source":0,"kind":"all_distances","fault_edges":[[0,1],)"
+      R"([10,11]]})",
+      R"({"id":4,"source":0,"kind":"distance","targets":[3,9,17,40],)"
+      R"("fault_edges":[[20,21],[40,41]]})",
+      R"({"id":5,"source":0,"kind":"distance","targets":[3,9,17,40],)"
+      R"("structure":"identity"})",
+  };
+  std::vector<QueryResponse> responses(lines.size());
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    QueryResponse& r = responses[i];
+    r.id = static_cast<std::int64_t>(1000000 + i);
+    r.exact = true;
+    r.served_by = "cons2ftbfs@s0f2";
+    r.cache_hit = true;
+    r.distances = {3, 9, 17, kInfHops};
+  }
+  responses[1].distances.clear();
+  responses[1].reachable = {true};
+  responses[2].distances.assign(g.num_vertices(), 31);
+  responses[4].served_by = "identity";
+
+  ParsedRequest parsed;
+  std::string out;
+  bool parsed_ok = true;
+  const auto run_mix = [&] {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      parse_request_into(lines[i], resolve, parsed);
+      parsed_ok = parsed_ok && parsed.status == ParseStatus::kOk;
+      out.clear();
+      append_response_line(out, responses[i]);
+    }
+  };
+  run_mix();  // warm-up: sizes the request vectors and the output buffer
+  const std::size_t count = allocations_during([&] {
+    for (int i = 0; i < 100; ++i) run_mix();
+  });
+  EXPECT_EQ(count, 0u);
+  EXPECT_TRUE(parsed_ok);
+  EXPECT_EQ(parsed.request.structure, "identity");
+  EXPECT_EQ(out, format_response_line(responses.back()));
 }
 
 }  // namespace

@@ -781,22 +781,29 @@ void print_serve_summary(TenantRegistry& registry, const WireCounters& wire) {
   }
 }
 
-// Copies `from` to `to` until EOF or an error on either side. Socket writes
-// use MSG_NOSIGNAL: a server that has hung up ends the copy instead of
-// raising SIGPIPE.
+// Writes all `n` bytes to `to`; false on an error. Socket writes use
+// MSG_NOSIGNAL: a peer that has hung up fails the write instead of raising
+// SIGPIPE.
+bool write_all(int to, const char* data, std::size_t n, bool to_socket) {
+  for (std::size_t off = 0; off < n;) {
+    const ssize_t w = to_socket ? ::send(to, data + off, n - off, MSG_NOSIGNAL)
+                                : ::write(to, data + off, n - off);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+// Copies `from` to `to` until EOF or an error on either side.
 void copy_stream(int from, int to, bool to_socket) {
   char buf[1 << 16];
   while (true) {
     const ssize_t n = ::read(from, buf, sizeof buf);
     if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return;
-    for (ssize_t off = 0; off < n;) {
-      const std::size_t left = static_cast<std::size_t>(n - off);
-      const ssize_t w = to_socket ? ::send(to, buf + off, left, MSG_NOSIGNAL)
-                                  : ::write(to, buf + off, left);
-      if (w < 0 && errno == EINTR) continue;
-      if (w <= 0) return;
-      off += w;
+    if (n <= 0 ||
+        !write_all(to, buf, static_cast<std::size_t>(n), to_socket)) {
+      return;
     }
   }
 }
@@ -823,40 +830,51 @@ void parse_listen(const FlagParser& p, const std::string& spec,
 }
 
 // `serve` on stdin at --threads 1: one request per line in, one response per
-// line out, flushed per line so the stream works under a pipe. It frames
-// exactly as NetServer does (same line cap, blank lines skipped). Relaxed
-// mode with one thread is already in order — it differs only in stamping the
-// correlation seq onto id-less lines, exactly as the workers would.
+// line out. Answers collect in one buffer, written with one write(2) before
+// every blocking read, whenever the buffer passes 64 KiB, and at EOF or
+// stop: a pipe client that waits for each answer still gets it before the
+// server blocks again. It frames exactly as NetServer does (same line cap,
+// blank lines skipped). Relaxed mode with one thread is already in order —
+// it differs only in stamping the correlation seq onto id-less lines,
+// exactly as the workers would.
 void serve_stdin_inline(TenantRegistry& registry, bool relaxed,
                         WireCounters& counters) {
+  constexpr std::size_t kFlushBytes = 64 * 1024;
   LineFramer framer(NetServerConfig{}.max_line_bytes);
   std::uint64_t seq = 0;
+  std::string out;
+  const auto flush = [&] {
+    // A failed write drops the answers, as a failed stdio write did.
+    (void)write_all(STDOUT_FILENO, out.data(), out.size(), false);
+    out.clear();
+  };
   const auto serve_line = [&](const std::string& line, bool oversized) {
     const auto at = static_cast<std::int64_t>(seq++);
-    std::string out;
     if (oversized) {
-      out = oversized_line_answer(framer.max_line_bytes(), at, relaxed,
-                                  counters);
+      out += oversized_line_answer(framer.max_line_bytes(), at, relaxed,
+                                   counters);
     } else {
       LineJob job(registry, line, at, relaxed, counters);
       job.admit();
-      out = job.finish();
+      job.finish(out);
     }
-    std::fprintf(stdout, "%s\n", out.c_str());
-    std::fflush(stdout);
+    out += '\n';
+    if (out.size() >= kFlushBytes) flush();
   };
   char buf[1 << 16];
   while (!g_stop) {
+    flush();
     const ssize_t n = ::read(STDIN_FILENO, buf, sizeof buf);
     if (n > 0) {
       framer.feed(buf, static_cast<std::size_t>(n), serve_line);
     } else if (n == 0) {
       framer.finish(serve_line);
-      return;
+      break;
     } else if (errno != EINTR) {
-      return;
+      break;
     }
   }
+  flush();
 }
 
 int cmd_serve(const FlagParser& p) {
