@@ -136,7 +136,8 @@ Row measure(const std::string& algo, Vertex n, std::uint64_t seed) {
     built.add_structure("all", 0, config.default_budget, FaultModel::kEdge,
                         all);
   } else {
-    built.build_structure(algo + "@s0f1", 0, 1, FaultModel::kEdge, algo);
+    built.build_structure(pool_entry_name(algo, 0, 1), 0, 1, FaultModel::kEdge,
+                          algo);
   }
   const QueryRequest req = first_request(g);
   const std::string cold_answer = format_response_line(built.serve(req));
@@ -203,15 +204,9 @@ Row measure_cold_bound(const std::string& algo, unsigned budget, Vertex n,
     ::alarm(timeout_s);
     const ServiceConfig config{.lazy_build = false};
     OracleService service(g, config);
-    BuildRequest req;
-    req.graph = &g;
-    req.sources = {0};
-    req.fault_budget = budget;
-    req.weight_seed = config.weight_seed;
-    req.options.jobs = config.build_jobs;
-    const BuildResult built = BuilderRegistry::instance().build(algo, req);
-    service.add_structure(algo + "@s0f" + std::to_string(budget), 0, budget,
-                          FaultModel::kEdge, built.structure.edges);
+    BuildResult built;
+    service.build_structure(pool_entry_name(algo, 0, budget), 0, budget,
+                            FaultModel::kEdge, algo, &built);
     (void)service.serve(first_request(g));
     std::string phases;
     for (const auto& [name, seconds] : built.phase_seconds) {

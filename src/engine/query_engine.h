@@ -278,6 +278,10 @@ class FaultQueryEngine {
     return h_->num_edges();
   }
   [[nodiscard]] bool is_identity() const { return h_ == g_; }
+  // True if G edge `g_edge` is an edge of H (every edge, for identity).
+  [[nodiscard]] bool contains_edge(EdgeId g_edge) const {
+    return g_to_h_.empty() || g_to_h_[g_edge] != kInvalidEdge;
+  }
   [[nodiscard]] std::uint64_t queries_answered() const {
     return queries_.load(std::memory_order_relaxed);
   }

@@ -97,9 +97,9 @@ SnapshotImage PersistAccess::export_service(const OracleService& service,
       out.budget = e.budget;
       out.model = e.model;
       out.exact = e.exact;
-      out.edges.reserve(static_cast<std::size_t>(e.edge_count));
-      for (EdgeId id = 0; id < e.in_h.size(); ++id) {
-        if (e.in_h[id]) out.edges.push_back(id);
+      out.edges.reserve(static_cast<std::size_t>(e.engine.structure_edges()));
+      for (EdgeId id = 0; id < service.g_->num_edges(); ++id) {
+        if (e.engine.contains_edge(id)) out.edges.push_back(id);
       }
       image.entries.push_back(std::move(out));
     }
@@ -175,10 +175,15 @@ void PersistAccess::restore_service(OracleService& service,
       // An algorithm this build does not register is allowed: the structure's
       // edges stand on their own, the provenance is just unverifiable here.
     }
-    const std::size_t idx = service.add_structure(e.name, e.source, e.budget,
-                                                  e.model, e.edges, e.exact);
-    const std::unique_lock lock(service.pool_mutex_);
-    service.entries_[idx].algorithm = e.algorithm;
+    service.publish(OracleService::Entry{.name = e.name,
+                                         .algorithm = e.algorithm,
+                                         .source = e.source,
+                                         .budget = e.budget,
+                                         .model = e.model,
+                                         .exact = e.exact,
+                                         .engine = FaultQueryEngine(
+                                             *service.g_, e.edges)},
+                    OracleService::NameClash::kAssertUnique);
   }
 
   // --- baselines: validate against the restored H, then install ------------

@@ -16,6 +16,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/build_parallel.h"
 #include "util/concurrency.h"
 #include "util/failpoint.h"
 
@@ -691,7 +692,11 @@ void save_snapshot(const std::string& path, const SnapshotImage& image,
   if (!image.cache_lines.empty()) {
     sections.push_back({kSectionCache, {}, 0});
   }
-  auto encode_section = [&](Section& s) {
+  const unsigned workers =
+      clamp_workers(jobs == 0 ? hardware_workers() : jobs, sections.size(),
+                    /*cap_to_hardware=*/jobs == 0);
+  run_claimed(sections.size(), workers, [&](unsigned, std::size_t i) {
+    Section& s = sections[i];
     switch (s.tag) {
       case kSectionGraph:
         encode_graph(s.payload, image.graph);
@@ -707,27 +712,7 @@ void save_snapshot(const std::string& path, const SnapshotImage& image,
         break;
     }
     s.crc = crc32(s.payload.bytes.data(), s.payload.bytes.size());
-  };
-  const unsigned workers =
-      clamp_workers(jobs == 0 ? hardware_workers() : jobs, sections.size(),
-                    /*cap_to_hardware=*/jobs == 0);
-  if (workers <= 1) {
-    for (Section& s : sections) encode_section(s);
-  } else {
-    std::vector<std::thread> crew;
-    crew.reserve(workers - 1);
-    for (unsigned t = 1; t < workers; ++t) {
-      crew.emplace_back([&, t] {
-        for (std::size_t i = t; i < sections.size(); i += workers) {
-          encode_section(sections[i]);
-        }
-      });
-    }
-    for (std::size_t i = 0; i < sections.size(); i += workers) {
-      encode_section(sections[i]);
-    }
-    for (std::thread& th : crew) th.join();
-  }
+  });
 
   const GraphFingerprint fp = fingerprint_of(image.graph);
   std::vector<char> file;
@@ -938,12 +923,11 @@ std::uint64_t image_resident_bytes(const SnapshotImage& image) {
   total += static_cast<std::uint64_t>(g.num_vertices() + 1) * 4;
   total += static_cast<std::uint64_t>(g.num_edges()) * 2 * sizeof(Arc);
   for (const EntryImage& e : image.entries) {
-    // The live pool holds the H subgraph's CSR (edges + arcs + offsets), the
-    // g→H translation table, and the in_h bitmap.
+    // The live pool holds the H subgraph's CSR (edges + arcs + offsets) and
+    // the g→H translation table.
     total += static_cast<std::uint64_t>(e.edges.size()) *
              (sizeof(Edge) + 2 * sizeof(Arc) + sizeof(EdgeId));
     total += static_cast<std::uint64_t>(g.num_vertices() + 1) * 4;
-    total += g.num_edges() / 8;  // vector<bool> in_h
   }
   for (const BaselineImage& b : image.baselines) {
     total += static_cast<std::uint64_t>(b.hops.size()) * 4 * 5;  // five arrays

@@ -33,40 +33,68 @@ std::uint64_t pack_pool_key(Vertex source, unsigned budget, FaultModel model) {
 
 }  // namespace
 
-OracleService::Entry::Entry(const Graph& g, std::span<const EdgeId> edges)
-    : edge_count(edges.size()), engine(g, edges), in_h(g.num_edges(), false) {
-  for (const EdgeId e : edges) in_h[e] = true;
+std::string pool_entry_name(std::string_view algo, Vertex source,
+                            unsigned budget) {
+  return std::string(algo) + "@s" + std::to_string(source) + "f" +
+         std::to_string(budget);
 }
-
-OracleService::Entry::Entry(const Graph& g)
-    : name("identity"),
-      budget(std::numeric_limits<unsigned>::max()),
-      identity(true),
-      edge_count(g.num_edges()),
-      engine(g) {}
 
 OracleService::OracleService(const Graph& g, ServiceConfig config)
     : g_(&g),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards),
-      lazy_builds_(config.cache_shards) {
-  Entry identity(*g_);  // entry 0: ground truth, always available
-  configure_engine(identity);
-  entries_.push_back(std::move(identity));
+      cache_(config.cache_capacity, kScenarioCacheShards) {
+  // Entry 0: ground truth, always available.
+  publish(Entry{.name = "identity",
+                .algorithm = {},
+                .source = 0,
+                .budget = std::numeric_limits<unsigned>::max(),
+                .model = FaultModel::kEdge,
+                .exact = true,
+                .engine = FaultQueryEngine(*g_)},
+          NameClash::kAssertUnique);
 }
 
-// The one place an entry's engine picks up the service-level query-path
-// config; every Entry must pass through here before it is published.
-void OracleService::configure_engine(Entry& entry) const {
+BuildRequest OracleService::build_request(Vertex source, unsigned budget,
+                                          FaultModel model) const {
+  BuildRequest req;
+  req.graph = g_;
+  req.sources = {source};
+  req.fault_budget = budget;
+  req.fault_model = model;
+  req.weight_seed = config_.weight_seed;
+  req.options.jobs = config_.build_jobs;
+  return req;
+}
+
+OracleService::Entry OracleService::build_entry(std::string name,
+                                                Vertex source, unsigned budget,
+                                                FaultModel model,
+                                                const std::string& algo,
+                                                BuildResult* built) const {
+  const BuilderRegistry& reg = BuilderRegistry::instance();
+  BuildResult result = reg.build(algo, build_request(source, budget, model));
+  const BuilderTraits* traits = reg.find(result.algorithm);
+  Entry entry{.name = std::move(name),
+              .algorithm = result.algorithm,
+              .source = source,
+              .budget = budget,
+              .model = model,
+              .exact = traits == nullptr || traits->exact,
+              .engine = FaultQueryEngine(*g_, result.structure.edges)};
+  if (built != nullptr) *built = std::move(result);
+  return entry;
+}
+
+std::size_t OracleService::publish(Entry entry, NameClash clash) {
+  FTBFS_EXPECTS(!entry.name.empty());
   entry.engine.set_delta_options(
       FaultQueryEngine::DeltaOptions{.enabled = config_.delta_queries});
-}
-
-std::size_t OracleService::publish_entry(Entry entry) {
   const std::unique_lock lock(pool_mutex_);
-  // Racing eager adds can take any name first; a lazy build keeps its
-  // deterministic base name unless the name is genuinely occupied.
-  while (find_entry_locked(entry.name) >= 0) entry.name += "+";
+  if (clash == NameClash::kAssertUnique) {
+    FTBFS_EXPECTS(find_entry_locked(entry.name) < 0);
+  } else {
+    while (find_entry_locked(entry.name) >= 0) entry.name += "+";
+  }
   entries_.push_back(std::move(entry));
   return entries_.size() - 1;
 }
@@ -76,21 +104,15 @@ std::size_t OracleService::add_structure(std::string name, Vertex source,
                                          FaultModel model,
                                          std::span<const EdgeId> edges,
                                          bool exact) {
-  FTBFS_EXPECTS(!name.empty());
   FTBFS_EXPECTS(source < g_->num_vertices());
-  Entry entry(*g_, edges);  // subgraph materialization, outside any lock
-  entry.name = std::move(name);
-  entry.source = source;
-  entry.budget = fault_budget;
-  entry.model = model;
-  entry.exact = exact;
-  configure_engine(entry);
-  {
-    const std::unique_lock lock(pool_mutex_);
-    FTBFS_EXPECTS(find_entry_locked(entry.name) < 0);
-    entries_.push_back(std::move(entry));
-    return entries_.size() - 1;
-  }
+  return publish(Entry{.name = std::move(name),
+                       .algorithm = {},
+                       .source = source,
+                       .budget = fault_budget,
+                       .model = model,
+                       .exact = exact,
+                       .engine = FaultQueryEngine(*g_, edges)},
+                 NameClash::kAssertUnique);
 }
 
 std::size_t OracleService::build_structure(std::string name, Vertex source,
@@ -98,29 +120,12 @@ std::size_t OracleService::build_structure(std::string name, Vertex source,
                                            FaultModel model,
                                            std::string_view algo,
                                            BuildResult* built) {
-  const BuilderRegistry& reg = BuilderRegistry::instance();
   const std::string chosen =
       algo.empty() ? BuilderRegistry::default_builder(fault_budget, model, 1)
                    : std::string(algo);
-  BuildRequest req;
-  req.graph = g_;
-  req.sources = {source};
-  req.fault_budget = fault_budget;
-  req.fault_model = model;
-  req.weight_seed = config_.weight_seed;
-  req.options.jobs = config_.build_jobs;
-  FTBFS_EXPECTS(reg.unsupported_reason(chosen, req).empty());
-  BuildResult result = reg.build(chosen, req);
-  const BuilderTraits* traits = reg.find(result.algorithm);
-  const std::size_t idx =
-      add_structure(std::move(name), source, fault_budget, model,
-                    result.structure.edges, traits == nullptr || traits->exact);
-  {
-    const std::unique_lock lock(pool_mutex_);
-    entries_[idx].algorithm = result.algorithm;
-  }
-  if (built != nullptr) *built = std::move(result);
-  return idx;
+  return publish(
+      build_entry(std::move(name), source, fault_budget, model, chosen, built),
+      NameClash::kAssertUnique);
 }
 
 ServiceStats OracleService::stats() const {
@@ -165,7 +170,7 @@ const std::string& OracleService::entry_name(std::size_t entry) const {
 std::uint64_t OracleService::entry_edges(std::size_t entry) const {
   const std::shared_lock lock(pool_mutex_);
   FTBFS_EXPECTS(entry < entries_.size());
-  return entries_[entry].edge_count;
+  return entries_[entry].engine.structure_edges();
 }
 
 FaultQueryEngine& OracleService::engine(std::size_t entry) {
@@ -183,7 +188,8 @@ int OracleService::find_entry_locked(std::string_view name) const {
 
 bool OracleService::serves_exactly(const Entry& e, Vertex source,
                                    const CanonicalFaultSet& canon) const {
-  if (e.identity) return true;  // ground truth serves anything exactly
+  // Ground truth serves anything exactly.
+  if (e.engine.is_identity()) return true;
   return e.source == source && e.exact &&
          model_covers(e.model, !canon.edges().empty(),
                       !canon.vertices().empty()) &&
@@ -206,7 +212,7 @@ ScenarioKeyView OracleService::cache_key(
   // projected edge count keeps the edge/vertex boundary unambiguous.
   words.push_back(0);  // patched to the projected edge count below
   for (const EdgeId f : canon.edges()) {
-    if (e.identity || e.in_h[f]) words.push_back(f);
+    if (e.engine.contains_edge(f)) words.push_back(f);
   }
   words[2] = static_cast<std::uint32_t>(words.size() - 3);
   for (const Vertex v : canon.vertices()) words.push_back(v);
@@ -251,7 +257,7 @@ void OracleService::fill_payload(ServePlan& plan, const QueryRequest& req,
                                  QueryResponse& resp) {
   Entry& e = *plan.e;
   resp.served_by = e.name;
-  if (e.identity) {
+  if (e.engine.is_identity()) {
     counters_.identity_served.fetch_add(1, std::memory_order_relaxed);
   }
   const FaultSpec faults = canon.spec();
@@ -515,7 +521,9 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
       }
       if (!serves_exactly(e, req.source, canon)) continue;
       if (best < 0 ||
-          e.edge_count < entries_[static_cast<std::size_t>(best)].edge_count) {
+          e.engine.structure_edges() <
+              entries_[static_cast<std::size_t>(best)]
+                  .engine.structure_edges()) {
         best = static_cast<int>(i);
       }
     }
@@ -528,14 +536,9 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
         config_.default_budget, static_cast<unsigned>(canon.size()));
     const std::string algo =
         BuilderRegistry::default_builder(budget, model, 1);
-    BuildRequest breq;
-    breq.graph = g_;
-    breq.sources = {req.source};
-    breq.fault_budget = budget;
-    breq.fault_model = model;
-    breq.weight_seed = config_.weight_seed;
-    breq.options.jobs = config_.build_jobs;
-    if (BuilderRegistry::instance().unsupported_reason(algo, breq).empty()) {
+    if (BuilderRegistry::instance()
+            .unsupported_reason(algo, build_request(req.source, budget, model))
+            .empty()) {
       // Exactly-once under racing requests: the first claimant builds (with
       // no lock held — racing requests for other keys keep flowing), racers
       // block on the cell and reuse the published entry.
@@ -552,20 +555,10 @@ OracleService::Admission OracleService::admit(const QueryRequest& req) {
             static fp::Failpoint& fp_build = fp::site("service.build_alloc");
             if (fp::fail_errno(fp_build) != 0) throw std::bad_alloc();
           }
-          const BuildResult result =
-              BuilderRegistry::instance().build(algo, breq);
-          const BuilderTraits* traits =
-              BuilderRegistry::instance().find(result.algorithm);
-          Entry entry(*g_, result.structure.edges);
-          entry.name = algo + "@s" + std::to_string(req.source) + "f" +
-                       std::to_string(budget);
-          entry.algorithm = result.algorithm;
-          entry.source = req.source;
-          entry.budget = budget;
-          entry.model = model;
-          entry.exact = traits == nullptr || traits->exact;
-          configure_engine(entry);
-          built = static_cast<int>(publish_entry(std::move(entry)));
+          built = static_cast<int>(
+              publish(build_entry(pool_entry_name(algo, req.source, budget),
+                                  req.source, budget, model, algo),
+                      NameClash::kRename));
           counters_.structures_built.fetch_add(1, std::memory_order_relaxed);
         } catch (const std::exception& ex) {
           // Publish the failure so racers wake instead of hanging on the

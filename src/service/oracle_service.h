@@ -23,11 +23,11 @@
 // Every answer comes from some entry's FaultQueryEngine.
 //
 // Concurrency: serve() is safe under any number of racing callers. The
-// scenario cache and the lazy-build bookkeeping are lock-striped shards
-// (service/shard.h) — cache hits take one shared lock, BFS runs on scratch
-// leased from the entry's engine, a structure is built exactly once per pool
-// key no matter how many requests race for it, and all serving counters are
-// relaxed atomics. Each serve() call splits into a short *admission* section
+// scenario cache is lock-striped (service/shard.h) — cache hits take one
+// shared lock — BFS runs on scratch leased from the entry's engine, a
+// structure is built exactly once per pool key no matter how many requests
+// race for it (one BuildOnceMap latch), and all serving counters are relaxed
+// atomics. Each serve() call splits into a short *admission* section
 // (validation, routing, lazy-build trigger, cache probe — everything that
 // reads or advances shared serving state) and a long *execution* section
 // (the BFS / cache wait / payload copy, which runs on private state).
@@ -53,7 +53,19 @@
 
 namespace ftbfs {
 
+struct BuildRequest;
 struct BuildResult;
+
+// Lock stripes of the scenario cache. Residency near capacity (and so the
+// hit/miss stream the serve goldens pin) depends on this count.
+inline constexpr unsigned kScenarioCacheShards = 8;
+
+// The pool name of the structure `algo` builds for (source, budget), e.g.
+// "cons2ftbfs@s0f2": the name a lazy build publishes under, and the name
+// `ftbfs build --out` gives its entries so a loaded pool matches a lazily
+// built one request for request.
+[[nodiscard]] std::string pool_entry_name(std::string_view algo, Vertex source,
+                                          unsigned budget);
 
 struct ServiceConfig {
   // Fault budget targeted by lazily built structures (the paper's regime).
@@ -66,6 +78,8 @@ struct ServiceConfig {
   // request for a source the pool does not cover refuses with kUnknownSource.
   bool lazy_build = true;
   // Scenario-cache capacity in (entry, fault set) lines; 0 disables caching.
+  // The cache is striped over kScenarioCacheShards shards, each evicting by
+  // CLOCK within a ceil(capacity / shards) slice.
   std::size_t cache_capacity = 256;
   std::uint64_t weight_seed = 1;  // tie-breaking weights for lazy builds
   // Worker threads for structure builds — eager build_structure() and the
@@ -75,13 +89,6 @@ struct ServiceConfig {
   // responses and goldens never depend on it; only the first-request build
   // stall shrinks.
   unsigned build_jobs = 0;
-  // Lock-striping width of the scenario cache and lazy-build map. More shards
-  // spread racing requests over more locks; 1 degenerates to a single lock.
-  // Eviction is per-shard CLOCK over a ceil(capacity/shards) slice, so which
-  // lines stay resident — and therefore hit/miss totals near capacity —
-  // depends (approximately) on the shard count; far from capacity the
-  // accounting is shard-count-independent.
-  unsigned cache_shards = 8;
   // Fault-delta query path of the pool engines (docs/perf.md): answer from
   // the per-source baseline tree when the fault set misses it, repair only
   // the damaged subtrees otherwise. Off = every cache miss pays a full
@@ -204,6 +211,10 @@ class OracleService {
   // scenario cache to export an image, and rebuilds both from one.
   friend struct PersistAccess;
 
+  // One pool entry. Its engine is the one record of the structure's edges
+  // (contains_edge), size (structure_edges) and identity-ness; the fields
+  // here are what the engine does not know. Built as an aggregate and
+  // published once, never modified after.
   struct Entry {
     std::string name;
     // BuilderRegistry name that produced the structure; empty for prebuilt
@@ -214,16 +225,7 @@ class OracleService {
     unsigned budget = 0;
     FaultModel model = FaultModel::kEdge;
     bool exact = true;
-    bool identity = false;
-    std::uint64_t edge_count = 0;  // routing cost proxy
     FaultQueryEngine engine;
-    // G edge id → edge present in the structure; empty for identity. Used to
-    // project cache keys onto H: faults absent from H cannot change answers,
-    // so scenarios differing only in absent edges share one cache line.
-    std::vector<bool> in_h;
-
-    Entry(const Graph& g, std::span<const EdgeId> edges);
-    explicit Entry(const Graph& g);  // identity
   };
 
   // Armed the moment a request reserves a pending cache line: if the request
@@ -284,10 +286,29 @@ class OracleService {
   [[nodiscard]] int find_entry_locked(std::string_view name) const;
   [[nodiscard]] Entry& entry_ref(std::size_t entry);
 
-  // Applies the service-level query-path config (delta on/off, fallback
-  // threshold) to an entry's engine; every entry passes through here before
-  // it is published.
-  void configure_engine(Entry& entry) const;
+  // Registry request for one structure of this service's graph, with the
+  // service's weight seed and build jobs.
+  [[nodiscard]] BuildRequest build_request(Vertex source, unsigned budget,
+                                           FaultModel model) const;
+
+  // The one builder of pool entries: runs `algo` through the BuilderRegistry
+  // and returns the complete entry, its algorithm and exactness taken from
+  // the registry's traits. A non-null `built` receives the registry's result.
+  [[nodiscard]] Entry build_entry(std::string name, Vertex source,
+                                  unsigned budget, FaultModel model,
+                                  const std::string& algo,
+                                  BuildResult* built = nullptr) const;
+
+  // What publish() does when the entry's name is already in the pool.
+  enum class NameClash {
+    kAssertUnique,  // a contract violation: eager adds and restores
+    kRename,        // append '+' until free: a lazy build racing eager adds
+  };
+
+  // The one way into the pool: applies the service-level query-path config
+  // to the entry's engine, then appends the entry under the pool's exclusive
+  // lock. Returns the entry index.
+  std::size_t publish(Entry entry, NameClash clash);
 
   // True if `e` answers exactly for (source, canonical faults).
   [[nodiscard]] bool serves_exactly(const Entry& e, Vertex source,
@@ -301,10 +322,6 @@ class OracleService {
       const Entry& e, std::size_t entry, Vertex source,
       const CanonicalFaultSet& canon,
       std::vector<std::uint32_t>& words) const;
-
-  // Appends a published entry under the pool's exclusive lock, de-duplicating
-  // the name against racing eager adds. Returns the entry index.
-  std::size_t publish_entry(Entry entry);
 
   // Admission: probes the scenario cache and decides who computes what.
   void plan_payload(ServePlan& plan, const QueryRequest& req,

@@ -130,7 +130,7 @@ struct ParsedRequest {
 };
 
 // Maps a tenant name ("" = default) to the graph faults should resolve
-// against, or nullptr when no such tenant exists. TenantRegistry::resolver()
+// against, or nullptr when no such tenant exists. LineJob's pinning lambda
 // is the multi-graph implementation; single-graph callers use the Graph&
 // overload below.
 using GraphResolver = std::function<const Graph*(const std::string& tenant)>;

@@ -1,5 +1,5 @@
-// Lock-striped shards for the serving substrate: the scenario cache and the
-// lazy-build key map of OracleService, both safe under concurrent callers.
+// The serving substrate's shared maps, both safe under concurrent callers:
+// the lock-striped scenario cache and the lazy-build latch of OracleService.
 //
 // Design (after the multi-core work-sharing playbook — shard state by key,
 // keep the read path cheap, pay exclusive locks only to publish):
@@ -47,7 +47,9 @@
 //     entries, keyed by packed (source, budget, fault model). The first
 //     requester claims the cell and builds with no lock held; racers wait on
 //     the cell and reuse the published entry index, guaranteeing a structure
-//     is built exactly once per key under racing requests.
+//     is built exactly once per key under racing requests. It is claimed
+//     only when no pool entry serves a request exactly — about once per key
+//     — so it is one mutex over one map, not striped.
 //
 // Per-shard hit/miss/eviction counters are relaxed atomics aggregated on
 // read, so serving stats never take a global lock. Each counter sits on its
@@ -505,20 +507,11 @@ class BuildOnceMap {
     bool owner = false;  // this caller must build and publish()
   };
 
-  explicit BuildOnceMap(unsigned shard_count)
-      : shards_(std::max(1u, shard_count)) {}
-
   // First claimant of a key becomes the owner (and must publish, even on
   // failure, or racers hang); everyone else shares the owner's cell.
   Claim claim(std::uint64_t key) {
-    Shard& shard = shards_[key % shards_.size()];
-    {
-      const std::shared_lock lock(shard.mutex);
-      const auto it = shard.cells.find(key);
-      if (it != shard.cells.end()) return Claim{it->second, false};
-    }
-    const std::unique_lock lock(shard.mutex);
-    const auto [it, inserted] = shard.cells.try_emplace(key);
+    const std::lock_guard lock(mutex_);
+    const auto [it, inserted] = cells_.try_emplace(key);
     if (inserted) it->second = std::make_shared<Cell>();
     return Claim{it->second, inserted};
   }
@@ -546,18 +539,13 @@ class BuildOnceMap {
   // forget, so the next request re-attempts the build instead of being
   // refused forever on a transient failure.
   void forget(std::uint64_t key) {
-    Shard& shard = shards_[key % shards_.size()];
-    const std::unique_lock lock(shard.mutex);
-    shard.cells.erase(key);
+    const std::lock_guard lock(mutex_);
+    cells_.erase(key);
   }
 
  private:
-  struct Shard {
-    std::shared_mutex mutex;
-    std::unordered_map<std::uint64_t, CellPtr> cells;
-  };
-
-  std::vector<Shard> shards_;
+  std::mutex mutex_;
+  std::unordered_map<std::uint64_t, CellPtr> cells_;
 };
 
 }  // namespace ftbfs

@@ -151,13 +151,6 @@ std::size_t TenantRegistry::size() const {
   return tenants_.size();
 }
 
-GraphResolver TenantRegistry::resolver() {
-  return [this](const std::string& tenant) -> const Graph* {
-    Tenant* t = find(tenant);
-    return t == nullptr ? nullptr : &t->graph;
-  };
-}
-
 std::vector<TenantStats> TenantRegistry::stats() const {
   const std::shared_lock lock(mutex_);
   std::vector<TenantStats> out;

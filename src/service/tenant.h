@@ -273,11 +273,6 @@ class TenantRegistry {
     for (const auto& t : tenants_) fn(*t);
   }
 
-  // Adapter for parse_request_line: tenant name → graph to resolve against.
-  // The returned graph pointer is only stable while the tenant is pinned —
-  // LineJob uses the pinning resolver below instead.
-  [[nodiscard]] GraphResolver resolver();
-
   // Per-tenant snapshots (live tenants first, then still-draining retired
   // ones), and their sum — the process-wide serving picture. global_stats()
   // is exactly the field-wise sum of stats(): per-tenant accounting never

@@ -5,6 +5,8 @@
     under "builds", each structure's own build stats (phase seconds,
     fault pairs, kernel counters), agreeing with `build --stats json`
     without --out for the same source;
+  * a `build --out` snapshot names its entry as a lazy build would, so
+    `serve --load` answers from it and builds nothing;
   * a CRLF copy of the golden graph serves the golden stream byte for byte;
   * a vertex count past the limit, a duplicate edge and a self-loop each
     exit 1 with a `line N:` message;
@@ -64,6 +66,25 @@ def check_snapshot_stats(binary, tmp):
     print("ok  build --stats json --out reports each build's stats")
 
 
+def check_snapshot_entry_name(binary, tmp):
+    snap = os.path.join(tmp, "named.ftb")
+    proc = run(binary, "build", "--graph", GRAPH, "--source", "0", "--budget",
+               "2", "--out", snap)
+    if proc.returncode != 0:
+        raise SystemExit(f"build --out exited {proc.returncode}:\n"
+                         f"{proc.stderr.decode(errors='replace')}")
+    proc = run(binary, "serve", "--graph", GRAPH, "--load", snap,
+               stdin=b'{"id":1,"source":0,"targets":[3]}\n')
+    out = proc.stdout.decode(errors="replace")
+    err = proc.stderr.decode(errors="replace")
+    if proc.returncode != 0 or '"served_by":"cons2ftbfs@s0f2"' not in out:
+        raise SystemExit(f"serve --load exited {proc.returncode}; expected "
+                         f"the answer from cons2ftbfs@s0f2:\n{out}{err}")
+    if "0 lazy builds" not in err:
+        raise SystemExit(f"serve --load built a structure:\n{err}")
+    print("ok  build --out names entries the way a lazy build does")
+
+
 def check_crlf_graph(binary, tmp):
     crlf = os.path.join(tmp, "crlf.txt")
     with open(GRAPH, "rb") as src, open(crlf, "wb") as dst:
@@ -117,6 +138,7 @@ def main():
     binary = ap.parse_args().binary
     with tempfile.TemporaryDirectory() as tmp:
         check_snapshot_stats(binary, tmp)
+        check_snapshot_entry_name(binary, tmp)
         check_crlf_graph(binary, tmp)
         check_load_errors(binary, tmp)
         check_gen_probability(binary, tmp)

@@ -290,6 +290,26 @@ TEST(PersistRoundTrip, FileStaysUnderTwiceResidentBytes) {
       << image_resident_bytes(image);
 }
 
+// Sections encode on a crew of up to `jobs` workers; the file must not
+// depend on how many there were.
+TEST(PersistRoundTrip, SnapshotBytesIndependentOfJobs) {
+  const Graph g = grid_graph(5, 8);
+  OracleService built(g, test_config());
+  (void)serve_all(built, make_requests(g, 13));
+  const SnapshotImage image = PersistAccess::export_service(built, true);
+  ASSERT_GT(image.entries.size(), 0u);
+  ASSERT_GT(image.baselines.size(), 0u);
+  ASSERT_GT(image.cache_lines.size(), 0u);  // all four sections present
+
+  const std::string path = temp_path("jobs.ftb");
+  save_snapshot(path, image, 1);
+  const std::string reference = slurp(path);
+  for (const unsigned jobs : {0u, 2u, 4u, 8u}) {
+    save_snapshot(path, image, jobs);
+    EXPECT_EQ(slurp(path), reference) << "jobs=" << jobs;
+  }
+}
+
 // --- corruption fuzz ---------------------------------------------------------
 
 // One small snapshot every corruption test mutates: a couple of structures,

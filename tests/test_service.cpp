@@ -14,6 +14,7 @@
 #include "service/protocol.h"
 #include "sim/failure_sim.h"
 #include "spath/bfs.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace ftbfs {
@@ -268,26 +269,36 @@ TEST(Service, CacheProjectsFaultsOntoStructure) {
 }
 
 TEST(Service, LruEvictsOldScenarios) {
-  const Graph g = cycle_graph(12);
+  // One line per shard: churn through more scenarios than the cache holds.
+  // The exact CLOCK victim order is pinned at one shard by the ShardedCache
+  // tests; here the service must stay within capacity, account every miss
+  // as a resident line or an eviction, and answer re-served scenarios the
+  // same whether they come from the cache or a recomputation.
+  const Graph g = cycle_graph(24);
   ServiceConfig config;
-  config.cache_capacity = 2;
-  // Eviction is per-shard CLOCK; one shard makes the victim sequence exact
-  // (capacity 2 in one shard, third scenario evicts the oldest untouched).
-  config.cache_shards = 1;
+  config.cache_capacity = kScenarioCacheShards;
   OracleService service(g, config);
   QueryRequest req;
   req.source = 0;
   req.kind = QueryKind::kAllDistances;
-  req.fault_edges = {0};
-  (void)service.serve(req);  // miss, cached
-  req.fault_edges = {1};
-  (void)service.serve(req);  // miss, cached
-  req.fault_edges = {2};
-  (void)service.serve(req);  // miss, evicts {0}
-  req.fault_edges = {0};
-  EXPECT_FALSE(service.serve(req).cache_hit);
-  req.fault_edges = {2};
-  EXPECT_TRUE(service.serve(req).cache_hit);
+  std::vector<std::vector<EdgeId>> scenarios;
+  for (EdgeId e = 0; e < 24; ++e) scenarios.push_back({e});
+  for (EdgeId e = 0; e < 24; e += 3) scenarios.push_back({e, (e + 7) % 24});
+  std::vector<std::vector<std::uint32_t>> first;
+  for (const auto& faults : scenarios) {
+    req.fault_edges = faults;
+    const QueryResponse resp = service.serve(req);
+    ASSERT_EQ(resp.status, StatusCode::kOk);
+    first.push_back(resp.distances);
+  }
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    req.fault_edges = scenarios[i];
+    EXPECT_EQ(service.serve(req).distances, first[i]) << "scenario " << i;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_GE(stats.cache_misses, scenarios.size());
+  EXPECT_LE(stats.cache_lines, config.cache_capacity);
+  EXPECT_EQ(stats.cache_evictions, stats.cache_misses - stats.cache_lines);
 }
 
 // --- routing ---------------------------------------------------------------
@@ -319,6 +330,30 @@ TEST(Service, LazyBuildPopulatesPoolOnce) {
   EXPECT_EQ(service.stats().structures_built, 1u);
   (void)service.serve(distance_request(0, {9}, {3}));
   EXPECT_EQ(service.pool_size(), 2u);  // same shape reuses the entry
+  EXPECT_EQ(service.stats().structures_built, 1u);
+}
+
+TEST(Service, FailedLazyBuildRefusesThenRetries) {
+  struct DisarmOnExit {
+    ~DisarmOnExit() { fp::disarm_all(); }
+  } disarm;
+  ASSERT_TRUE(fp::arm("service.build_alloc=err(ENOMEM,count=1)"));
+  const Graph g = erdos_renyi(30, 0.2, 21);
+  OracleService service(g);
+  const QueryRequest req = distance_request(0, {5}, {1, 2});
+
+  const QueryResponse failed = service.serve(req);
+  EXPECT_EQ(failed.status, StatusCode::kOverloaded);
+  EXPECT_EQ(failed.error.rfind("lazy structure build failed (", 0), 0u)
+      << failed.error;
+  EXPECT_EQ(service.pool_size(), 1u);  // nothing published
+  EXPECT_EQ(service.stats().structures_built, 0u);
+
+  // The failure dropped the build key: the same request builds once now.
+  const QueryResponse retried = service.serve(req);
+  EXPECT_EQ(retried.status, StatusCode::kOk);
+  EXPECT_EQ(retried.served_by, pool_entry_name("cons2ftbfs", 0, 2));
+  EXPECT_EQ(service.pool_size(), 2u);
   EXPECT_EQ(service.stats().structures_built, 1u);
 }
 

@@ -400,9 +400,8 @@ int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
     one.sources = {s};
     const std::string reason = reg.unsupported_reason(chosen, one);
     if (!reason.empty()) registry_fail(reason);
-    service.build_structure(chosen + "@s" + std::to_string(s) + "f" +
-                                std::to_string(req.fault_budget),
-                            s, req.fault_budget, req.fault_model, chosen,
+    service.build_structure(pool_entry_name(chosen, s, req.fault_budget), s,
+                            req.fault_budget, req.fault_model, chosen,
                             json ? &builds[i] : nullptr);
   }
   // Entry i+1 is sources[i] (entry 0 is the identity engine); prebuilding the
