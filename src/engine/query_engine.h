@@ -287,10 +287,6 @@ class FaultQueryEngine {
   }
 
  private:
-  // Snapshot persistence (src/persist/service_io.cpp) exports built baselines
-  // and installs restored ones without re-running their BFS.
-  friend struct PersistAccess;
-
   // Tier-0 precompute for one source: the fault-free BFS over H plus the
   // subtree indexing the per-query classification runs on. Immutable once
   // published; built lazily on the first query from that source.

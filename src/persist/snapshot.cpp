@@ -14,6 +14,7 @@
 #include <cstring>
 #include <span>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "core/build_parallel.h"
@@ -31,7 +32,9 @@ constexpr std::array<char, 8> kMagic = {'F', 'T', 'B', 'S', 'N', 'A', 'P', '1'};
 
 constexpr std::uint32_t kSectionGraph = 1;
 constexpr std::uint32_t kSectionEntries = 2;
-constexpr std::uint32_t kSectionBaselines = 3;
+// Tag 3 is retired: files written before the baseline BFS trees were dropped
+// carry them there, and the loader skips it like any tag it does not decode.
+// Never reuse it.
 constexpr std::uint32_t kSectionCache = 4;
 
 // Fixed-size header prefix covered by the header CRC. 48 bytes, followed by
@@ -472,12 +475,20 @@ std::vector<EntryImage> decode_entries(ByteReader& r, const Graph& g) {
   }
   std::vector<EntryImage> out;
   out.reserve(count);
+  std::unordered_set<std::string> names;
   for (std::uint32_t i = 0; i < count; ++i) {
     EntryImage e;
     e.name = r.str(4096);
     e.algorithm = r.str(4096);
     if (e.name.empty()) {
       fail(SnapshotStatus::kMalformed, "entry with an empty name");
+    }
+    // Restore publishes each entry under its own name next to the pool's
+    // entry 0, "identity"; a clash there would be a broken invariant, so a
+    // file that asks for one is rejected here.
+    if (e.name == "identity" || !names.insert(e.name).second) {
+      fail(SnapshotStatus::kMalformed,
+           "entry name '" + e.name + "' is not unique in the pool");
     }
     e.source = r.u32();
     e.budget = r.u32();
@@ -505,55 +516,6 @@ std::vector<EntryImage> decode_entries(ByteReader& r, const Graph& g) {
       prev = id;
     }
     out.push_back(std::move(e));
-  }
-  return out;
-}
-
-void encode_baselines(ByteWriter& w,
-                      const std::vector<BaselineImage>& baselines) {
-  w.u32(static_cast<std::uint32_t>(baselines.size()));
-  for (const BaselineImage& b : baselines) {
-    w.u32(b.entry);
-    w.u32(b.source);
-    w.u32_array(b.hops);
-    w.u32_array(b.parent);
-    w.u32_array(b.parent_edge);
-    w.u32_array(b.visit_order);
-    w.u32_array(b.preorder_pos);
-    w.u32_array(b.subtree_size);
-  }
-}
-
-std::vector<BaselineImage> decode_baselines(ByteReader& r, const Graph& g,
-                                            std::size_t entry_count) {
-  const std::uint32_t count = r.u32();
-  if (count > 1u << 20) {
-    fail(SnapshotStatus::kMalformed, "implausible baseline count");
-  }
-  const std::size_t n = g.num_vertices();
-  std::vector<BaselineImage> out;
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    BaselineImage b;
-    b.entry = r.u32();
-    b.source = r.u32();
-    b.hops = r.u32_array(n);
-    b.parent = r.u32_array(n);
-    b.parent_edge = r.u32_array(n);
-    b.visit_order = r.u32_array(n);
-    b.preorder_pos = r.u32_array(n);
-    b.subtree_size = r.u32_array(n);
-    // Shape checks only; the tree itself is validated against the entry's H
-    // at install time (service_io.cpp), where the subgraph exists.
-    if (b.entry > entry_count ||  // entry 0 is the identity engine
-        b.source >= n || b.hops.size() != n || b.parent.size() != n ||
-        b.parent_edge.size() != n || b.preorder_pos.size() != n ||
-        b.subtree_size.size() != n || b.visit_order.empty() ||
-        b.visit_order.size() > n) {
-      fail(SnapshotStatus::kMalformed,
-           "baseline " + std::to_string(i) + " has inconsistent shape");
-    }
-    out.push_back(std::move(b));
   }
   return out;
 }
@@ -634,22 +596,40 @@ const char* to_string(SnapshotStatus status) {
 }
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  // Table generated on first use; thread-safe since C++11 static init.
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: t[k][b] is the CRC of byte b followed by k zero bytes, so
+  // one step folds eight input bytes through eight table reads instead of
+  // eight dependent ones. The checksum of every section is verified on each
+  // load, which makes this loop most of a snapshot load; the values are those
+  // of the one-table bytewise loop. Tables built on first use (thread-safe
+  // static init).
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = tables[k - 1][i];
+        tables[k][i] = tables[0][prev & 0xff] ^ (prev >> 8);
+      }
+    }
+    return tables;
   }();
   std::uint32_t crc = seed ^ 0xffffffffu;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = read_u32(p) ^ crc;
+    const std::uint32_t hi = read_u32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
@@ -688,7 +668,6 @@ void save_snapshot(const std::string& path, const SnapshotImage& image,
   std::vector<Section> sections;
   sections.push_back({kSectionGraph, {}, 0});
   sections.push_back({kSectionEntries, {}, 0});
-  sections.push_back({kSectionBaselines, {}, 0});
   if (!image.cache_lines.empty()) {
     sections.push_back({kSectionCache, {}, 0});
   }
@@ -703,9 +682,6 @@ void save_snapshot(const std::string& path, const SnapshotImage& image,
         break;
       case kSectionEntries:
         encode_entries(s.payload, image.entries);
-        break;
-      case kSectionBaselines:
-        encode_baselines(s.payload, image.baselines);
         break;
       default:
         encode_cache(s.payload, image.cache_lines);
@@ -895,11 +871,6 @@ SnapshotImage load_snapshot(const std::string& path,
     image.entries = decode_entries(r, image.graph);
     r.done();
   }
-  if (const TocEntry* sec = find_section(kSectionBaselines)) {
-    ByteReader r = reader_for(*sec, "baselines");
-    image.baselines = decode_baselines(r, image.graph, image.entries.size());
-    r.done();
-  }
   if (const TocEntry* sec = find_section(kSectionCache)) {
     ByteReader r = reader_for(*sec, "cache");
     image.cache_lines = decode_cache(r, image.graph, image.entries.size());
@@ -924,14 +895,11 @@ std::uint64_t image_resident_bytes(const SnapshotImage& image) {
   total += static_cast<std::uint64_t>(g.num_edges()) * 2 * sizeof(Arc);
   for (const EntryImage& e : image.entries) {
     // The live pool holds the H subgraph's CSR (edges + arcs + offsets) and
-    // the g→H translation table.
+    // the g→H translation table, one slot per edge of G.
     total += static_cast<std::uint64_t>(e.edges.size()) *
-             (sizeof(Edge) + 2 * sizeof(Arc) + sizeof(EdgeId));
+             (sizeof(Edge) + 2 * sizeof(Arc));
     total += static_cast<std::uint64_t>(g.num_vertices() + 1) * 4;
-  }
-  for (const BaselineImage& b : image.baselines) {
-    total += static_cast<std::uint64_t>(b.hops.size()) * 4 * 5;  // five arrays
-    total += static_cast<std::uint64_t>(b.visit_order.size()) * 4;
+    total += static_cast<std::uint64_t>(g.num_edges()) * sizeof(EdgeId);
   }
   for (const CacheLineImage& line : image.cache_lines) {
     total += static_cast<std::uint64_t>(line.key_words.size()) * 4;

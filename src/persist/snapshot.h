@@ -3,7 +3,8 @@
 // structures", after ltsmin's GCF archive layer: a checksummed container of
 // typed streams a tool can ship between runs).
 //
-// One .ftb file holds everything a process needs to serve without rebuilding:
+// One .ftb file holds everything a process needs to serve without rebuilding
+// a structure:
 //   * the input graph as raw CSR arrays (edge list, adjacency offsets, arcs),
 //     loaded by memcpy + O(n+m) structural validation instead of re-parsing
 //     and re-sorting an edge list;
@@ -11,11 +12,11 @@
 //     budget, fault model, exactness), provenance algorithm, and the kept
 //     edge ids of G — in pool order, so a restored pool reproduces entry
 //     indices, names, and routing byte-for-byte;
-//   * per-(entry, source) baseline BFS trees (hops/parent/parent_edge), the
-//     BFS discovery order, and the TreeIndex preorder positions + subtree
-//     sizes the fault-delta query path classifies against;
 //   * optionally, a warm image of the scenario cache: packed keys plus their
 //     delta-compressed (or full) payloads.
+// The fault-free BFS trees the query engines classify against are not
+// stored: each is one O(n + |H|) BFS over a restored H, which costs no more
+// than checking a stored tree would (service_io.h rebuilds them at restore).
 //
 // Layout (all integers little-endian):
 //
@@ -32,7 +33,7 @@
 // corrupted, truncated, or wrong-version file is rejected with a typed
 // SnapshotError — never undefined behavior. Checksums are verified per
 // section before any payload is trusted; structural validation (offsets
-// monotone, ids in range, trees well-formed) runs after, so even a file
+// monotone, ids in range, entry names unique) runs after, so even a file
 // crafted to pass its CRCs cannot drive an out-of-bounds index into the
 // engine. Versioning policy and the mmap-vs-buffered trade-off are documented
 // in docs/persistence.md.
@@ -110,21 +111,6 @@ struct EntryImage {
   std::vector<EdgeId> edges;  // kept edge ids of G, sorted unique
 };
 
-struct BaselineImage {
-  std::uint32_t entry = 0;  // pool entry index (0 = identity engine)
-  Vertex source = 0;
-  // The fault-free BFS over the entry's H, in the engine's own layout.
-  std::vector<std::uint32_t> hops;
-  std::vector<Vertex> parent;
-  std::vector<EdgeId> parent_edge;
-  std::vector<Vertex> visit_order;  // BFS discovery order (repair tie-break)
-  // TreeIndex preorder positions + subtree sizes; stored so a loaded baseline
-  // can be cross-checked against the index rebuilt from the tree — a
-  // mismatch means the sections disagree and the file is rejected.
-  std::vector<std::uint32_t> preorder_pos;
-  std::vector<std::uint32_t> subtree_size;
-};
-
 struct CacheLineImage {
   std::vector<std::uint32_t> key_words;  // packed scenario key (entry first)
   bool delta = false;
@@ -135,7 +121,6 @@ struct CacheLineImage {
 struct SnapshotImage {
   Graph graph;
   std::vector<EntryImage> entries;
-  std::vector<BaselineImage> baselines;
   std::vector<CacheLineImage> cache_lines;
 };
 
@@ -174,7 +159,7 @@ struct SnapshotLoadOptions {
     const std::string& path);
 
 // Approximate in-memory bytes of the state the image captures (CSR arrays,
-// per-entry structures, baselines, cache payloads). The CI artifact gate
+// per-entry structures, cache payloads). The CI artifact gate
 // holds the snapshot file below 2x this figure.
 [[nodiscard]] std::uint64_t image_resident_bytes(const SnapshotImage& image);
 

@@ -219,7 +219,7 @@ class TenantRegistry {
 
   // Registers a tenant whose graph and structure pool come from a .ftb
   // snapshot (src/persist/): the snapshot's graph becomes the tenant's, its
-  // entries/baselines are restored into the service, and `warm_cache`
+  // entries are restored into the service, and `warm_cache`
   // pre-fills the scenario cache from the snapshot's cache image. When
   // `graph_path` is non-empty, that file is loaded first and its fingerprint
   // must match the snapshot's — a snapshot built from a different graph is

@@ -8,6 +8,10 @@ byte for byte:
   * stdin, sequential (the inline loop);
   * stdin, --threads 4, three runs (NetServer with stdin as its connection);
   * stdin, --threads 4 behind `serve --load` of a snapshot saved by a cold run;
+  * stdin, --threads 1 and 4 behind `serve --load` of the committed
+    tests/golden/serve_snapshot_with_baselines.ftb, a --save of the golden
+    stream in the older layout that still stores baseline BFS trees (section
+    tag 3, which the loader now skips);
   * socket (--listen), exact, at 1 and 4 workers;
   * stdin, --mode relaxed --threads 4: a permutation of the golden stream.
 
@@ -49,6 +53,7 @@ import socket_client  # noqa: E402  (check_relaxed, the golden comparators)
 GRAPH = os.path.join(GOLDEN, "serve_graph.txt")
 REQUESTS = os.path.join(GOLDEN, "serve_requests.jsonl")
 RESPONSES = os.path.join(GOLDEN, "serve_responses.jsonl")
+OLD_SNAPSHOT = os.path.join(GOLDEN, "serve_snapshot_with_baselines.ftb")
 MAX_LINE = 1 << 20
 
 
@@ -251,6 +256,10 @@ def main():
         expect_golden("stdin --load --threads 4",
                       serve(binary, requests, "--load", snapshot,
                             "--threads", "4"), golden)
+    for threads in ("1", "4"):
+        expect_golden(f"stdin --load (stored baselines) --threads {threads}",
+                      serve(binary, requests, "--load", OLD_SNAPSHOT,
+                            "--threads", threads), golden)
 
     relaxed = serve(binary, requests, "--graph", GRAPH, "--threads", "4",
                     "--mode", "relaxed")

@@ -243,8 +243,9 @@ TEST(PersistRoundTrip, WarmCacheRestoreMatchesModuloCacheHit) {
   }
 }
 
-// Restored baselines feed the fault-delta fast path directly: a no-fault
-// distance query after restore is answered from the loaded tree, not a BFS.
+// Restore rebuilds each entry's baseline tree, so the first faulted query
+// after a load is answered on the fault-delta fast or repair path, not by a
+// full BFS.
 TEST(PersistRoundTrip, RestoredBaselinesServeTheFastPath) {
   const Graph g = cycle_graph(32);
   OracleService built(g, test_config());
@@ -255,7 +256,6 @@ TEST(PersistRoundTrip, RestoredBaselinesServeTheFastPath) {
   (void)built.serve(req);
 
   const SnapshotImage image = PersistAccess::export_service(built, false);
-  ASSERT_GT(image.baselines.size(), 0u);
   const std::string path = temp_path("fastpath.ftb");
   save_snapshot(path, image);
 
@@ -298,8 +298,7 @@ TEST(PersistRoundTrip, SnapshotBytesIndependentOfJobs) {
   (void)serve_all(built, make_requests(g, 13));
   const SnapshotImage image = PersistAccess::export_service(built, true);
   ASSERT_GT(image.entries.size(), 0u);
-  ASSERT_GT(image.baselines.size(), 0u);
-  ASSERT_GT(image.cache_lines.size(), 0u);  // all four sections present
+  ASSERT_GT(image.cache_lines.size(), 0u);  // all three sections present
 
   const std::string path = temp_path("jobs.ftb");
   save_snapshot(path, image, 1);
@@ -310,11 +309,89 @@ TEST(PersistRoundTrip, SnapshotBytesIndependentOfJobs) {
   }
 }
 
+// crc32 reads eight bytes per step; it must give the bytewise CRC-32 (IEEE)
+// at every length and alignment, and chain through `seed`, or files written
+// by earlier builds would fail their checksums.
+TEST(PersistChecksum, MatchesTheBytewiseCrc32) {
+  const auto bytewise = [](const unsigned char* p, std::size_t size) {
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) != 0 ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xffffffffu;
+  };
+  EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);  // the standard check value
+  Rng rng(3);
+  std::vector<unsigned char> bytes(64);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.next_below(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; offset + size <= bytes.size(); ++size) {
+      const unsigned char* p = bytes.data() + offset;
+      const std::uint32_t want = bytewise(p, size);
+      EXPECT_EQ(crc32(p, size), want) << offset << "+" << size;
+      const std::size_t half = size / 2;
+      EXPECT_EQ(crc32(p + half, size - half, crc32(p, half)), want)
+          << offset << "+" << size << " split at " << half;
+    }
+  }
+}
+
+// A live entry is resident as its H subgraph's CSR (edges, arcs, offsets)
+// plus its engine's g→H table, which holds one slot per edge of G.
+TEST(PersistRoundTrip, ResidentBytesCountEachEntrysGToHTablePerGraphEdge) {
+  SnapshotImage image;
+  image.graph = grid_graph(4, 5);  // n = 20, m = 31
+  const std::uint64_t graph_only = image_resident_bytes(image);
+  EntryImage entry;
+  entry.name = "h";
+  entry.edges = {0, 1, 2, 3, 4};
+  image.entries.push_back(entry);
+  // 5 kept edges × (8-byte Edge + two 8-byte Arcs) + 21 offsets × 4 + 31 × 4.
+  EXPECT_EQ(image_resident_bytes(image) - graph_only, 5u * 24 + 21 * 4 + 31 * 4);
+}
+
+// Two entries with one name, or an entry named "identity" (the name of every
+// pool's entry 0), cannot be restored into a pool: the loader rejects the
+// file, so neither `load_snapshot` nor a tenant built from it gets that far.
+void expect_entry_names_rejected(const std::vector<std::string>& names,
+                                 const std::string& tag) {
+  SnapshotImage image;
+  image.graph = cycle_graph(8);
+  for (const std::string& name : names) {
+    EntryImage entry;
+    entry.name = name;
+    entry.edges = {0, 1, 2, 3, 4, 5, 6};
+    image.entries.push_back(entry);
+  }
+  const std::string path = temp_path(tag + ".ftb");
+  save_snapshot(path, image, 1);
+  try {
+    (void)load_snapshot(path);
+    FAIL() << tag << ": snapshot loaded";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.status(), SnapshotStatus::kMalformed) << e.what();
+  }
+  TenantRegistry registry;
+  EXPECT_THROW(registry.add_from_snapshot("alpha", path), SnapshotError);
+  EXPECT_EQ(registry.size(), 0u) << tag;
+}
+
+TEST(PersistEntries, DuplicateEntryNamesAreMalformed) {
+  expect_entry_names_rejected({"a@s0f2", "b@s1f2", "a@s0f2"}, "dup_names");
+}
+
+TEST(PersistEntries, EntryNamedIdentityIsMalformed) {
+  expect_entry_names_rejected({"a@s0f2", "identity"}, "identity_name");
+}
+
 // --- corruption fuzz ---------------------------------------------------------
 
-// One small snapshot every corruption test mutates: a couple of structures,
-// baselines, and cache lines keep every section type present while the file
-// stays small enough to fuzz exhaustively.
+// One small snapshot every corruption test mutates: a couple of structures
+// and cache lines keep every section type present while the file stays small
+// enough to fuzz exhaustively.
 class PersistCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -355,11 +432,6 @@ class PersistCorruption : public ::testing::Test {
       EXPECT_EQ(got.entries[i].name, image_.entries[i].name);
       EXPECT_EQ(got.entries[i].edges, image_.entries[i].edges);
       EXPECT_EQ(got.entries[i].exact, image_.entries[i].exact);
-    }
-    ASSERT_EQ(got.baselines.size(), image_.baselines.size());
-    for (std::size_t i = 0; i < got.baselines.size(); ++i) {
-      EXPECT_EQ(got.baselines[i].hops, image_.baselines[i].hops);
-      EXPECT_EQ(got.baselines[i].parent, image_.baselines[i].parent);
     }
     ASSERT_EQ(got.cache_lines.size(), image_.cache_lines.size());
     for (std::size_t i = 0; i < got.cache_lines.size(); ++i) {

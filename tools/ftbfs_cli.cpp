@@ -3,13 +3,14 @@
 // Subcommands (each has `--help` with the full flag table):
 //   gen      generate a benchmark graph family to an edge-list file
 //   build    construct an FT-BFS structure; --out writes the kept edges, or a
-//            versioned .ftb snapshot (graph CSR + structures + baselines —
+//            versioned .ftb snapshot (graph CSR + structures —
 //            docs/persistence.md) when the path ends in .ftb
 //   verify   check a structure file against its fault-tolerance contract
 //   query    one-shot distance/path under a fault set
 //   serve    JSONL oracle service over stdin or TCP (docs/serving.md);
 //            --load restores the structure pool from a snapshot instead of
-//            rebuilding, --save writes one at drain
+//            rebuilding (each structure's baseline BFS tree is rebuilt at
+//            restore), --save writes one at drain
 //   algos    list the registered structure builders
 //   version  print the tool and snapshot-format versions
 //   help     subcommand listing (help <command> = that command's --help)
@@ -135,7 +136,7 @@ FlagParser build_parser() {
              "edge");
   p.optional("out", "<file>",
              "write the kept edges; a .ftb path writes a snapshot instead "
-             "(graph + structures + baselines, docs/persistence.md)");
+             "(graph + structures, docs/persistence.md)");
   p.optional("stats", "plain|json", "build report format", "plain");
   p.optional("seed", "<int>", "tie-breaking weight seed", "1");
   p.optional("jobs", "<n>",
@@ -179,8 +180,9 @@ FlagParser serve_parser() {
                "connection with --listen), responses on stdout");
   p.optional("graph", "<file>", "host graph for the default tenant");
   p.optional("load", "<snap.ftb>",
-             "restore the default tenant's pool/baselines from a snapshot "
-             "(with --graph, the graph fingerprints must match)");
+             "restore the default tenant's pool from a snapshot, rebuilding "
+             "each structure's baseline BFS tree (with --graph, the graph "
+             "fingerprints must match)");
   p.optional("save", "<snap.ftb>",
              "write the default tenant's pool + warm cache as a snapshot at "
              "drain");
@@ -361,9 +363,9 @@ void print_stats_json(const Graph& g, const BuildResult& r) {
 
 // `build --out snap.ftb`: build one structure per source through a quiesced
 // OracleService (so pool entry names/indices match what `serve` would create
-// lazily), prebuild each per-source baseline tree, and export the whole pool
-// as a snapshot. `serve --load snap.ftb` then reaches first-response
-// readiness with zero construction work.
+// lazily) and export the whole pool as a snapshot. `serve --load snap.ftb`
+// then reaches first-response readiness with zero construction work: restore
+// runs one BFS per structure for its baseline tree.
 int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
                    const std::string& out, const std::string& stats_mode) {
   const BuilderRegistry& reg = BuilderRegistry::instance();
@@ -404,12 +406,6 @@ int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
                             req.fault_budget, req.fault_model, chosen,
                             json ? &builds[i] : nullptr);
   }
-  // Entry i+1 is sources[i] (entry 0 is the identity engine); prebuilding the
-  // per-source baselines is what makes a loaded snapshot fast-path-ready
-  // without a warmup query.
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    (void)service.engine(i + 1).baseline_hops(sources[i]);
-  }
   const double build_seconds = timer.seconds();
 
   const SnapshotImage image = PersistAccess::export_service(service, false);
@@ -418,11 +414,10 @@ int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
 
   if (json) {
     std::printf("{\"snapshot\":\"%s\",\"algorithm\":\"%s\",\"n\":%u,"
-                "\"m\":%u,\"entries\":%zu,\"baselines\":%zu,\"bytes\":%llu,"
+                "\"m\":%u,\"entries\":%zu,\"bytes\":%llu,"
                 "\"resident_bytes\":%llu,\"seconds\":%.6f,\"builds\":[",
                 out.c_str(), chosen.c_str(), g.num_vertices(), g.num_edges(),
-                image.entries.size(), image.baselines.size(),
-                static_cast<unsigned long long>(bytes),
+                image.entries.size(), static_cast<unsigned long long>(bytes),
                 static_cast<unsigned long long>(image_resident_bytes(image)),
                 build_seconds);
     // Each structure's own build stats, as `build --stats json` without
@@ -440,9 +435,8 @@ int build_snapshot(const Graph& g, const FlagParser& p, const BuildRequest& req,
                   static_cast<unsigned long long>(service.entry_edges(i + 1)),
                   g.num_edges());
     }
-    std::printf("wrote snapshot %s: %zu structures, %zu baselines, %llu bytes "
-                "(%.2fs)\n",
-                out.c_str(), image.entries.size(), image.baselines.size(),
+    std::printf("wrote snapshot %s: %zu structures, %llu bytes (%.2fs)\n",
+                out.c_str(), image.entries.size(),
                 static_cast<unsigned long long>(bytes), build_seconds);
   }
   return 0;
@@ -962,10 +956,10 @@ int cmd_serve(const FlagParser& p) {
         registry.default_tenant()->service, /*include_cache=*/true);
     save_snapshot(p.get("save"), image);
     std::fprintf(stderr,
-                 "saved snapshot %s: %zu structures, %zu baselines, %zu cache "
-                 "lines, %llu bytes\n",
+                 "saved snapshot %s: %zu structures, %zu cache lines, %llu "
+                 "bytes\n",
                  p.get("save").c_str(), image.entries.size(),
-                 image.baselines.size(), image.cache_lines.size(),
+                 image.cache_lines.size(),
                  static_cast<unsigned long long>(
                      file_size_bytes(p.get("save"))));
   };
