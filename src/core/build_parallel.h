@@ -23,12 +23,6 @@
 
 namespace ftbfs {
 
-// Filled by the parallel constructions; surfaced as a registry counter so the
-// CLI and benches can report the crew a build actually used.
-struct ParallelBuildReport {
-  unsigned workers = 1;  // effective worker count after clamping
-};
-
 // Runs work(worker, idx) once for every idx < count on `workers` threads, the
 // caller's among them (worker 0), claiming indices in ascending order from an
 // atomic cursor. workers <= 1 is a plain loop on the caller's thread.

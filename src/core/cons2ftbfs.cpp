@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/build_parallel.h"
 #include "core/selector.h"
 #include "structure/newending.h"
 #include "util/concurrency.h"
@@ -15,34 +16,8 @@
 namespace ftbfs {
 namespace {
 
-// Per-worker storage for detour vertices: fixed-size chunks that never move,
-// so slots can point into them while later detours are added.
-class DetourArena {
- public:
-  const Vertex* store(std::span<const Vertex> d) {
-    if (chunks_.empty() || used_ + d.size() > capacity_) {
-      capacity_ = std::max(kChunk, d.size());
-      chunks_.emplace_back(new Vertex[capacity_]);
-      used_ = 0;
-    }
-    Vertex* out = chunks_.back().get() + used_;
-    std::copy(d.begin(), d.end(), out);
-    used_ += d.size();
-    stored_ += d.size();
-    return out;
-  }
-  [[nodiscard]] std::uint64_t stored() const { return stored_; }
-
- private:
-  static constexpr std::size_t kChunk = std::size_t{1} << 12;
-  std::vector<std::unique_ptr<Vertex[]>> chunks_;
-  std::size_t used_ = 0;
-  std::size_t capacity_ = 0;
-  std::uint64_t stored_ = 0;
-};
-
-// Step (1)'s selection for one (target v, π edge i): the compact form of
-// SingleFaultChoice, with the detour in a worker's arena.
+// Step (1)'s selection for one (target v, π edge i), as v's run reads it: a
+// view of v's choice in the batch of e_i.
 struct SelectionSlot {
   const Vertex* detour_data = nullptr;
   std::uint32_t detour_size = 0;
@@ -56,54 +31,24 @@ struct SelectionSlot {
   }
 };
 
-// Step (1) for every target, filled tree edge by tree edge before the
-// per-target runs and read-only afterwards, since selections never read H.
-// One slot per (v, i), row v holding π(s,v)'s depth(v) edges.
-class SelectionTable {
- public:
-  SelectionTable(const TreeIndex& idx, Vertex n, unsigned workers)
-      : row_begin_(std::size_t{n} + 1, 0), arenas_(workers) {
-    for (Vertex v = 0; v < n; ++v) {
-      row_begin_[v + 1] = row_begin_[v] + (idx.reached(v) ? idx.depth(v) : 0);
-    }
-    slots_.resize(row_begin_[n]);
+// v's row, one slot per edge of π = π(s, v), read from step (1)'s batches,
+// each kept in the slot of its tree edge's child c. A batch lists c's subtree
+// in preorder, so v's choice in it sits at preorder(v) − preorder(c); a batch
+// not kept reads as disconnected.
+void read_row(const std::vector<SingleFaultBatch>& step1, const TreeIndex& idx,
+              const Path& pi, std::vector<SelectionSlot>& row) {
+  row.assign(pi.size() - 1, SelectionSlot{});
+  const std::uint32_t pre_v = idx.preorder_index(pi.back());
+  for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
+    const SingleFaultBatch& batch = step1[pi[i + 1]];
+    if (batch.choices.empty()) continue;
+    const SingleFaultChoice& c =
+        batch.choices[pre_v - idx.preorder_index(pi[i + 1])];
+    FTBFS_ENSURES(c.target == pi.back());
+    row[i] = {batch.detour(c).data(), c.detour_size, c.x_pi_index,
+              c.y_pi_index, c.last_edge};
   }
-
-  // Worker `worker` records every selection of one batch.
-  void fill(unsigned worker, const SingleFaultBatch& batch) {
-    for (const SingleFaultChoice& c : batch.choices) {
-      SelectionSlot& slot = slots_[row_begin_[c.target] + batch.pi_index];
-      if (!c.connected()) continue;
-      slot.detour_data = arenas_[worker].store(batch.detour(c));
-      slot.detour_size = c.detour_size;
-      slot.x_pi_index = c.x_pi_index;
-      slot.y_pi_index = c.y_pi_index;
-      slot.last_edge = c.last_edge;
-    }
-  }
-
-  [[nodiscard]] std::span<const SelectionSlot> row(Vertex v) const {
-    return {slots_.data() + row_begin_[v],
-            static_cast<std::size_t>(row_begin_[v + 1] - row_begin_[v])};
-  }
-
-  // Its (v, e) pairs: Σ_v depth(v).
-  [[nodiscard]] std::uint64_t pairs() const { return slots_.size(); }
-
-  // Slots plus stored detour vertices; the chunk slack, which depends on
-  // the worker count, is not counted.
-  [[nodiscard]] std::uint64_t bytes() const {
-    std::uint64_t detour_verts = 0;
-    for (const DetourArena& a : arenas_) detour_verts += a.stored();
-    return slots_.size() * sizeof(SelectionSlot) +
-           detour_verts * sizeof(Vertex);
-  }
-
- private:
-  std::vector<std::uint64_t> row_begin_;
-  std::vector<SelectionSlot> slots_;
-  std::vector<DetourArena> arenas_;
-};
+}
 
 // Everything one target contributes, applied to the shared state by its
 // commit (build_parallel.h). Every edge in `added` is incident to the target
@@ -113,7 +58,7 @@ struct VertexOutcome {
   std::vector<NewEndingRecord> records;
   PathClassCounts classes;  // classification of `records` (when enabled)
   Path pi;                  // π(s,v), kept for the record_sink call
-  std::uint64_t fault_pairs = 0;  // steps (2) and (3); step (1)'s are the table's
+  std::uint64_t fault_pairs = 0;  // steps (2) and (3); step (1) counts its own
   std::uint64_t fallbacks = 0;
   KernelCounts kernels;
 };
@@ -238,7 +183,7 @@ class PerVertexRun {
     return p;
   }
 
-  // The selections come from the table; only their last edges are kept here.
+  // The selections come from the batches; only their last edges are kept here.
   void step1() {
     for (std::size_t i = 0; i < selections_.size(); ++i) {
       const SelectionSlot& si = selections_[i];
@@ -522,7 +467,7 @@ class PerVertexRun {
   Path pi_;
   bool classify_;
 
-  std::span<const SelectionSlot> selections_;  // step (1), from the table
+  std::span<const SelectionSlot> selections_;  // step (1): v's row
   std::vector<EdgeId> allowed_v_edges_;  // E_τ(v): the kept v-edges
   std::vector<EdgeId> unkept_v_edges_;   // v's other G-edges
   // Least T0 depth of a v-neighbour across an unkept edge (kInfHops if none).
@@ -534,6 +479,7 @@ struct Cons2Workspace {
   PathSelector sel;
   VertexIndexMap pi_pos;
   VertexIndexMap aux_pos;
+  std::vector<SelectionSlot> row;  // the running target's step-(1) row
   Cons2Workspace(const Graph& g, const WeightAssignment& w,
                  const SelectorBaseline& base)
       : sel(g, w, &base),
@@ -568,6 +514,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     if (v != s && tree.reached(v)) {
       targets.push_back(v);
+      h.stats.fault_pairs_considered += tree.hops(v);  // step (1): π's edges
       if (!in_h[tree.parent_edge[v]]) {
         in_h[tree.parent_edge[v]] = 1;
         ++h.stats.tree_edges;
@@ -576,6 +523,7 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
   }
 
   const unsigned workers = resolve_jobs(opt.jobs, targets.size());
+  h.stats.build_workers = workers;
   std::vector<std::unique_ptr<Cons2Workspace>> pool;
   std::vector<PathSelector*> selectors;
   for (unsigned t = 0; t < workers; ++t) {
@@ -583,19 +531,31 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
     selectors.push_back(&pool.back()->sel);
   }
 
-  // Step (1) for every target, one tree edge at a time.
+  // Step (1) for every target, one tree edge at a time. Each batch is kept in
+  // the slot of its edge's child c, read-only once the phase ends since
+  // selections never read H. Removing a tree edge cuts off all of c's subtree
+  // or none of it, because the subtree's own T0 edges survive: a batch whose
+  // first choice, c's own, is disconnected belongs to a bridge and leaves
+  // steps (2) and (3) nothing to read.
   const Timer step1_timer;
-  SelectionTable table(base.index(), g.num_vertices(), workers);
+  std::vector<SingleFaultBatch> step1(g.num_vertices());
   for_each_single_fault_batch(
       base, selectors, opt.progress,
-      [&table](unsigned worker, const SingleFaultBatch& batch) {
-        table.fill(worker, batch);
+      [&step1](unsigned, SingleFaultBatch& batch) {
+        const SingleFaultChoice& first = batch.choices.front();
+        if (!first.connected()) return;
+        // Kept to the end of the build: drop the buffer's growth slack.
+        batch.detour_verts.shrink_to_fit();
+        step1[first.target] = std::move(batch);
       });
   for (const PathSelector* sel : selectors) {
     h.stats.kernels += sel->kernel_counts();
   }
-  h.stats.fault_pairs_considered = table.pairs();
-  h.stats.selection_table_bytes = table.bytes();
+  for (const SingleFaultBatch& batch : step1) {
+    h.stats.selection_table_bytes +=
+        batch.choices.size() * sizeof(SingleFaultChoice) +
+        batch.detour_verts.size() * sizeof(Vertex);
+  }
   h.stats.step1_seconds = step1_timer.seconds();
 
   // Steps (2) and (3), per target in dependency order (build_parallel.h):
@@ -655,10 +615,11 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
       [&](unsigned worker, std::size_t k) {
         Cons2Workspace& ws = *pool[worker];
         const Vertex v = targets[k];
+        Path pi = extract_path(tree, v);
+        read_row(step1, base.index(), pi, ws.row);
         outcomes[worker] =
             PerVertexRun(g, base, ws.sel, ws.pi_pos, ws.aux_pos, s, v,
-                         extract_path(tree, v), table.row(v), in_h,
-                         opt.classify_paths)
+                         std::move(pi), ws.row, in_h, opt.classify_paths)
                 .run();
       },
       [&](unsigned worker, std::size_t k, const ReleaseFn& release) {
@@ -668,7 +629,6 @@ FtStructure build_cons2ftbfs(const Graph& g, Vertex s,
         });
       });
   h.stats.steps23_seconds = steps23_timer.seconds();
-  if (opt.parallel_report != nullptr) opt.parallel_report->workers = workers;
 
   h.stats.dijkstra_runs = 1 + h.stats.kernels.sweeps();  // + the tree
   for (EdgeId e = 0; e < g.num_edges(); ++e) {

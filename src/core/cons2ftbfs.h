@@ -21,7 +21,6 @@
 #include <functional>
 #include <vector>
 
-#include "core/build_parallel.h"
 #include "core/ftbfs_common.h"
 #include "graph/graph.h"
 #include "spath/path.h"
@@ -45,8 +44,8 @@ struct Cons2Options {
                      const std::vector<NewEndingRecord>& records)>
       record_sink;
   // Worker threads; 0 = auto (hardware), 1 = sequential. Step (1) runs
-  // first, one tree edge at a time for every target below it, into a table
-  // (selections never read H). Steps (2) and (3) then run per target, each
+  // first, one tree edge at a time for every target below it, and keeps
+  // each edge's batch (selections never read H). Steps (2) and (3) then run per target, each
   // once every lower-numbered target joined to it by a non-tree edge has
   // committed — the only targets whose work it can observe — so the
   // structure and every stats field are byte-identical at any value
@@ -57,8 +56,6 @@ struct Cons2Options {
   // is stats.fault_pairs_considered. Lets long builds report throughput (the
   // bench_e13 n=10^5 jobs sweep samples it from a forked child).
   std::atomic<std::uint64_t>* progress = nullptr;
-  // Optional: filled with the parallel schedule actually used.
-  ParallelBuildReport* parallel_report = nullptr;
 };
 
 // Builds a dual-failure FT-BFS structure rooted at s. Vertices unreachable

@@ -98,11 +98,16 @@ struct FtBfsStats {
   std::uint64_t fault_pairs_considered = 0;
   std::uint64_t dijkstra_runs = 0;
   std::uint64_t divergence_fallbacks = 0;  // defensive-path fallbacks (expect 0)
-  // Cons2FTBFS: bytes of its step-(1) selection table — one slot per (v, e)
-  // with e on π(s,v), plus the detour vertices — O(Σ_v depth(v) + Σ|D|),
-  // which is at most a constant times fault_pairs_considered.
+  // Cons2FTBFS: bytes of the step-(1) selections it keeps for steps 2–3 —
+  // 24 per (v, e) with e on π(s,v) and not a bridge, plus 4 per detour
+  // vertex — O(Σ_v depth(v) + Σ|D|), which is at most a constant times
+  // fault_pairs_considered. Below a bridge nothing is kept.
   std::uint64_t selection_table_bytes = 0;
   KernelCounts kernels;  // how the selection kernels answered (no tree SSSP)
+  // Parallel builds: the crew size actually used, after clamping (for a
+  // multi-source union, the largest crew of any source). Not a result: it
+  // follows the job count.
+  unsigned build_workers = 1;
   // Cons2FTBFS: wall seconds of step (1)'s batches and of steps (2)–(3).
   // Timings, not results: unlike every other field they vary run to run.
   double step1_seconds = 0.0;

@@ -31,6 +31,8 @@ FtMbfsResult build_union(const Graph& g, std::span<const Vertex> sources,
     out.structure.stats.max_new_per_vertex =
         std::max(out.structure.stats.max_new_per_vertex,
                  h.stats.max_new_per_vertex);
+    out.structure.stats.build_workers =
+        std::max(out.structure.stats.build_workers, h.stats.build_workers);
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (in_h[e]) out.structure.edges.push_back(e);
@@ -48,16 +50,8 @@ FtMbfsResult build_cons2ftmbfs(const Graph& g,
   one.classify_paths = false;
   one.jobs = opt.jobs;
   one.progress = opt.progress;
-  ParallelBuildReport agg;
-  ParallelBuildReport inner;
-  one.parallel_report = &inner;
-  FtMbfsResult out = build_union(g, sources, [&](Vertex s) {
-    FtStructure h = build_cons2ftbfs(g, s, one);
-    agg.workers = std::max(agg.workers, inner.workers);
-    return h;
-  });
-  if (opt.parallel_report != nullptr) *opt.parallel_report = agg;
-  return out;
+  return build_union(g, sources,
+                     [&](Vertex s) { return build_cons2ftbfs(g, s, one); });
 }
 
 FtMbfsResult build_single_ftmbfs(const Graph& g,
@@ -67,16 +61,8 @@ FtMbfsResult build_single_ftmbfs(const Graph& g,
   one.weight_seed = opt.weight_seed;
   one.jobs = opt.jobs;
   one.progress = opt.progress;
-  ParallelBuildReport agg;
-  ParallelBuildReport inner;
-  one.parallel_report = &inner;
-  FtMbfsResult out = build_union(g, sources, [&](Vertex s) {
-    FtStructure h = build_single_ftbfs(g, s, one);
-    agg.workers = std::max(agg.workers, inner.workers);
-    return h;
-  });
-  if (opt.parallel_report != nullptr) *opt.parallel_report = agg;
-  return out;
+  return build_union(g, sources,
+                     [&](Vertex s) { return build_single_ftbfs(g, s, one); });
 }
 
 }  // namespace ftbfs

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <span>
 
-#include "core/build_parallel.h"
 #include "core/ftbfs_common.h"
 #include "graph/graph.h"
 
@@ -25,9 +24,6 @@ struct FtMbfsOptions {
   // Optional: grows by the finished fault pairs of every per-source build
   // (single_ftbfs.h / cons2ftbfs.h semantics).
   std::atomic<std::uint64_t>* progress = nullptr;
-  // Optional: the schedules of the per-source builds, aggregated — workers is
-  // the largest crew any source used.
-  ParallelBuildReport* parallel_report = nullptr;
 };
 
 struct FtMbfsResult {

@@ -672,7 +672,7 @@ void block_pi_segment(GraphMask& mask, const Path& pi, std::size_t k,
   }
 }
 
-const SingleFaultBatch& PathSelector::select_below(
+SingleFaultBatch& PathSelector::select_below(
     const SelectorBaseline& b, EdgeId e, std::span<const Vertex> targets) {
   const TreeIndex& idx = b.index();
   const Vertex c = b.edge_child(e);
@@ -680,7 +680,6 @@ const SingleFaultBatch& PathSelector::select_below(
   const std::uint32_t i = idx.depth(c) - 1;
   batch_ = SingleFaultBatch{};
   SingleFaultBatch& out = batch_;
-  out.pi_index = i;
   Path pi(std::size_t{i} + 2);  // π[0 .. i+1], the root path of c
   Vertex up = c;
   for (std::size_t j = pi.size(); j-- > 0; up = idx.parent(up)) pi[j] = up;
@@ -832,8 +831,8 @@ const SingleFaultBatch& PathSelector::select_below(
   return out;
 }
 
-const SingleFaultBatch& select_single_faults_below(PathSelector& sel,
-                                                   Vertex s, EdgeId e) {
+SingleFaultBatch& select_single_faults_below(PathSelector& sel, Vertex s,
+                                             EdgeId e) {
   const SelectorBaseline& b = sel.baseline(s);
   const Vertex c = b.edge_child(e);
   FTBFS_EXPECTS(c != kInvalidVertex);
@@ -873,8 +872,7 @@ std::optional<SingleFaultSelection> select_single_fault(
 void for_each_single_fault_batch(
     const SelectorBaseline& base, std::span<PathSelector* const> selectors,
     std::atomic<std::uint64_t>* progress,
-    const std::function<void(unsigned worker, const SingleFaultBatch&)>&
-        sink) {
+    const std::function<void(unsigned worker, SingleFaultBatch&)>& sink) {
   FTBFS_EXPECTS(!selectors.empty());
   const TreeIndex& idx = base.index();
   // Tree edges by their child, the largest subtree first: the edges near the
@@ -886,14 +884,14 @@ void for_each_single_fault_batch(
   });
   run_claimed(order.size(), static_cast<unsigned>(selectors.size()),
               [&](unsigned worker, std::size_t k) {
-                const SingleFaultBatch& batch = select_single_faults_below(
+                SingleFaultBatch& batch = select_single_faults_below(
                     *selectors[worker], base.source(),
                     idx.parent_edge(order[k]));
-                sink(worker, batch);
                 if (progress != nullptr) {
                   progress->fetch_add(batch.choices.size(),
                                       std::memory_order_relaxed);
                 }
+                sink(worker, batch);
               });
 }
 

@@ -146,7 +146,6 @@ struct SingleFaultChoice {
 
 // Step (1) for every target below one tree edge e = (π[i], π[i+1]).
 struct SingleFaultBatch {
-  std::uint32_t pi_index = 0;               // i
   std::vector<SingleFaultChoice> choices;   // one per target, in input order
   std::vector<Vertex> detour_verts;         // the choices' detours, concatenated
 
@@ -220,9 +219,8 @@ class PathSelector {
   [[nodiscard]] const KernelCounts& kernel_counts() const { return kernels_; }
 
  private:
-  friend const SingleFaultBatch& select_single_faults_below(PathSelector& sel,
-                                                            Vertex s,
-                                                            EdgeId e);
+  friend SingleFaultBatch& select_single_faults_below(PathSelector& sel,
+                                                      Vertex s, EdgeId e);
   friend std::optional<SingleFaultSelection> select_single_fault(
       PathSelector& sel, const Path& pi, const VertexIndexMap& pi_pos,
       std::size_t i);
@@ -316,8 +314,8 @@ class PathSelector {
   [[nodiscard]] Vertex swept_parent(Vertex x) const;
   [[nodiscard]] EdgeId swept_parent_edge(Vertex x) const;
   // The batch below tree edge e for `targets`, a subset of subtree(child(e)).
-  const SingleFaultBatch& select_below(const SelectorBaseline& b, EdgeId e,
-                                       std::span<const Vertex> targets);
+  SingleFaultBatch& select_below(const SelectorBaseline& b, EdgeId e,
+                                 std::span<const Vertex> targets);
 
   const Graph* graph_;
   const WeightAssignment* weights_;
@@ -428,9 +426,11 @@ struct SingleFaultSelection {
 // source); every later pass asks whether its targets are still at those
 // distances, so it searches backward from them first and falls back to the
 // same forward passes when that gives up. Each pass stops once the farthest
-// target it serves is final. The result lives in `sel` until its next call.
-[[nodiscard]] const SingleFaultBatch& select_single_faults_below(
-    PathSelector& sel, Vertex s, EdgeId e);
+// target it serves is final. The result lives in `sel` until its next call,
+// and the caller may move it out. Its choices list subtree(child(e)) in
+// preorder.
+[[nodiscard]] SingleFaultBatch& select_single_faults_below(PathSelector& sel,
+                                                           Vertex s, EdgeId e);
 
 // The same selection for the single target v = π.back() and the π edge at
 // position i (edge (π[i], π[i+1])); nullopt when v is disconnected from s in
@@ -444,11 +444,12 @@ struct SingleFaultSelection {
 // Runs select_single_faults_below for every tree edge of `base`, on one
 // worker per selector (each built over `base`): workers claim edges from an
 // atomic cursor, the largest subtree first. sink(worker, batch) sees each
-// batch once, on the worker that computed it. `progress`, if given, grows by
-// each batch's target count — its fault pairs — as the batch finishes.
+// batch once, on the worker that computed it, and may move it away.
+// `progress`, if given, grows by each batch's target count — its fault
+// pairs — as the batch finishes, before the sink sees it.
 void for_each_single_fault_batch(
     const SelectorBaseline& base, std::span<PathSelector* const> selectors,
     std::atomic<std::uint64_t>* progress,
-    const std::function<void(unsigned worker, const SingleFaultBatch&)>& sink);
+    const std::function<void(unsigned worker, SingleFaultBatch&)>& sink);
 
 }  // namespace ftbfs

@@ -40,6 +40,7 @@ FtStructure build_single_ftbfs(const Graph& g, Vertex s,
   // depend on the order the tree edges are processed in.
   std::vector<std::atomic<std::uint8_t>> candidate(g.num_edges());
   const unsigned workers = resolve_jobs(opt.jobs, targets);
+  h.stats.build_workers = workers;
   std::vector<std::unique_ptr<PathSelector>> pool;
   std::vector<PathSelector*> selectors;
   for (unsigned t = 0; t < workers; ++t) {
@@ -77,10 +78,6 @@ FtStructure build_single_ftbfs(const Graph& g, Vertex s,
         std::max(h.stats.max_new_per_vertex, ++new_at[owner]);
   }
 
-  if (opt.parallel_report != nullptr) {
-    *opt.parallel_report = ParallelBuildReport{};
-    opt.parallel_report->workers = workers;
-  }
   h.stats.dijkstra_runs = 1 + h.stats.kernels.sweeps();  // + the tree
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (in_h[e]) h.edges.push_back(e);

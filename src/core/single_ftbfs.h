@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "core/build_parallel.h"
 #include "core/ftbfs_common.h"
 #include "graph/graph.h"
 
@@ -30,8 +29,6 @@ struct SingleFtbfsOptions {
   // long builds report throughput (the bench_e13 n=10^5 jobs sweep samples
   // it from a forked child).
   std::atomic<std::uint64_t>* progress = nullptr;
-  // Optional: filled with the parallel schedule actually used.
-  ParallelBuildReport* parallel_report = nullptr;
 };
 
 // Builds a single-edge-failure FT-BFS structure rooted at s.

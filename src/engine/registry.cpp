@@ -36,11 +36,8 @@ BuildResult build_single(const BuildRequest& req) {
   SingleFtbfsOptions opt;
   opt.weight_seed = req.weight_seed;
   opt.jobs = req.options.jobs;
-  ParallelBuildReport report;
-  opt.parallel_report = &report;
   BuildResult out;
   out.structure = build_single_ftbfs(*req.graph, req.sources[0], opt);
-  out.counters.emplace_back("build_workers", report.workers);
   add_kernel_counters(out);
   return out;
 }
@@ -50,11 +47,8 @@ BuildResult build_cons2(const BuildRequest& req) {
   opt.weight_seed = req.weight_seed;
   opt.classify_paths = req.collect_stats;
   opt.jobs = req.options.jobs;
-  ParallelBuildReport report;
-  opt.parallel_report = &report;
   BuildResult out;
   out.structure = build_cons2ftbfs(*req.graph, req.sources[0], opt);
-  out.counters.emplace_back("build_workers", report.workers);
   add_kernel_counters(out);
   out.counters.emplace_back("fault_pairs_considered",
                             out.structure.stats.fault_pairs_considered);
@@ -94,8 +88,6 @@ BuildResult build_ftmbfs(const BuildRequest& req) {
   FtMbfsOptions opt;
   opt.weight_seed = req.weight_seed;
   opt.jobs = req.options.jobs;
-  ParallelBuildReport report;
-  opt.parallel_report = &report;
   FtMbfsResult r =
       req.fault_budget == 1
           ? build_single_ftmbfs(*req.graph, req.sources, opt)
@@ -105,7 +97,6 @@ BuildResult build_ftmbfs(const BuildRequest& req) {
   std::uint64_t before_union = 0;
   for (const std::uint64_t s : r.per_source_size) before_union += s;
   out.counters.emplace_back("edges_before_union", before_union);
-  out.counters.emplace_back("build_workers", report.workers);
   add_kernel_counters(out);
   return out;
 }
@@ -269,8 +260,10 @@ BuildResult BuilderRegistry::build(std::string_view name,
   BuildResult out = fn(req);
   out.build_seconds = timer.seconds();
   out.algorithm = t->name;
-  if (!t->parallel_build &&
-      resolve_jobs(req.options.jobs, req.graph->num_vertices()) > 1) {
+  if (t->parallel_build) {
+    out.counters.emplace_back("build_workers",
+                              out.structure.stats.build_workers);
+  } else if (resolve_jobs(req.options.jobs, req.graph->num_vertices()) > 1) {
     out.counters.emplace_back("parallel_fallback_sequential", 1);
   }
   return out;

@@ -32,7 +32,8 @@ struct BuildOptions {
   // Worker threads for parallel construction: 0 = auto (clamped hardware
   // concurrency), 1 = sequential. Builders with a parallel path (declared by
   // BuilderTraits::parallel_build) produce byte-identical structures and
-  // stats at any value; the rest run sequentially and the registry reports a
+  // stats at any value, but for the crew size they report as
+  // `build_workers`; the rest run sequentially and the registry reports a
   // `parallel_fallback_sequential` counter when jobs would exceed 1.
   unsigned jobs = 1;
 };

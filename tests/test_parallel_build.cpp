@@ -17,12 +17,13 @@
 
 #include "core/build_parallel.h"
 #include "core/cons2ftbfs.h"
+#include "core/selector.h"
 #include "core/single_ftbfs.h"
 #include "engine/registry.h"
 #include "graph/generators.h"
 #include "service/oracle_service.h"
 #include "service/protocol.h"
-#include "spath/bfs.h"
+#include "spath/weights.h"
 #include "util/concurrency.h"
 #include "util/rng.h"
 
@@ -65,6 +66,38 @@ bool has_counter(const BuildResult& r, const std::string& key) {
     if (name == key) return true;
   }
   return false;
+}
+
+// Cons2FTBFS's step-(1) pairs (v, e), e on π(s, v), counted with the
+// single-target selection: all of them, those where e cuts v off (e is a
+// bridge), and the detour vertices of the rest.
+struct Step1Census {
+  std::uint64_t pairs = 0;
+  std::uint64_t cut_pairs = 0;
+  std::uint64_t detour_verts = 0;
+};
+
+Step1Census step1_census(const Graph& g, Vertex s) {
+  const WeightAssignment w(g, Cons2Options{}.weight_seed);
+  const SelectorBaseline base(g, w, s);
+  PathSelector sel(g, w, &base);
+  VertexIndexMap pi_pos(g.num_vertices());
+  Step1Census c;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (v == s || !base.tree().reached(v)) continue;
+    const Path pi = extract_path(base.tree(), v);
+    pi_pos.bind(pi);
+    for (std::size_t i = 0; i + 1 < pi.size(); ++i) {
+      ++c.pairs;
+      const auto choice = select_single_fault(sel, pi, pi_pos, i);
+      if (choice.has_value()) {
+        c.detour_verts += choice->detour.size();
+      } else {
+        ++c.cut_pairs;
+      }
+    }
+  }
+  return c;
 }
 
 // --- the byte-identity property across every registered family -------------
@@ -156,11 +189,12 @@ TEST(ParallelBuild, KernelCountersAreReported) {
   }
 }
 
-// Cons2FTBFS reports its step-(1) table: one 24-byte slot per fault pair
-// (v, e) of step (1) plus 4 bytes per stored detour vertex, so it lies
-// between the slots alone and a constant times fault_pairs_considered.
-// Single-source single_ftbfs keeps no table. Neither build reports the
-// counters of the retired speculative schedule.
+// Cons2FTBFS reports the step-(1) selections it keeps: 24 bytes per fault
+// pair (v, e) of step (1) with e not a bridge, plus 4 bytes per detour
+// vertex, so they lie between those pairs' 24 bytes alone and a constant
+// times fault_pairs_considered. Single-source single_ftbfs keeps no
+// selections. Neither build reports the counters of the retired speculative
+// schedule.
 TEST(ParallelBuild, SelectionTableBytesAreReported) {
   const Graph g = random_connected(120, 360, 3);
   const BuilderRegistry& reg = BuilderRegistry::instance();
@@ -170,15 +204,12 @@ TEST(ParallelBuild, SelectionTableBytesAreReported) {
   req.fault_budget = 2;
   const BuildResult cons2 = reg.build("cons2ftbfs", req);
   const FtBfsStats& st = cons2.structure.stats;
-  std::uint64_t step1_pairs = 0;
-  for (Vertex v = 1; v < g.num_vertices(); ++v) {
-    step1_pairs += bfs_distance(g, 0, v);
-  }
+  const Step1Census c = step1_census(g, 0);
   EXPECT_EQ(counter_value(cons2, "selection_table_bytes"),
             st.selection_table_bytes);
   EXPECT_FALSE(has_counter(cons2, "spec_blocks"));
   EXPECT_FALSE(has_counter(cons2, "spec_conflicts"));
-  EXPECT_GT(st.selection_table_bytes, 24 * step1_pairs);
+  EXPECT_GT(st.selection_table_bytes, 24 * (c.pairs - c.cut_pairs));
   EXPECT_LE(st.selection_table_bytes, 28 * st.fault_pairs_considered);
 
   req.fault_budget = 1;
@@ -188,6 +219,46 @@ TEST(ParallelBuild, SelectionTableBytesAreReported) {
   EXPECT_FALSE(has_counter(single, "spec_blocks"));
   EXPECT_FALSE(has_counter(single, "spec_conflicts"));
   EXPECT_EQ(counter_value(single, "build_workers"), 4u);
+}
+
+// Step (1) keeps each tree edge's batch, 24 bytes per choice and 4 per
+// detour vertex, but not a bridge's: removing a tree edge cuts off all of its
+// subtree or none of it. So the bytes are 24 per step-(1) pair plus 4 per
+// detour vertex, less 24 per pair below a bridge: all pairs on a path, those
+// below the unchorded end segments of a path with chords, and none on a
+// barbell whose two cliques are joined by three edges. Like every stats
+// field, they are the same at every job count.
+TEST(ParallelBuild, SelectionBytesLeaveOutBridges) {
+  const std::vector<std::pair<std::string, Graph>> inputs = {
+      {"path 80", path_graph(80)},
+      {"barbell 40", barbell_graph(40, 3)},
+      {"chords 150", path_with_chords(150, 30, 5)},
+  };
+  for (const auto& [input, g] : inputs) {
+    const Step1Census c = step1_census(g, 0);
+    const std::uint64_t with_bridges = 24 * c.pairs + 4 * c.detour_verts;
+    Cons2Options opt;
+    opt.jobs = 1;
+    const FtStructure base = build_cons2ftbfs(g, 0, opt);
+    EXPECT_EQ(base.stats.selection_table_bytes,
+              with_bridges - 24 * c.cut_pairs)
+        << input;
+    for (const unsigned jobs : {2u, 4u, 8u}) {
+      opt.jobs = jobs;
+      const FtStructure h = build_cons2ftbfs(g, 0, opt);
+      const std::string label = input + " jobs=" + std::to_string(jobs);
+      EXPECT_EQ(base.edges, h.edges) << label;
+      expect_same_stats(base.stats, h.stats, label);
+    }
+    if (input == "path 80") {
+      EXPECT_EQ(base.stats.selection_table_bytes, 0u);
+    } else if (input == "chords 150") {
+      EXPECT_GT(c.cut_pairs, 0u);
+      EXPECT_LT(base.stats.selection_table_bytes, with_bridges);
+    } else {
+      EXPECT_EQ(c.cut_pairs, 0u) << input;
+    }
+  }
 }
 
 // jobs=0 (auto) resolves to the hardware-clamped crew and must be just as
