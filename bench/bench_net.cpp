@@ -2,9 +2,9 @@
 // does the epoll transport cost relative to the in-process serving pipeline,
 // and how does it scale from one connection to a thousand? The sweep crosses
 // connection counts {1, 64, 1024} ({1, 64, 256} under --small) with the two
-// admission modes (ordered: per-connection response order preserved by the
-// reorder buffer; relaxed: completion order, correlation by id). Clients are
-// windowed pipeliners (window 32) — the same discipline real clients need,
+// admission modes (ordered: one worker at a time per connection, so responses
+// keep request order; relaxed: completion order, correlation by id). Clients
+// are windowed pipeliners (window 32) — the same discipline real clients need,
 // since a client that floods requests without reading responses deadlocks
 // against the server's write backpressure by design.
 //

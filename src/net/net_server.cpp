@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -59,7 +60,7 @@ void NetServer::setup_loop() {
   if (config_.queue_capacity == 0) {
     config_.queue_capacity = 16u * config_.threads;
   }
-  queue_ = std::make_unique<BoundedQueue<NetJob>>(config_.queue_capacity);
+  per_conn_workers_ = config_.ordered ? 1u : config_.threads;
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) die("epoll_create1");
@@ -151,108 +152,140 @@ void NetServer::request_reload() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker side: queue → LineJob → per-connection output buffer.
+// Worker side: a connection's inbox → LineJob → its output buffer.
+
+namespace {
+// A batch's answers reach the connection at the latest once they pass this
+// size, so a batch of large answers (all_distances) is not held in full.
+constexpr std::size_t kPublishBytes = 64 * 1024;
+}  // namespace
 
 void NetServer::worker_main() {
-  while (auto job = queue_->pop()) {
-    if (config_.ordered && !job->oversized && !job->admitted) {
-      admit_in_turn(std::move(*job));
-    } else {
-      complete(*job);
-    }
-  }
-}
-
-void NetServer::admit_in_turn(NetJob job) {
-  Conn& c = *job.conn;
-  {
-    const std::lock_guard lock(c.turn_mutex);
-    if (job.ticket != c.turn) {
-      // Popped early: whoever admits the ticket before it takes it from here.
-      c.early.emplace(job.ticket, std::move(job));
-      return;
-    }
-  }
+  ParsedRequest parsed;  // every line this worker answers parses into it
+  std::string answers;
+  std::vector<NetJob> batch;
+  std::unique_lock lock(mutex_);
   while (true) {
-    job.admitted.emplace(*registry_, job.line,
-                         static_cast<std::int64_t>(job.seq), false, counters_,
-                         job.arrival);
-    job.admitted->admit();
-    std::optional<NetJob> next;
-    {
-      const std::lock_guard lock(c.turn_mutex);
-      const auto it = c.early.find(++c.turn);
-      if (it != c.early.end()) {
-        next = std::move(it->second);
-        c.early.erase(it);
+    if (runnable_.empty()) {
+      if (stopping_) return;
+      work_cv_.wait(lock, [&] { return stopping_ || !runnable_.empty(); });
+      continue;
+    }
+    Conn& c = *runnable_.front();
+    runnable_.pop_front();
+    c.queued = false;
+    ++c.serving;
+    bool keep = true;
+    while (keep) {
+      take_batch(c, batch);
+      lock.unlock();
+      answer_batch(c, batch, parsed, answers);
+      lock.lock();
+      c.inflight -= batch.size();
+      // More lines, and nobody else waiting: keep the connection. Otherwise
+      // let go of it (to the back of the queue if it has more lines).
+      keep = !c.inbox.empty() && runnable_.empty();
+      if (!keep) {
+        --c.serving;
+        schedule(c);
+      }
+      // Once `serving` has dropped, `c` may be freed as soon as the lock is.
+      if (mark_ready(c)) {
+        lock.unlock();
+        wake_loop();
+        lock.lock();
       }
     }
-    if (!next) break;
-    // Keep the turn: admit the next line here, and hand this one's execution
-    // to another worker (or run it now if the queue is full).
-    if (!queue_->try_push(job)) complete(job);
-    job = std::move(*next);
   }
-  complete(job);
 }
 
-void NetServer::complete(NetJob& job) {
-  Conn* c = job.conn;
-  const auto seq = static_cast<std::int64_t>(job.seq);
-  const bool stamp_seq = !config_.ordered;
-  std::string line;
-  if (job.oversized) {
-    line = oversized_line_answer(config_.max_line_bytes, seq, stamp_seq,
-                                 counters_);
+void NetServer::take_batch(Conn& c, std::vector<NetJob>& batch) {
+  batch.clear();
+  // Ordered: the whole inbox. Relaxed: an even share with the workers that
+  // may still join this connection.
+  const std::size_t share = per_conn_workers_ - c.serving + 1;
+  const std::size_t take = (c.inbox.size() + share - 1) / share;
+  if (take == c.inbox.size()) {
+    batch.swap(c.inbox);
   } else {
-    if (!job.admitted) {
-      job.admitted.emplace(*registry_, job.line, seq, stamp_seq, counters_,
-                           job.arrival);
-      job.admitted->admit();
+    const auto end = c.inbox.begin() + static_cast<std::ptrdiff_t>(take);
+    batch.assign(std::make_move_iterator(c.inbox.begin()),
+                 std::make_move_iterator(end));
+    c.inbox.erase(c.inbox.begin(), end);
+    schedule(c);  // the rest is another worker's share
+  }
+  for (const NetJob& job : batch) waiting_ -= job.shed ? 0 : 1;
+}
+
+void NetServer::answer_batch(Conn& c, std::vector<NetJob>& batch,
+                             ParsedRequest& parsed, std::string& answers) {
+  const bool stamp_seq = !config_.ordered;
+  answers.clear();
+  std::size_t lines = 0;
+  for (const NetJob& job : batch) {
+    if (c.dead.load(std::memory_order_acquire)) return;  // nobody to answer
+    const auto seq = static_cast<std::int64_t>(job.seq);
+    if (job.shed) {
+      answers += job.line;
+    } else if (job.oversized) {
+      answers += oversized_line_answer(config_.max_line_bytes, seq, stamp_seq,
+                                       counters_);
+    } else {
+      LineJob request(*registry_, job.line, seq, stamp_seq, counters_,
+                      parsed, job.arrival);
+      request.admit();
+      request.finish(answers);
     }
-    line = job.admitted->finish();
+    answers += '\n';
+    ++lines;
+    if (answers.size() >= kPublishBytes) {
+      publish(c, answers, lines);
+      lines = 0;
+      bool wake;
+      {
+        const std::lock_guard lock(mutex_);
+        wake = mark_ready(c);
+      }
+      if (wake) wake_loop();
+    }
   }
-  deliver(*c, job.seq, std::move(line));
-  // Ready-list insert must happen BEFORE the inflight decrement: the loop
-  // only frees a connection it observes with inflight == 0 && !in_ready, so
-  // this order guarantees the worker never touches a freed Conn.
-  bool expected = false;
-  if (c->in_ready.compare_exchange_strong(expected, true,
-                                          std::memory_order_acq_rel)) {
-    const std::lock_guard lock(ready_mutex_);
-    ready_.push_back(c);
+  publish(c, answers, lines);
+}
+
+void NetServer::publish(Conn& c, std::string& answers, std::size_t lines) {
+  if (lines != 0) {
+    const std::lock_guard lock(c.out_mutex);
+    if (!c.dead.load(std::memory_order_acquire)) {
+      if (c.out.empty()) {
+        c.out.swap(answers);  // the worker keeps the loop's spent buffer
+      } else {
+        c.out += answers;
+      }
+      responses_sent_.fetch_add(lines, std::memory_order_relaxed);
+    }
   }
-  c->inflight.fetch_sub(1, std::memory_order_acq_rel);
-  jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+  answers.clear();
+}
+
+void NetServer::schedule(Conn& c) {
+  if (c.inbox.empty() || c.queued || c.serving >= per_conn_workers_) return;
+  c.queued = true;
+  runnable_.push_back(&c);
+  work_cv_.notify_one();  // no system call unless a worker sleeps
+}
+
+bool NetServer::mark_ready(Conn& c) {
+  if (c.in_ready) return false;
+  c.in_ready = true;
+  ready_.push_back(&c);
+  // A non-empty list already has a wakeup on its way: the loop takes the
+  // list under mutex_ after it reads the eventfd, so it sees `c` too.
+  return ready_.size() == 1;
+}
+
+void NetServer::wake_loop() {
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
-}
-
-void NetServer::deliver(Conn& c, std::uint64_t seq, std::string line) {
-  if (c.dead.load(std::memory_order_acquire)) return;
-  const std::lock_guard lock(c.out_mutex);
-  const auto append = [&](std::string& l) {
-    c.out += l;
-    c.out += '\n';
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-  };
-  if (!config_.ordered) {
-    append(line);
-    return;
-  }
-  if (seq != c.next_out) {
-    // Out-of-order completion: hold it back. Bounded by the jobs in flight
-    // (queue capacity + workers), all of which belong to dense seqs.
-    c.reorder.emplace(seq, std::move(line));
-    return;
-  }
-  append(line);
-  ++c.next_out;
-  while (!c.reorder.empty() && c.reorder.begin()->first == c.next_out) {
-    append(c.reorder.begin()->second);
-    c.reorder.erase(c.reorder.begin());
-    ++c.next_out;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -321,40 +354,27 @@ bool NetServer::park(Conn& c) {
 }
 
 bool NetServer::drain_backlog(Conn& c) {
-  while (!c.backlog.empty()) {
-    // Ordered mode: early lines wait outside the queue (admit_in_turn), so
-    // the connection's own cap bounds them instead.
-    if (config_.ordered && c.inflight.load(std::memory_order_acquire) >=
-                               config_.queue_capacity) {
-      return park(c);
+  if (!c.backlog.empty()) {
+    const std::lock_guard lock(mutex_);
+    while (!c.backlog.empty() && waiting_ < config_.queue_capacity &&
+           (!config_.ordered || c.inflight < config_.queue_capacity)) {
+      c.inbox.push_back(std::move(c.backlog.front()));
+      c.backlog.pop_front();
+      ++waiting_;
+      ++c.inflight;
     }
-    NetJob& job = c.backlog.front();
-    // The ticket is taken on entry to the queue, so a line shed from the
-    // backlog instead never holds one; nor does an oversized line.
-    const bool ticketed = config_.ordered && !job.oversized;
-    job.ticket = c.next_ticket;
-    c.inflight.fetch_add(1, std::memory_order_acq_rel);
-    if (!queue_->try_push(job)) {
-      c.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      return park(c);
-    }
-    if (ticketed) ++c.next_ticket;
-    c.backlog.pop_front();
+    schedule(c);
   }
+  if (!c.backlog.empty()) return park(c);
   c.parked_for_queue = false;
   return true;
 }
 
 void NetServer::shed_backlog(Conn& c) {
-  // The admission FIFO (or, ordered, the connection's own cap) has been full
-  // past the shed budget: parking longer only converts load into queueing
-  // latency the client never asked for.
-  // Answer every parked line `overloaded` from the loop thread — the lines
-  // were already framed and seq-stamped, so responses take the normal
-  // (ordered) deliver path and interleave correctly with worker output.
-  while (!c.backlog.empty()) {
-    NetJob job = std::move(c.backlog.front());
-    c.backlog.pop_front();
+  // The admission ring has been full past the shed budget: parking longer
+  // only converts load into queueing latency the client never asked for.
+  // Answer every parked line `overloaded` from the loop thread.
+  for (NetJob& job : c.backlog) {
     counters_.overload_sheds.fetch_add(1, std::memory_order_relaxed);
     QueryResponse resp;
     resp.status = StatusCode::kOverloaded;
@@ -363,9 +383,29 @@ void NetServer::shed_backlog(Conn& c) {
     if (resp.id < 0 && !config_.ordered) {
       resp.seq = static_cast<std::int64_t>(job.seq);
     }
-    deliver(c, job.seq, format_response_line(resp));
-    jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+    job.line = format_response_line(resp);
+    job.shed = true;
   }
+  {
+    // Ordered, with earlier lines in flight: their answers come first, so
+    // these follow them through the inbox. Otherwise they go out directly
+    // (with none in flight none can start: only the loop adds lines).
+    std::unique_lock lock(mutex_);
+    if (config_.ordered && c.inflight > 0) {
+      for (NetJob& job : c.backlog) c.inbox.push_back(std::move(job));
+      c.inflight += c.backlog.size();
+      schedule(c);
+    } else {
+      lock.unlock();
+      const std::lock_guard out_lock(c.out_mutex);
+      for (const NetJob& job : c.backlog) {
+        c.out += job.line;
+        c.out += '\n';
+      }
+      responses_sent_.fetch_add(c.backlog.size(), std::memory_order_relaxed);
+    }
+  }
+  c.backlog.clear();
   if (c.parked_for_queue) {
     c.parked_for_queue = false;
     std::erase(queue_waiters_, &c);
@@ -380,14 +420,11 @@ void NetServer::handle_readable(Conn& c) {
   static fp::Failpoint& fp_read = fp::site("net.read");
   const auto now = std::chrono::steady_clock::now();
   const auto frame = [&](const std::string& line, bool oversized) {
-    NetJob job;
-    job.conn = &c;
+    NetJob& job = c.backlog.emplace_back();
     job.seq = c.next_seq++;
     job.oversized = oversized;
     job.line = line;
     job.arrival = now;
-    jobs_outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    c.backlog.push_back(std::move(job));
   };
   char buf[65536];
   while (true) {
@@ -401,12 +438,8 @@ void NetServer::handle_readable(Conn& c) {
     if (n > 0) {
       c.framer.feed(buf, static_cast<std::size_t>(n), frame);
       if (!drain_backlog(c)) break;  // admission ring full: park
-      bool write_parked;
-      {
-        const std::lock_guard lock(c.out_mutex);
-        write_parked = c.out.size() - c.out_off > config_.write_park_bytes;
-      }
-      if (write_parked) break;  // peer not reading its answers: park
+      // Peer not reading its answers: park.
+      if (pending_output(c) > config_.write_park_bytes) break;
       continue;
     }
     if (n == 0) {
@@ -427,9 +460,18 @@ bool NetServer::flush_writes(Conn& c) {
   if (c.dead.load(std::memory_order_acquire) || c.fd < 0) return true;
   static fp::Failpoint& fp_write = fp::site("net.write");
   bool progressed = false;
-  const std::lock_guard lock(c.out_mutex);
-  while (c.out_off < c.out.size()) {
-    std::size_t want = c.out.size() - c.out_off;
+  while (true) {
+    if (c.sent == c.sending.size()) {
+      // Take what the workers appended; send it outside their lock.
+      c.sending.clear();
+      c.sent = 0;
+      {
+        const std::lock_guard lock(c.out_mutex);
+        c.sending.swap(c.out);
+      }
+      if (c.sending.empty()) break;
+    }
+    std::size_t want = c.sending.size() - c.sent;
     ssize_t n;
     const fp::Outcome o = fp::eval(fp_write);
     if (o.kind == fp::Outcome::Kind::kErr) {
@@ -440,10 +482,10 @@ bool NetServer::flush_writes(Conn& c) {
       if (o.kind == fp::Outcome::Kind::kSleep) {
         std::this_thread::sleep_for(std::chrono::milliseconds(o.ms));
       }
-      n = ::send(c.fd, c.out.data() + c.out_off, want, MSG_NOSIGNAL);
+      n = ::send(c.fd, c.sending.data() + c.sent, want, MSG_NOSIGNAL);
     }
     if (n > 0) {
-      c.out_off += static_cast<std::size_t>(n);
+      c.sent += static_cast<std::size_t>(n);
       progressed = true;
       continue;
     }
@@ -451,15 +493,7 @@ bool NetServer::flush_writes(Conn& c) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     return false;  // peer gone; caller drops the connection
   }
-  if (c.out_off == c.out.size()) {
-    c.out.clear();
-    c.out_off = 0;
-  } else if (c.out_off > (1u << 16)) {
-    c.out.erase(0, c.out_off);
-    c.out_off = 0;
-  }
-  // Stall bookkeeping (loop-only state, but cheap to keep under the lock):
-  // "stalled" means this flush left bytes pending — the peer's receive
+  // Stall bookkeeping: "stalled" means this flush left bytes pending — the peer's receive
   // window cannot take everything we owe it. The clock resets on any
   // progress, so a merely slow reader never accumulates toward eviction.
   // The conn must stay in the stalled set as long as bytes are pending, even
@@ -467,7 +501,7 @@ bool NetServer::flush_writes(Conn& c) {
   // generates no further epoll events, so sweep_timers() (driven by the
   // 20ms loop timeout that `stalled_conns_ > 0` keeps alive) is the only
   // thing left that can notice the deadline passing.
-  const bool blocked = c.out_off < c.out.size();
+  const bool blocked = c.sent < c.sending.size();
   if (!blocked) {
     if (c.stalled) {
       c.stalled = false;
@@ -483,17 +517,18 @@ bool NetServer::flush_writes(Conn& c) {
   return true;
 }
 
+std::size_t NetServer::pending_output(Conn& c) {
+  const std::lock_guard lock(c.out_mutex);
+  return c.sending.size() - c.sent + c.out.size();
+}
+
 void NetServer::refresh_after_io(Conn& c) {
   if (c.dead.load(std::memory_order_relaxed) || c.fd < 0) return;
   if (!flush_writes(c)) {
     drop_conn(c);
     return;
   }
-  std::size_t pending;
-  {
-    const std::lock_guard lock(c.out_mutex);
-    pending = c.out.size() - c.out_off;
-  }
+  const std::size_t pending = pending_output(c);
   const bool want_read = !draining_ && !c.read_closed && c.backlog.empty() &&
                          !c.parked_for_queue &&
                          pending <= config_.write_park_bytes;
@@ -505,12 +540,13 @@ void NetServer::maybe_finish_conn(Conn& c) {
   if (c.dead.load(std::memory_order_relaxed) || c.fd < 0) return;
   if (!c.read_closed && !draining_) return;
   if (!c.backlog.empty()) return;
-  if (c.inflight.load(std::memory_order_acquire) != 0) return;
-  if (c.in_ready.load(std::memory_order_acquire)) return;
   {
-    const std::lock_guard lock(c.out_mutex);
-    if (c.out_off < c.out.size() || !c.reorder.empty()) return;
+    // Workers append a batch's answers before they drop `inflight`, so with
+    // it at zero every answer is in `out`.
+    const std::lock_guard lock(mutex_);
+    if (c.inflight != 0 || c.serving != 0 || c.in_ready) return;
   }
+  if (pending_output(c) != 0) return;
   retire_conn(c);
 }
 
@@ -529,8 +565,20 @@ void NetServer::retire_conn(Conn& c) {
 void NetServer::drop_conn(Conn& c) {
   if (c.dead.load(std::memory_order_relaxed)) return;
   c.dead.store(true, std::memory_order_release);
-  jobs_outstanding_.fetch_sub(c.backlog.size(), std::memory_order_acq_rel);
   c.backlog.clear();
+  {
+    const std::lock_guard lock(mutex_);
+    // Lines no worker took free their ring slots, and no batch end will
+    // report it: a wakeup makes the loop retry the parked connections.
+    if (!c.inbox.empty()) wake_loop();
+    for (const NetJob& job : c.inbox) waiting_ -= job.shed ? 0 : 1;
+    c.inflight -= c.inbox.size();
+    c.inbox.clear();
+    if (c.queued) {
+      c.queued = false;
+      std::erase(runnable_, &c);
+    }
+  }
   if (c.stalled) {
     c.stalled = false;
     --stalled_conns_;
@@ -543,18 +591,20 @@ void NetServer::drop_conn(Conn& c) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   c.fd = -1;
   pending_close_.push_back(fd);
-  // Workers may still hold jobs for this connection: park it on the zombie
-  // list until its inflight count hits zero, then reap.
+  // A worker may still hold a batch of this connection: park it on the
+  // zombie list until no worker does, then reap.
   auto it = conns_.find(fd);
   zombies_.push_back(std::move(it->second));
   conns_.erase(it);
 }
 
 void NetServer::reap_zombies() {
-  std::erase_if(zombies_, [](const std::unique_ptr<Conn>& z) {
-    return z->inflight.load(std::memory_order_acquire) == 0 &&
-           !z->in_ready.load(std::memory_order_acquire);
-  });
+  if (!zombies_.empty()) {
+    const std::lock_guard lock(mutex_);
+    std::erase_if(zombies_, [](const std::unique_ptr<Conn>& z) {
+      return z->serving == 0 && !z->in_ready;
+    });
+  }
   // After a reload, tenants the new manifest dropped sit retired until their
   // last pinned request finishes; sweep them out alongside zombie conns.
   if (reload_happened_) registry_->reap_retired();
@@ -565,23 +615,34 @@ void NetServer::process_wakeups() {
   [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &count, sizeof count);
   std::vector<Conn*> batch;
   {
-    const std::lock_guard lock(ready_mutex_);
+    const std::lock_guard lock(mutex_);
     batch.swap(ready_);
+    for (Conn* c : batch) c->in_ready = false;
   }
   for (Conn* c : batch) {
-    c->in_ready.store(false, std::memory_order_release);
     if (c->dead.load(std::memory_order_relaxed)) continue;
     refresh_after_io(*c);
   }
-  // Every worker completion freed a queue slot: give parked connections
-  // another shot at admission.
+  // A finished batch freed admission room: give parked connections another
+  // shot at admission, in park order. One that got lines in and parks again
+  // goes behind those that got none, so a heavy client cannot take every
+  // freed slot.
   std::vector<Conn*> waiters;
   waiters.swap(queue_waiters_);
+  std::vector<Conn*> admitted_some;
   for (Conn* c : waiters) {
     if (c->dead.load(std::memory_order_relaxed)) continue;
     c->parked_for_queue = false;
-    if (drain_backlog(*c)) refresh_after_io(*c);
+    const std::size_t before = c->backlog.size();
+    if (drain_backlog(*c)) {
+      refresh_after_io(*c);
+    } else if (c->backlog.size() != before) {
+      queue_waiters_.pop_back();  // park() just put it there
+      admitted_some.push_back(c);
+    }
   }
+  queue_waiters_.insert(queue_waiters_.end(), admitted_some.begin(),
+                        admitted_some.end());
   reap_zombies();
 }
 
@@ -604,8 +665,8 @@ void NetServer::begin_drain() {
 }
 
 bool NetServer::drained() const {
-  return draining_ && conns_.empty() && zombies_.empty() &&
-         jobs_outstanding_.load(std::memory_order_acquire) == 0;
+  // Every line belongs to a connection, so with none left none is pending.
+  return draining_ && conns_.empty() && zombies_.empty();
 }
 
 void NetServer::do_reload() {
@@ -729,7 +790,11 @@ void NetServer::run() {
     if (listen_fd_ < 0 && conns_.empty()) begin_drain();
   }
 
-  queue_->close();
+  {
+    const std::lock_guard lock(mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
   for (std::thread& w : workers) w.join();
 }
 

@@ -4,31 +4,35 @@
 //
 // One epoll event loop (the thread that calls run()) owns every socket:
 // it accepts connections, reassembles JSONL request lines (net/framing.h),
-// and writes response bytes. A pool of worker threads owns every answer:
-// lines flow loop → BoundedQueue → workers, each worker runs the same
-// LineJob parse/admit/finish pipeline the inline stdin loop uses
-// (service/tenant.h), and finished response lines flow back worker → loop
-// through per-connection buffers plus an eventfd wakeup. The loop never
-// computes and the workers never touch a socket.
+// and writes response bytes. A pool of worker threads owns every answer.
+// The loop appends a connection's framed lines to its inbox and queues the
+// connection for the workers, unless it is already queued; a worker takes
+// the inbox, runs each line through the same LineJob parse/admit/finish
+// pipeline the inline stdin loop uses (service/tenant.h), appends the
+// batch's answers to the connection's output in one step, and wakes the
+// loop with an eventfd. The loop never computes and the workers never touch
+// a socket.
 //
-// Ordering. With `ordered` set, a line takes its connection's next admission
-// ticket when it enters the FIFO admission queue, admissions run in ticket
-// order, and a per-connection resequencer emits responses in request order:
-// the answer stream, `cache_hit` included, is byte-identical at any worker
-// count while no other connection interleaves admissions. No worker waits
-// for a turn: a line popped early is set aside, and the worker whose
-// admission makes it the turn admits it next, handing its own line's
-// execution on. So a slow admission (a lazy build) holds one worker and its
-// own connection's later lines, never the pool. Relaxed mode emits in
-// completion order and stamps `seq` (the connection-local request index)
+// Ordering. The mode sets how many workers may serve one connection at
+// once. Ordered: one, so its lines are admitted, executed and answered in
+// request order — the answer stream, `cache_hit` included, is
+// byte-identical at any worker count while no other connection interleaves
+// admissions. A slow admission (a lazy build) therefore holds one worker
+// and its own connection's later lines, never the pool; the flip side is
+// that one ordered connection never runs its lines in parallel. Relaxed:
+// up to `threads` workers, each taking a share of the inbox, answer in
+// completion order and stamp `seq` (the connection-local request index)
 // into responses to id-less requests. Cross-connection order is undefined.
+// A worker that finishes a batch while its connection has more lines keeps
+// it only if no other connection is waiting; otherwise the connection goes
+// to the back of the queue.
 //
 // Backpressure, two rings of it, both by *parking the connection* (dropping
 // its EPOLLIN interest so the kernel's TCP window does the rest):
-//   * admission ring — the BoundedQueue is full, or (ordered) the
-//     connection has `queue_capacity` lines in flight: parsed lines wait in
-//     the connection's backlog and the loop retries on the next worker
-//     wakeup;
+//   * admission ring — `queue_capacity` lines in all inboxes together are
+//     waiting for a worker, or (ordered) the connection has `queue_capacity`
+//     lines in its inbox and its worker's batch: framed lines wait in the
+//     connection's backlog and the loop retries when a worker ends a batch;
 //   * write ring — the peer is not reading: once the connection's pending
 //     output exceeds `write_park_bytes`, reading stops until it drains.
 // A slow or malicious client therefore costs O(its own buffers), never
@@ -42,11 +46,13 @@
 //
 // Degradation (docs/robustness.md). Parking is bounded: a connection whose
 // backlog has waited at the admission ring past `shed_after_ms` gets its
-// backlog answered `overloaded` from the loop thread instead of parking
-// forever; a connection whose write buffer has made no progress for
-// `write_stall_ms` (the peer stopped reading) is evicted. Both timers run on
-// a coarse epoll-timeout sweep that only ticks while some connection is
-// parked or stalled — an idle or healthy server still blocks indefinitely.
+// backlog answered `overloaded` by the loop thread instead of parking
+// forever (while earlier lines are still in flight, those answers pass
+// through the inbox, so they follow the earlier answers); a connection whose
+// write buffer has made no progress for `write_stall_ms` (the peer stopped
+// reading) is evicted. Both timers run on a coarse epoll-timeout sweep that
+// only ticks while some connection is parked or stalled — an idle or healthy
+// server still blocks indefinitely.
 //
 // Reload: request_reload() (async-signal-safe, the SIGHUP path) runs
 // `on_reload` on the loop thread — the CLI points it at
@@ -57,19 +63,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "net/framing.h"
 #include "service/tenant.h"
-#include "service/work_queue.h"
 
 namespace ftbfs {
 
@@ -80,10 +85,11 @@ struct NetServerConfig {
   bool ordered = true;  // per-connection response order (see file comment)
   std::size_t max_line_bytes = 1u << 20;
   std::size_t write_park_bytes = 1u << 20;
-  std::size_t queue_capacity = 0;  // admission queue slots; 0 = 16 * threads
+  // Admission ring: lines waiting for a worker, over all connections, and
+  // (ordered) lines in flight on one connection. 0 = 16 * threads.
+  std::size_t queue_capacity = 0;
   // Queue-pressure budget: a backlog parked at the admission ring longer
-  // than this is answered `overloaded` instead of waiting. 0 = park forever
-  // (the pre-PR-9 behavior).
+  // than this is answered `overloaded` instead of waiting. 0 = park forever.
   std::int64_t shed_after_ms = 2000;
   // Slow-client eviction: a connection whose pending output makes no progress
   // for this long is dropped. 0 = never evict.
@@ -143,18 +149,16 @@ class NetServer {
   }
 
  private:
-  // One queued request line. `conn` stays valid until the job's deliver():
-  // the connection's inflight count pins it through the zombie list.
-  struct Conn;
+  // One framed request line, from the loop to the worker that answers it.
   struct NetJob {
-    Conn* conn = nullptr;
-    std::uint64_t seq = 0;     // connection-local request index
-    std::uint64_t ticket = 0;  // ordered mode: connection admission ticket
-    std::optional<LineJob> admitted;  // set once admitted (ordered mode)
+    std::uint64_t seq = 0;  // connection-local request index
     bool oversized = false;
+    // `line` already holds the answer: a backlog line shed `overloaded`
+    // while earlier lines were in flight, emitted after their answers.
+    bool shed = false;
     std::string line;
     // When the bytes arrived — the moment the request's deadline clock
-    // started, covering queue wait as well as execution.
+    // started, covering the wait for a worker as well as execution.
     std::chrono::steady_clock::time_point arrival{};
   };
 
@@ -167,8 +171,9 @@ class NetServer {
 
     // --- loop-thread-only state ---------------------------------------------
     std::uint64_t next_seq = 0;        // next request index to assign
-    std::uint64_t next_ticket = 0;     // next admission ticket to hand out
-    std::deque<NetJob> backlog;        // parsed lines the queue refused
+    std::deque<NetJob> backlog;        // framed lines the admission ring refused
+    std::string sending;               // output taken from `out`, being sent
+    std::size_t sent = 0;              // prefix of `sending` already sent
     bool read_closed = false;          // peer sent EOF
     bool reading = true;               // EPOLLIN currently armed
     bool writing = false;              // EPOLLOUT currently armed
@@ -177,36 +182,40 @@ class NetServer {
     std::chrono::steady_clock::time_point park_since{};   // parked_for_queue
     std::chrono::steady_clock::time_point stall_since{};  // stalled
 
-    // --- worker/loop shared state (out_mutex) -------------------------------
+    // --- appended by workers, taken by the loop (out_mutex) -----------------
     std::mutex out_mutex;
-    std::string out;                       // bytes awaiting write()
-    std::size_t out_off = 0;               // prefix of `out` already sent
-    std::uint64_t next_out = 0;            // ordered mode: next seq to emit
-    std::map<std::uint64_t, std::string> reorder;  // ordered mode holdback
+    std::string out;
 
-    // --- cross-thread flags -------------------------------------------------
-    std::atomic<bool> dead{false};           // error/hangup: drop everything
-    std::atomic<std::uint64_t> inflight{0};  // jobs queued or being served
-    std::atomic<bool> in_ready{false};       // already on the ready list
+    // --- scheduling state (NetServer::mutex_) -------------------------------
+    std::vector<NetJob> inbox;  // lines for the next worker, in request order
+    std::size_t inflight = 0;   // lines in `inbox` or in a worker's batch
+    unsigned serving = 0;       // workers holding this connection
+    bool queued = false;        // on runnable_
+    bool in_ready = false;      // on ready_
 
-    // --- ordered mode: admission turns (turn_mutex) -------------------------
-    std::mutex turn_mutex;
-    std::uint64_t turn = 0;                   // ticket admitted next
-    std::map<std::uint64_t, NetJob> early;  // popped before their turn
+    std::atomic<bool> dead{false};  // error/hangup: drop everything
   };
 
   void setup_loop();           // epoll + wakeup fd + signal self-pipe
   bool watch(int fd);          // add fd to epoll for EPOLLIN
   bool add_conn(int fd);       // serve a connected, non-blocking socket
-  void worker_main();
-  void admit_in_turn(NetJob job);  // ordered mode, see the file comment
-  void complete(NetJob& job);       // answer, deliver, wake the loop
-  void deliver(Conn& c, std::uint64_t seq, std::string line);
 
+  // Worker side. Helpers marked "under mutex_" need it held.
+  void worker_main();
+  void take_batch(Conn& c, std::vector<NetJob>& batch);  // under mutex_
+  void answer_batch(Conn& c, std::vector<NetJob>& batch,
+                    ParsedRequest& parsed, std::string& answers);
+  void publish(Conn& c, std::string& answers, std::size_t lines);
+  void schedule(Conn& c);   // under mutex_: queue c if a worker may take it
+  bool mark_ready(Conn& c);  // under mutex_: true = the loop needs a wakeup
+  void wake_loop();
+
+  // Loop side.
   void handle_accept();
   void shed_via_spare_fd();     // EMFILE/ENFILE: accept+close one connection
   void handle_readable(Conn& c);
   bool flush_writes(Conn& c);   // false: peer gone, caller must drop
+  [[nodiscard]] std::size_t pending_output(Conn& c);  // bytes not yet sent
   bool park(Conn& c);           // wait in queue_waiters_; returns false
   bool drain_backlog(Conn& c);  // false: connection parked
   void shed_backlog(Conn& c);   // answer the backlog `overloaded`, unpark
@@ -236,21 +245,28 @@ class NetServer {
   int spare_fd_ = -1;
   std::uint16_t port_ = 0;
 
-  std::unique_ptr<BoundedQueue<NetJob>> queue_;
   std::map<int, std::unique_ptr<Conn>> conns_;        // fd → live connection
-  std::vector<std::unique_ptr<Conn>> zombies_;        // closed, jobs inflight
-  std::vector<Conn*> queue_waiters_;                  // parked: queue was full
+  std::vector<std::unique_ptr<Conn>> zombies_;        // closed, still served
+  std::vector<Conn*> queue_waiters_;                  // parked: ring was full
   std::vector<int> pending_close_;  // close deferred past the event batch:
                                     // the kernel must not reuse an fd while
                                     // stale events for it are still queued
 
-  std::mutex ready_mutex_;
-  std::vector<Conn*> ready_;  // conns with fresh output (workers append)
+  // Scheduling: guards every Conn's inbox/inflight/serving/queued/in_ready
+  // and runnable_, ready_, waiting_ and stopping_. A worker holds a Conn only between taking
+  // it off runnable_ and dropping `serving`; the loop frees a Conn only
+  // when no worker holds it and it is on neither list.
+  std::mutex mutex_;
+  std::condition_variable work_cv_;
+  std::deque<Conn*> runnable_;  // conns with lines a worker may take
+  std::vector<Conn*> ready_;    // conns with fresh output (loop drains)
+  std::size_t waiting_ = 0;     // request lines in inboxes (not shed ones)
+  bool stopping_ = false;
+  unsigned per_conn_workers_ = 1;  // ordered 1, relaxed `threads`
 
   bool draining_ = false;
   bool reload_happened_ = false;  // enables retired-tenant reaping in sweeps
   std::size_t stalled_conns_ = 0;  // conns with `stalled` set (loop-only)
-  std::atomic<std::uint64_t> jobs_outstanding_{0};  // framed but not delivered
   std::atomic<std::uint64_t> conns_accepted_{0};
   std::atomic<std::uint64_t> responses_sent_{0};
   std::atomic<std::uint64_t> conns_shed_fdlimit_{0};

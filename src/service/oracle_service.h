@@ -32,7 +32,7 @@
 // reads or advances shared serving state) and a long *execution* section
 // (the BFS / cache wait / payload copy, which runs on private state).
 // admit()/execute() expose the two halves: callers that run admissions in
-// strict ticket order (NetServer's ordered mode, a RequestSequencer turn) get
+// strict request order (NetServer's ordered mode, a RequestSequencer turn) get
 // responses byte-identical to the sequential ones (see docs/serving.md).
 #pragma once
 

@@ -437,13 +437,31 @@ LineJob::LineJob(TenantRegistry& registry, const std::string& line,
                  std::chrono::steady_clock::time_point arrival)
     : registry_(&registry),
       counters_(&counters),
+      owned_(std::make_unique<ParsedRequest>()),
+      parsed_(owned_.get()),
       arrival_(arrival),
       seq_(seq),
       stamp_seq_(stamp_seq) {
+  parse(line);
+}
+
+LineJob::LineJob(TenantRegistry& registry, std::string_view line,
+                 std::int64_t seq, bool stamp_seq, WireCounters& counters,
+                 ParsedRequest& parsed,
+                 std::chrono::steady_clock::time_point arrival)
+    : registry_(&registry),
+      counters_(&counters),
+      parsed_(&parsed),
+      arrival_(arrival),
+      seq_(seq),
+      stamp_seq_(stamp_seq) {
+  parse(line);
+}
+
+void LineJob::parse(std::string_view line) {
   // The resolver runs at most once per line, after the object scan; pinning
   // inside it makes route-and-pin atomic against a racing reload (the graph
   // pointer the fault resolution uses stays valid for the job's life).
-  parsed_ = std::make_unique<ParsedRequest>();
   parse_request_into(
       line,
       [this](const std::string& tenant) -> const Graph* {

@@ -354,6 +354,15 @@ class LineJob {
           std::chrono::steady_clock::time_point arrival =
               std::chrono::steady_clock::now());
 
+  // The same, parsing into the caller's `parsed` instead of a request of its
+  // own: a serve loop that admits and finishes one line before it parses the
+  // next reuses one ParsedRequest, and a warm parse allocates nothing.
+  // `parsed` must outlive the job and be used by no other job meanwhile.
+  LineJob(TenantRegistry& registry, std::string_view line, std::int64_t seq,
+          bool stamp_seq, WireCounters& counters, ParsedRequest& parsed,
+          std::chrono::steady_clock::time_point arrival =
+              std::chrono::steady_clock::now());
+
   LineJob(LineJob&&) noexcept = default;
   LineJob& operator=(LineJob&&) noexcept = default;
 
@@ -372,15 +381,18 @@ class LineJob {
   // Deadline for this request (request field wins over the tenant default),
   // or nullopt when neither applies. Computed once, in admit().
   void resolve_deadline();
+  void parse(std::string_view line);
   [[nodiscard]] std::string refuse_line(StatusCode status, std::string why);
 
   TenantRegistry* registry_;
   WireCounters* counters_;
   Tenant* tenant_ = nullptr;
   TenantPin pin_;
-  // Heap-pinned: OracleService::Admission keeps a pointer to the request
+  // Never inline: OracleService::Admission keeps a pointer to the request
   // across admit() → finish(), so the request must not move with the job.
-  std::unique_ptr<ParsedRequest> parsed_;
+  // `owned_` backs `parsed_` only for jobs built without a caller's request.
+  std::unique_ptr<ParsedRequest> owned_;
+  ParsedRequest* parsed_;
   std::optional<OracleService::Admission> admission_;
   std::optional<std::string> local_;  // final line decided before execution
   std::chrono::steady_clock::time_point arrival_;

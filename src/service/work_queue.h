@@ -63,21 +63,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking push: false when the queue is full or closed, leaving `item`
-  // untouched so the caller can retry later. The socket front-end uses this —
-  // its event loop must never block on serving backpressure; it parks the
-  // connection instead and re-offers the line when a worker frees a slot.
-  bool try_push(T& item) {
-    {
-      const std::lock_guard lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-      if (not_empty_waiters_ == 0) return true;
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   // Oldest item, or nullopt once the queue is closed and drained.
   std::optional<T> pop() {
     std::unique_lock lock(mutex_);

@@ -760,6 +760,108 @@ TEST(NetRobustness, SlowAdmissionHoldsUpOnlyItsOwnConnection) {
   EXPECT_EQ(rs.server.wire_counters().overload_sheds.load(), overloaded);
 }
 
+TEST(NetRobustness, APipelinedConnectionDoesNotHoldTheOnlyWorker) {
+  DisarmOnExit guard;
+  // One worker, a 2-line admission ring, no shedding, 5 ms per execution:
+  // A's 40 pipelined lines take about 200 ms. B's lines, sent shortly
+  // after, must be answered between A's batches, not after all of them.
+  // Either A sends all at once and B sends 4 lines, so that both park and
+  // must share the freed ring slots; or A sends a line every 4 ms and B one
+  // line, so that more of A's lines keep reaching its inbox while the
+  // worker serves it.
+  for (const bool paced : {false, true}) {
+    for (const bool ordered : {true, false}) {
+      ASSERT_TRUE(fp::arm("service.execute=sleep(ms=5)"));
+      TenantRegistry registry;
+      registry.add("default", cycle_graph(16));
+      NetServerConfig config;
+      config.threads = 1;
+      config.ordered = ordered;
+      config.queue_capacity = 2;
+      config.shed_after_ms = 0;
+      RunningServer rs(registry, config);
+      const int a = connect_loopback(rs.server.port());
+      const int b = connect_loopback(rs.server.port());
+
+      std::chrono::steady_clock::time_point a_last{};
+      std::size_t a_answers = 0;
+      std::thread a_reader([&] {
+        a_answers = recv_lines(a, 40).size();
+        a_last = std::chrono::steady_clock::now();
+      });
+      std::thread a_writer([&] {
+        std::string burst;
+        for (int i = 0; i < 40; ++i) {
+          burst += distance_request(i, 1 + i % 15);
+          if (!paced) continue;
+          send_all(a, burst);
+          burst.clear();
+          std::this_thread::sleep_for(std::chrono::milliseconds(4));
+        }
+        send_all(a, burst);
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const std::size_t b_lines = paced ? 1 : 4;
+      std::string b_stream;
+      for (std::size_t i = 0; i < b_lines; ++i) {
+        b_stream += distance_request(100 + static_cast<int>(i), 3);
+      }
+      send_all(b, b_stream);
+      const std::vector<std::string> got_b = recv_lines(b, b_lines);
+      const auto b_at = std::chrono::steady_clock::now();
+      a_writer.join();
+      a_reader.join();
+      ASSERT_EQ(got_b.size(), b_lines);
+      for (const std::string& line : got_b) {
+        EXPECT_EQ(field(line, "status"), "ok") << line;
+      }
+      ASSERT_EQ(a_answers, 40u);
+      EXPECT_LT(b_at, a_last) << "B waited for all of A, paced=" << paced
+                              << " ordered=" << ordered;
+      ::close(a);
+      ::close(b);
+      rs.shutdown_and_join();
+      fp::disarm_all();
+    }
+  }
+}
+
+TEST(NetRobustness, AbruptCloseMidBatchLeavesTheServerServing) {
+  DisarmOnExit guard;
+  for (const bool ordered : {true, false}) {
+    // A pipelines slow lines and resets the connection, unread, while a
+    // worker is serving its batch. B must still be answered, and the drain
+    // must reap A's connection once the worker lets go of it.
+    ASSERT_TRUE(fp::arm("service.execute=sleep(ms=20)"));
+    TenantRegistry registry;
+    registry.add("default", cycle_graph(16));
+    NetServerConfig config;
+    config.threads = 2;
+    config.ordered = ordered;
+    RunningServer rs(registry, config);
+
+    const int a = connect_loopback(rs.server.port());
+    std::string a_stream;
+    for (int i = 0; i < 10; ++i) a_stream += distance_request(i, 1 + i);
+    send_all(a, a_stream);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const linger reset{1, 0};  // close with an RST, not a FIN
+    ::setsockopt(a, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+    ::close(a);
+
+    const int b = connect_loopback(rs.server.port());
+    send_all(b, distance_request(77, 5));
+    const std::vector<std::string> got = recv_lines(b, 1);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(field(got[0], "id"), "77");
+    EXPECT_EQ(field(got[0], "status"), "ok") << got[0];
+    ::close(b);
+    rs.shutdown_and_join();  // returns only once every connection is reaped
+    EXPECT_LT(rs.server.responses_sent(), 11u) << "ordered=" << ordered;
+    fp::disarm_all();
+  }
+}
+
 TEST(NetRobustness, DeadlineExceededIsTypedAndPerRequest) {
   DisarmOnExit guard;
   // The first execution sleeps 100 ms; the request carries deadline_ms=40, so

@@ -20,6 +20,7 @@
 #include "graph/generators.h"
 #include "service/protocol.h"
 #include "service/shard.h"
+#include "service/tenant.h"
 #include "spath/bfs.h"
 #include "util/rng.h"
 
@@ -245,6 +246,38 @@ TEST(ZeroAlloc, WireParseAndFormatAreAllocationFreeWhenWarm) {
   EXPECT_TRUE(parsed_ok);
   EXPECT_EQ(parsed.request.structure, "identity");
   EXPECT_EQ(out, format_response_line(responses.back()));
+}
+
+// The serve loops' parse phase: a LineJob that parses into the loop's reused
+// ParsedRequest, routing and pinning its tenant, allocates nothing once warm.
+TEST(ZeroAlloc, LineJobParseIntoAReusedRequestIsAllocationFreeWhenWarm) {
+  TenantRegistry registry;
+  registry.add("default", cycle_graph(64));
+  WireCounters counters;
+  const std::vector<std::string> lines = {
+      R"({"id":1,"source":0,"kind":"distance","targets":[3,9,17,40]})",
+      R"({"id":2,"source":0,"targets":[5],"fault_edges":[[0,1]],)"
+      R"("tenant":"default"})",
+      R"({"id":3,"source":0,"kind":"all_distances","fault_edges":[[0,1],)"
+      R"([10,11]]})",
+  };
+  ParsedRequest parsed;
+  bool parsed_ok = true;
+  const auto run_mix = [&] {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      const LineJob job(registry, lines[i], static_cast<std::int64_t>(i),
+                        false, counters, parsed);
+      parsed_ok = parsed_ok && parsed.status == ParseStatus::kOk;
+    }
+  };
+  run_mix();  // warm-up: sizes the request's vectors and tenant string
+  const std::size_t count = allocations_during([&] {
+    for (int i = 0; i < 100; ++i) run_mix();
+  });
+  EXPECT_EQ(count, 0u);
+  EXPECT_TRUE(parsed_ok);
+  EXPECT_EQ(counters.parse_errors.load(), 0u);
+  EXPECT_EQ(registry.default_tenant()->pins.load(), 0u);
 }
 
 }  // namespace

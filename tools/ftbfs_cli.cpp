@@ -836,6 +836,7 @@ void serve_stdin_inline(TenantRegistry& registry, bool relaxed,
   LineFramer framer(NetServerConfig{}.max_line_bytes);
   std::uint64_t seq = 0;
   std::string out;
+  ParsedRequest parsed;  // every line parses into this one request
   const auto flush = [&] {
     // A failed write drops the answers, as a failed stdio write did.
     (void)write_all(STDOUT_FILENO, out.data(), out.size(), false);
@@ -847,7 +848,7 @@ void serve_stdin_inline(TenantRegistry& registry, bool relaxed,
       out += oversized_line_answer(framer.max_line_bytes(), at, relaxed,
                                    counters);
     } else {
-      LineJob job(registry, line, at, relaxed, counters);
+      LineJob job(registry, line, at, relaxed, counters, parsed);
       job.admit();
       job.finish(out);
     }
